@@ -1,9 +1,12 @@
 """Excitation-exchange Hamiltonians, time evolution, and the controlled mixing unitary.
 
 Units: hbar = 1 and the default coupling strength is J = 1, so all times are
-expressed in units of 1/J.  Propagators are built by eigendecomposition of the
-Hermitian Hamiltonian, which is unitary to rounding at the dimensions used
-here (<= 4096).
+expressed in units of 1/J.  Time evolution is exact: the Hamiltonian is
+eigendecomposed one excitation sector at a time.  The excitation number of a
+basis state is the sum of its level indices; every coupling built here
+conserves it, so H is block diagonal over the sectors and each block is
+diagonalized on its own (equal-size blocks in one batched ``eigh``).  A
+Hamiltonian that couples two sectors is diagonalized as one block.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .hilbert import (
     SubsystemKind,
     SystemLayout,
     TwoLevel,
-    embed_operator,
+    add_embedded,
+    basis_offsets,
 )
 
 # Raising/lowering operators of a two-level particle, basis (g, e): s+|g> = |e>.
@@ -89,12 +93,11 @@ def collective_jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> Linea
     (qubit excitation plus mode occupations).
     """
     _check_coupling_kinds(layout, spec)
-    sp = embed_operator(layout, SIGMA_PLUS, [spec.qubit_label]).matrix
     h = np.zeros((layout.dim, layout.dim), dtype=complex)
     for m in spec.mode_labels:
-        a = embed_operator(layout, annihilation(layout.kind_of(m)), [m]).matrix
-        h += 1j * (sp @ a)
-    h = spec.strength_J * (h + h.conj().T)
+        term = 1j * np.kron(SIGMA_PLUS, annihilation(layout.kind_of(m)))
+        add_embedded(h, layout, spec.strength_J * (term + term.conj().T),
+                     [spec.qubit_label, m])
     return LinearOp(layout, h)
 
 
@@ -106,20 +109,52 @@ def jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> LinearOp:
     return collective_jc_hamiltonian(layout, spec)
 
 
-def propagator(hamiltonian: LinearOp, t: float) -> LinearOp:
-    """exp(-i H t) via Hermitian eigendecomposition."""
+def _sector_eigh(hamiltonian: LinearOp):
+    """Eigendecomposition of H over the excitation sectors it leaves uncoupled.
+
+    Returns ``(idx, w, v)`` per sector size: ``idx`` (k, s) holds the global
+    basis indices of the k sectors of size s, and ``v[j] diag(w[j]) v[j]^dag``
+    is the block of H on ``idx[j]``.  If any nonzero entry of H joins two
+    sectors the whole basis is one block.
+    """
     if not hamiltonian.is_hermitian():
         raise ValueError("propagator requires a Hermitian Hamiltonian")
-    w, v = np.linalg.eigh(hamiltonian.matrix)
-    u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    h = hamiltonian.matrix
+    # excitation number of each basis state: the sum of its level indices
+    sector = np.indices(hamiltonian.layout.dims).sum(axis=0).ravel()
+    rows, cols = np.nonzero(h)
+    if np.any(sector[rows] != sector[cols]):
+        sector = np.zeros_like(sector)
+    order = np.argsort(sector, kind="stable")
+    sizes = np.bincount(sector)
+    starts = np.cumsum(sizes) - sizes
+    out = []
+    for s in sorted(set(sizes.tolist()) - {0}):
+        idx = order[starts[sizes == s][:, None] + np.arange(s)]
+        w, v = np.linalg.eigh(h[idx[:, :, None], idx[:, None, :]])
+        out.append((idx, w, v))
+    return out
+
+
+def propagator(hamiltonian: LinearOp, t: float) -> LinearOp:
+    """exp(-i H t), assembled block by block from the sector eigendecompositions."""
+    u = np.zeros_like(hamiltonian.matrix)
+    for idx, w, v in _sector_eigh(hamiltonian):
+        phases = np.exp(-1j * w * float(t))[:, None, :]
+        u[idx[:, :, None], idx[:, None, :]] = (v * phases) @ v.conj().transpose(0, 2, 1)
     return LinearOp(hamiltonian.layout, u)
 
 
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
-    """exp(-i H t) |state>; norm is preserved to rounding."""
+    """exp(-i H t) |state> as v e^{-iwt} v^dag |state> per sector, never forming
+    the propagator; norm is preserved to rounding."""
     if state.layout.dims != hamiltonian.layout.dims:
         raise ValueError("state and Hamiltonian dimensions do not match")
-    return propagator(hamiltonian, t).apply_to(state)
+    out = np.empty_like(state.amplitudes)
+    for idx, w, v in _sector_eigh(hamiltonian):
+        coeffs = (v.conj().transpose(0, 2, 1) @ state.amplitudes[idx][:, :, None])[:, :, 0]
+        out[idx] = (v @ (np.exp(-1j * w * float(t)) * coeffs)[:, :, None])[:, :, 0]
+    return PureState(state.layout, out)
 
 
 def mixing_subspace_indices(layout: SystemLayout, qubit_label: str,
@@ -141,12 +176,7 @@ def mixing_subspace_indices(layout: SystemLayout, qubit_label: str,
         if not isinstance(layout.kind_of(lab), FermionicMode):
             raise ValueError(f"subsystem {lab!r} must be a FermionicMode")
     strides = layout.strides()
-    dims = layout.dims
-    base = np.zeros(1, dtype=np.int64)
-    for pos in range(len(dims)):
-        if pos in (q, f, a):
-            continue
-        base = (base[:, None] + (np.arange(dims[pos]) * strides[pos])[None, :]).ravel()
+    base = basis_offsets(layout, [p for p in range(len(layout.dims)) if p not in (q, f, a)])
     i1 = base + strides[q] + strides[f]
     i2 = base + strides[q] + strides[a]
     return i1, i2

@@ -1,11 +1,15 @@
 """Composite Hilbert spaces of two-level particles and truncated field modes.
 
-Everything is dense numpy over a fixed basis contract: the global basis index
-runs row-major over the subsystem list, with the first-listed subsystem
-varying slowest (so ``tensor`` is a plain Kronecker product).  Fermionic
-modes are hard-core two-level modes without antisymmetrization sign strings;
-the protocols built on top only ever address modes locally and sequentially,
-so no anticommutation bookkeeping is needed.
+States and operators are dense numpy arrays over a fixed basis contract: the
+global basis index runs row-major over the subsystem list, with the
+first-listed subsystem varying slowest (so ``tensor`` is a plain Kronecker
+product).  Embedded operators are assembled by scattering the nonzeros of
+the local matrix to their global indices (``basis_offsets``), never through a
+Kronecker product with an identity.
+
+Fermionic modes are hard-core two-level modes without antisymmetrization
+sign strings; the protocols built on top only ever address modes locally and
+sequentially, so no anticommutation bookkeeping is needed.
 
 All values are immutable after construction and every operation is a pure
 function returning a new value, so they are safe to share across threads.
@@ -112,7 +116,7 @@ class SystemLayout:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def position(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.subsystems):
@@ -125,10 +129,7 @@ class SystemLayout:
 
     def strides(self) -> tuple:
         dims = self.dims
-        out = []
-        for i in range(len(dims)):
-            out.append(int(np.prod(dims[i + 1:], initial=1)))
-        return tuple(out)
+        return tuple(math.prod(dims[i + 1:]) for i in range(len(dims)))
 
     def restrict(self, labels: Sequence[str]) -> "SystemLayout":
         """Sub-layout containing ``labels`` in the given order."""
@@ -209,9 +210,6 @@ class LinearOp:
             raise ValueError(f"operator shape {m.shape} does not match layout dimension {d}")
         object.__setattr__(self, "matrix", _freeze(m))
 
-    def dagger(self) -> "LinearOp":
-        return LinearOp(self.layout, self.matrix.conj().T)
-
     def is_hermitian(self, atol: float = HERMITICITY_TOL) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= atol)
 
@@ -222,10 +220,6 @@ class LinearOp:
     def __add__(self, other: "LinearOp") -> "LinearOp":
         self._check_same_layout(other)
         return LinearOp(self.layout, self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinearOp") -> "LinearOp":
-        self._check_same_layout(other)
-        return LinearOp(self.layout, self.matrix - other.matrix)
 
     def __mul__(self, scalar) -> "LinearOp":
         return LinearOp(self.layout, self.matrix * complex(scalar))
@@ -309,7 +303,9 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
     """Truncated coherent state of one bosonic mode.
 
     Amplitudes are proportional to eta^n / sqrt(n!) for n = 0..cutoff and
-    renormalized after truncation.
+    renormalized after truncation.  Magnitudes are formed in log space,
+    shifted by their maximum, so large |eta| neither overflows nor
+    underflows.
 
     Returns
     -------
@@ -320,11 +316,14 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     eta = complex(eta)
-    amps = np.empty(cutoff + 1, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, cutoff + 1):
-        amps[n] = amps[n - 1] * eta / math.sqrt(n)
-    amps /= np.linalg.norm(amps)
+    if eta == 0:
+        amps = np.zeros(cutoff + 1, dtype=complex)
+        amps[0] = 1.0
+    else:
+        n = np.arange(cutoff + 1)
+        log_mag = n * math.log(abs(eta)) - 0.5 * special.gammaln(n + 1)
+        amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * n * math.atan2(eta.imag, eta.real))
+        amps /= np.linalg.norm(amps)
     # tail of Poisson(|eta|^2) beyond the cutoff, via the regularized lower
     # incomplete gamma (exact, no overflow for large |eta|)
     weight_beyond = float(special.gammainc(cutoff + 1, abs(eta) ** 2))
@@ -355,6 +354,46 @@ def tensor_op(a: LinearOp, b: LinearOp) -> LinearOp:
     return LinearOp(layout, np.kron(a.matrix, b.matrix))
 
 
+def basis_offsets(layout: SystemLayout, positions: Sequence[int]) -> np.ndarray:
+    """Global index offset of every joint level of the subsystems at ``positions``.
+
+    Row-major over ``positions`` in the order given (first slowest); an empty
+    list gives the single offset 0.  A basis state's global index is the sum
+    of its offsets over any partition of the subsystems.
+    """
+    dims, strides = layout.dims, layout.strides()
+    out = np.zeros(1, dtype=np.int64)
+    for p in positions:
+        out = (out[:, None] + np.arange(dims[p]) * strides[p]).ravel()
+    return out
+
+
+def add_embedded(out: np.ndarray, layout: SystemLayout, local,
+                 targets: Sequence[str]) -> None:
+    """Add ``local`` acting on ``targets`` (identity elsewhere) into ``out`` in place.
+
+    Each nonzero of the local matrix is scattered to the global index pairs
+    it occupies for every level of the other subsystems; no other entry of
+    ``out`` is touched.  Arguments are as for ``embed_operator``.
+    """
+    if not targets:
+        raise ValueError("an embedded operator needs at least one target")
+    local_m = local.matrix if isinstance(local, LinearOp) else np.asarray(local, dtype=complex)
+    positions = [layout.position(lab) for lab in targets]
+    if len(set(positions)) != len(positions):
+        raise ValueError("target labels must be distinct")
+    target_off = basis_offsets(layout, positions)
+    if local_m.shape != (target_off.size, target_off.size):
+        raise ValueError(
+            f"local operator shape {local_m.shape} does not match target dimension "
+            f"{target_off.size}")
+    rest_off = basis_offsets(layout, [i for i in range(len(layout.dims)) if i not in positions])
+    rows, cols = np.nonzero(local_m)
+    out[(target_off[rows, None] + rest_off).ravel(),
+        (target_off[cols, None] + rest_off).ravel()] += np.repeat(local_m[rows, cols],
+                                                                  rest_off.size)
+
+
 def embed_operator(layout: SystemLayout, local, targets: Sequence[str]) -> LinearOp:
     """Embed a local operator so it acts on ``targets`` and as identity elsewhere.
 
@@ -368,28 +407,9 @@ def embed_operator(layout: SystemLayout, local, targets: Sequence[str]) -> Linea
     targets : sequence of str
         Ordered subsystem labels the local operator acts on.
     """
-    if not targets:
-        raise ValueError("embed_operator needs at least one target")
-    local_m = local.matrix if isinstance(local, LinearOp) else np.asarray(local, dtype=complex)
-    positions = [layout.position(lab) for lab in targets]
-    if len(set(positions)) != len(positions):
-        raise ValueError("target labels must be distinct")
-    dims = layout.dims
-    d_targets = int(np.prod([dims[p] for p in positions]))
-    if local_m.shape != (d_targets, d_targets):
-        raise ValueError(
-            f"local operator shape {local_m.shape} does not match target dimension {d_targets}")
-    rest = [i for i in range(len(dims)) if i not in positions]
-    d_rest = int(np.prod([dims[i] for i in rest], initial=1))
-    full = np.kron(local_m, np.eye(d_rest, dtype=complex))
-    # full is ordered (targets..., rest...); permute both sides to layout order
-    order = positions + rest
-    n = len(dims)
-    shape = tuple(dims[i] for i in order)
-    tensor_form = full.reshape(shape + shape)
-    inv = np.argsort(order)
-    perm = tuple(inv) + tuple(inv + n)
-    return LinearOp(layout, tensor_form.transpose(perm).reshape(layout.dim, layout.dim))
+    full = np.zeros((layout.dim, layout.dim), dtype=complex)
+    add_embedded(full, layout, local, targets)
+    return LinearOp(layout, full)
 
 
 def to_density(state: PureState) -> DensityOp:

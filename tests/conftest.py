@@ -1,6 +1,7 @@
 import numpy as np
 
 from modent import PureState, compose_layout
+from modent.dynamics import SIGMA_PLUS, annihilation
 
 
 def rand_amplitude_pair(rng):
@@ -43,3 +44,36 @@ def rand_hermitian(rng, n):
 def single_qubit_layout(label="q"):
     from modent import TwoLevel
     return compose_layout([(label, TwoLevel)])
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: the direct formulas the structured library code must match
+# ---------------------------------------------------------------------------
+
+def dense_embed(layout, local, targets):
+    """local (x) identity by Kronecker product, permuted to the layout's order."""
+    positions = [layout.position(lab) for lab in targets]
+    dims = layout.dims
+    rest = [i for i in range(len(dims)) if i not in positions]
+    d_rest = int(np.prod([dims[i] for i in rest], initial=1))
+    full = np.kron(np.asarray(local, dtype=complex), np.eye(d_rest, dtype=complex))
+    order = positions + rest
+    shape = tuple(dims[i] for i in order)
+    inv = np.argsort(order)
+    perm = tuple(inv) + tuple(inv + len(dims))
+    return full.reshape(shape + shape).transpose(perm).reshape(layout.dim, layout.dim)
+
+
+def dense_collective_jc(layout, spec):
+    """J * sum_k (i s+ a_k - i s- a_k^dag) as a sum of dense products."""
+    sp = dense_embed(layout, SIGMA_PLUS, [spec.qubit_label])
+    h = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for m in spec.mode_labels:
+        h += 1j * (sp @ dense_embed(layout, annihilation(layout.kind_of(m)), [m]))
+    return spec.strength_J * (h + h.conj().T)
+
+
+def dense_propagator(h, t):
+    """exp(-i H t) from one eigendecomposition of the whole matrix."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T

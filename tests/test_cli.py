@@ -168,6 +168,15 @@ def test_absorption_and_coherent_rotation_run(capsys):
     assert "key,value" in out
 
 
+def test_coherent_rotation_large_eta_keeps_inverse_square_scaling(capsys):
+    # |eta|^2 = 900 overflowed the coherent amplitudes when built as a running product
+    scaled = {}
+    for eta in (20, 30):
+        assert main(["coherent-rotation", "--eta", str(eta), "--format", "json"]) == 0
+        scaled[eta] = json.loads(capsys.readouterr().out)["scalars"]["infidelity"] * eta ** 2
+    assert abs(scaled[30] / scaled[20] - 1) < 0.05
+
+
 def test_computation_failure_exit_code(capsys):
     # valid flags, but the cutoff truncates too much of the coherent state
     assert main(["coherent-rotation", "--eta", "4", "--cutoff", "2"]) == 1

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_hermitian, rand_pure_state
+from conftest import (
+    dense_collective_jc,
+    dense_propagator,
+    rand_hermitian,
+    rand_pure_state,
+)
 from modent import (
     BosonicMode,
     CouplingSpec,
@@ -25,7 +30,9 @@ from modent import (
     superpose,
     tensor,
 )
+from modent import dynamics
 from modent.dynamics import mixing_subspace_indices, number_operator
+from modent.protocols import coherent_field_rotation, simultaneous_coupling_check
 
 
 def _qubit_mode_layout(kind=FermionicMode):
@@ -101,6 +108,27 @@ def test_collective_two_modes_spreads_excitation_evenly():
     assert np.linalg.norm(residual) < 1e-15
 
 
+@st.composite
+def _coupled_layouts(draw):
+    """A qubit and 1-4 fermionic or bosonic modes in random order, coupled to
+    a random non-empty subset of the modes (the rest are spectators)."""
+    kinds = draw(st.lists(st.sampled_from([FermionicMode(), BosonicMode(1), BosonicMode(2)]),
+                          min_size=1, max_size=4))
+    modes = [f"m{k}" for k in range(len(kinds))]
+    layout = compose_layout(draw(st.permutations([("T", TwoLevel())] + list(zip(modes, kinds)))))
+    coupled = draw(st.lists(st.sampled_from(modes), min_size=1, unique=True))
+    strength = draw(st.floats(0.1, 3.0))
+    return layout, CouplingSpec("T", tuple(coupled), strength)
+
+
+@given(_coupled_layouts())
+@settings(max_examples=60, deadline=None)
+def test_collective_matches_dense_sum_oracle(case):
+    layout, spec = case
+    assert np.array_equal(collective_jc_hamiltonian(layout, spec).matrix,
+                          dense_collective_jc(layout, spec))
+
+
 def test_coupling_spec_validation():
     with pytest.raises(ValueError, match="at least one"):
         CouplingSpec("T", ())
@@ -162,6 +190,37 @@ def test_evolve_composes_in_time(seed, t1, t2):
     stepped = evolve(evolve(psi, h, t1), h, t2)
     direct = evolve(psi, h, t1 + t2)
     assert np.max(np.abs(stepped.amplitudes - direct.amplitudes)) < 1e-10
+
+
+@given(_coupled_layouts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_evolve_and_propagator_match_dense_oracle(case, seed, t, random_h):
+    # JC Hamiltonians split into excitation sectors; a random Hermitian H
+    # couples them all and is propagated as one block
+    layout, spec = case
+    rng = np.random.default_rng(seed)
+    h = (LinearOp(layout, rand_hermitian(rng, layout.dim)) if random_h
+         else collective_jc_hamiltonian(layout, spec))
+    u = dense_propagator(h.matrix, t)
+    assert np.max(np.abs(propagator(h, t).matrix - u)) < 1e-12
+    psi = rand_pure_state(rng, layout)
+    assert np.max(np.abs(evolve(psi, h, t).amplitudes - u @ psi.amplitudes)) < 1e-12
+
+
+def test_propagation_diagonalizes_sectors_not_the_whole_space(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.np.linalg, "eigh", recording_eigh)
+    simultaneous_coupling_check(9)  # dimension 1024, sectors C(10, k)
+    assert max(sizes) == 252
+    sizes.clear()
+    coherent_field_rotation(1.0, 0.0, 20.0)  # dimension 1162, sectors of 2
+    assert max(sizes) == 2
 
 
 def test_evolve_rejects_non_hermitian():

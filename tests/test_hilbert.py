@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_pure_state
+from conftest import dense_embed, rand_pure_state
 from modent import (
     BosonicMode,
     DensityOp,
@@ -139,10 +139,24 @@ def test_coherent_vacuum():
 
 
 def test_coherent_amplitudes_match_factorial_series():
-    st_, _ = coherent_mode_state(10, 1.0)
-    expected = np.array([1 / math.sqrt(math.factorial(n)) for n in range(11)])
-    expected /= np.linalg.norm(expected)
-    assert np.allclose(st_.amplitudes, expected, atol=1e-14)
+    for eta in (1.0, 0.6 - 1.3j):
+        st_, _ = coherent_mode_state(10, eta)
+        expected = np.array([eta ** n / math.sqrt(math.factorial(n)) for n in range(11)])
+        expected /= np.linalg.norm(expected)
+        assert np.allclose(st_.amplitudes, expected, atol=1e-14)
+
+
+def test_coherent_large_amplitude_is_truncated_poisson():
+    # |eta|^2 = 1e4 is far past where eta^n / sqrt(n!) overflows a float
+    from scipy import stats
+    cutoff = default_coherent_cutoff(100.0)
+    assert cutoff == 10820
+    st_, weight = coherent_mode_state(cutoff, 100.0)
+    probs = np.abs(st_.amplitudes) ** 2
+    assert abs(np.linalg.norm(st_.amplitudes) - 1) < 1e-12
+    assert weight < 1e-10
+    expected = stats.poisson.pmf(np.arange(cutoff + 1), 1e4)
+    assert np.allclose(probs, expected, rtol=1e-9, atol=1e-15)
 
 
 def test_coherent_mean_occupation():
@@ -268,6 +282,25 @@ def test_embed_nonadjacent_and_reordered_targets():
                 row = np.ravel_multi_index((ra, ib, rc), dims)
                 expected[row, col] += val
     assert np.allclose(embedded, expected, atol=1e-14)
+
+
+_KINDS = st.sampled_from([TwoLevel(), FermionicMode(), BosonicMode(1), BosonicMode(2),
+                          BosonicMode(3)])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_embed_matches_kron_oracle(data):
+    kinds = data.draw(st.lists(_KINDS, min_size=1, max_size=4))
+    layout = compose_layout([(f"s{i}", kind) for i, kind in enumerate(kinds)])
+    order = data.draw(st.permutations(layout.labels))
+    targets = order[:data.draw(st.integers(1, len(order)))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    d = int(np.prod([layout.kind_of(lab).dim for lab in targets]))
+    local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    local[rng.random((d, d)) < data.draw(st.floats(0.0, 1.0))] = 0.0
+    embedded = embed_operator(layout, local, targets).matrix
+    assert np.array_equal(embedded, dense_embed(layout, local, targets))
 
 
 def test_embed_errors():
