@@ -1,20 +1,32 @@
 """Command-line front end: run experiments, emit tables, CSV, JSON, and SVG plots.
 
+Each experiment is declared once, as an entry of ``EXPERIMENTS``: its help
+line, its parameters (flag type, validator with bounds, default or
+required), a run function that fills the output payload, an optional
+cross-parameter check, and an optional plot function.  The argparse
+subcommands, config validation, execution and plotting are derived from
+those entries.
+
 Numeric output is formatted to 12 significant digits and runs are
 deterministic: identical configs produce byte-identical CSV/JSON.
-Exit codes: 0 success, 2 usage/validation error, 1 computation failure.
+Exit codes: 0 success, 2 usage/validation error (including sizes whose dense
+arrays would exceed ``MAX_DENSE_DIM``), 1 computation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .entanglement import chsh_violated, concurrence, horodecki_m, target_pair_density
+from .hilbert import default_coherent_cutoff
 from .plotting import heatmap, line_chart
 from .protocols import (
     RotationProtocolParams,
@@ -44,14 +56,25 @@ def _fmt12(x) -> str:
     return format(float(x), ".12g")
 
 
+# Memory budget: the largest dense dimension d an accepted run may build;
+# one complex d x d array then takes 16 * 4096**2 bytes = 256 MiB.
+MAX_DENSE_DIM = 4096
+MAX_COLLECTIVE_N = MAX_DENSE_DIM.bit_length() - 2   # d = 2**(n+1)
+MAX_COHERENT_CUTOFF = MAX_DENSE_DIM // 2 - 1        # d = 2 * (cutoff + 1)
+MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory
+
+
 # ---------------------------------------------------------------------------
-# parameter schemas
+# parameter validators: (key, value) -> validated value, or UsageError
 # ---------------------------------------------------------------------------
 
-def _int_min(minimum):
+def _int_range(lo, hi=None):
+    bounds = f">= {lo}" if hi is None else f"in [{lo},{hi}]"
+
     def check(key, val):
-        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-            raise UsageError(f"{key} must be an integer >= {minimum}, got {val!r}")
+        if (not isinstance(val, int) or isinstance(val, bool) or val < lo
+                or (hi is not None and val > hi)):
+            raise UsageError(f"{key} must be an integer {bounds}, got {val!r}")
         return val
     return check
 
@@ -85,15 +108,6 @@ def _float_nonneg(key, val):
     return v
 
 
-def _optional_int_min(minimum):
-    inner = _int_min(minimum)
-    def check(key, val):
-        if val is None:
-            return None
-        return inner(key, val)
-    return check
-
-
 def _int_list_min(minimum):
     def check(key, val):
         if isinstance(val, str):
@@ -113,67 +127,203 @@ def _int_list_min(minimum):
     return check
 
 
-# name -> {param: (validator, default)}; default None with required=True means mandatory
-_EXPERIMENTS = {
-    "table1": {"n": (_int_min(1), 1)},
-    "rotate": {"n": (_int_min(1), 1), "alpha": (_float_any, 1.0), "beta": (_float_any, 0.0)},
-    "rotate-sweep": {"n_list": (_int_list_min(1), [4, 8, 16, 32, 64]),
-                     "alpha": (_float_any, 0.8), "beta": (_float_any, 0.6)},
-    "collective-check": {"n": (_int_min(1), 2),
-                         "alpha": (_float_any, 1.0), "beta": (_float_any, 0.0)},
-    "fermion-sweep": {"pairs": (_int_min(1), 2), "grid": (_int_min(8), 64),
-                      "refine": (_int_min(0), 3)},
-    "bell": {"gamma": (_float_range(0.0, 1.0), None)},
-    "absorption": {},
-    "coherent-rotation": {"eta": (_float_nonneg, None), "cutoff": (_optional_int_min(1), None),
-                          "alpha": (_float_any, 1.0), "beta": (_float_any, 0.0)},
+# ---------------------------------------------------------------------------
+# the experiment registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter; its flag is ``--`` + name with ``_`` written as ``-``."""
+    name: str
+    flag_type: Callable | None  # argparse type; None keeps the flag's string
+    check: Callable             # validator with the accepted range
+    default: object = None      # None without ``required``: the run picks it
+    required: bool = False
+    metavar: str | None = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: everything the CLI knows about an experiment."""
+    help: str
+    params: tuple
+    run: Callable                   # (params, payload) -> None; fills the payload
+    check: Callable | None = None   # (params, plot) -> None; cross-parameter bounds
+    plot: Callable | None = None    # payload -> SVG text; None: no --plot
+
+
+def _amplitudes(alpha=1.0, beta=0.0):
+    return (Param("alpha", float, _float_any, alpha), Param("beta", float, _float_any, beta))
+
+
+def _run_table1(p, payload):
+    rows = table1_summary(p["n"])
+    payload["table"] = {
+        "columns": ["particle_type", "concurrence", "max_repetitions"],
+        "rows": [[r.particle_type, r.concurrence, r.repetitions] for r in rows],
+    }
+    for r in rows:
+        prefix = r.particle_type.replace(" ", "_")
+        for k, v in r.details.items():
+            payload["scalars"][f"{prefix}_{k}"] = float(v)
+
+
+def _run_rotate(p, payload):
+    res = sequential_rotation(RotationProtocolParams(p["alpha"], p["beta"], p["n"]))
+    payload["scalars"] = dict(res.scalars)
+
+
+def _run_rotate_sweep(p, payload):
+    series = []
+    for n in p["n_list"]:
+        res = sequential_rotation(RotationProtocolParams(p["alpha"], p["beta"], n))
+        series.append((float(n), res.scalars["infidelity"]))
+    payload["series"] = series
+    payload["series_columns"] = ["n_ancillas", "infidelity"]
+
+
+def _plot_rotate_sweep(payload):
+    cols = payload["series_columns"]
+    return line_chart(payload["series"], cols[0], cols[1], "infidelity vs ancilla count")
+
+
+def _run_collective_check(p, payload):
+    res = simultaneous_coupling_check(p["n"], p["alpha"], p["beta"])
+    payload["scalars"] = dict(res.scalars)
+
+
+def _run_fermion_sweep(p, payload):
+    best_t, best_c, grid = optimize_angles(p["pairs"], p["grid"], p["refine"])
+    payload["scalars"]["best_concurrence"] = best_c
+    for i, t in enumerate(best_t, start=1):
+        payload["scalars"][f"best_theta_{i}"] = t
+    payload["series"] = [tuple(row) for row in grid]
+    payload["series_columns"] = [f"theta_{i}" for i in range(1, p["pairs"] + 1)] + ["concurrence"]
+
+
+def _check_fermion_sweep(p, plot):
+    # grid >= 8, so pairs > 20 is over the budget; testing it first keeps grid**pairs cheap
+    if p["pairs"] > 20 or p["grid"] ** p["pairs"] > MAX_SWEEP_ROWS:
+        raise UsageError(f"grid**pairs must be <= {MAX_SWEEP_ROWS} rows, "
+                         f"got grid {p['grid']}, pairs {p['pairs']}")
+    if plot is not None and p["pairs"] > 2:
+        raise UsageError("plotting supports pairs in {1, 2}")
+
+
+def _plot_fermion_sweep(payload):
+    series, cols = payload["series"], payload["series_columns"]
+    if len(cols) == 2:
+        return line_chart(series, cols[0], cols[1], "concurrence vs mixing angle")
+    return heatmap(series, cols[0], cols[1], "concurrence over the angle grid")
+
+
+def _run_bell(p, payload):
+    rho = target_pair_density(p["gamma"])
+    payload["scalars"]["M"] = horodecki_m(rho)
+    payload["scalars"]["concurrence"] = concurrence(rho)
+    payload["flags"]["violated"] = chsh_violated(rho)
+
+
+def _run_absorption(p, payload):
+    _, res = massless_absorption()
+    payload["scalars"] = dict(res.scalars)
+
+
+def _run_coherent_rotation(p, payload):
+    res = coherent_field_rotation(p["alpha"], p["beta"], p["eta"], p["cutoff"])
+    payload["scalars"] = dict(res.scalars)
+    payload["params"]["cutoff"] = res.params["cutoff"]
+
+
+def _check_coherent_rotation(p, plot):
+    # eta above MAX_COHERENT_CUTOFF is out of bounds anyway; min() keeps eta**2 finite
+    if (p["cutoff"] is None
+            and default_coherent_cutoff(min(p["eta"], MAX_COHERENT_CUTOFF)) > MAX_COHERENT_CUTOFF):
+        eta_max = math.sqrt(MAX_COHERENT_CUTOFF - 4) - 4   # eta**2 + 8 eta + 20 <= cutoff
+        raise UsageError(f"eta must be in [0,{eta_max:.6g}] when cutoff is automatic "
+                         f"(cutoff <= {MAX_COHERENT_CUTOFF}), got {p['eta']!r}")
+
+
+EXPERIMENTS = {
+    "table1": Experiment(
+        "summary concurrence table for all four particle classes",
+        (Param("n", int, _int_range(1), 1),), _run_table1),
+    "rotate": Experiment(
+        "sequential ancilla rotation fidelity",
+        (Param("n", int, _int_range(1), 1), *_amplitudes()), _run_rotate),
+    "rotate-sweep": Experiment(
+        "infidelity versus ancilla count",
+        (Param("n_list", None, _int_list_min(1), [4, 8, 16, 32, 64], metavar="N1,N2,..."),
+         *_amplitudes(0.8, 0.6)),
+        _run_rotate_sweep, plot=_plot_rotate_sweep),
+    "collective-check": Experiment(
+        "simultaneous coupling versus the collective mode",
+        (Param("n", int, _int_range(1, MAX_COLLECTIVE_N), 2), *_amplitudes()),
+        _run_collective_check),
+    "fermion-sweep": Experiment(
+        "mixing-angle grid search for the pair protocol",
+        (Param("pairs", int, _int_range(1), 2), Param("grid", int, _int_range(8), 64),
+         Param("refine", int, _int_range(0), 3)),
+        _run_fermion_sweep, check=_check_fermion_sweep, plot=_plot_fermion_sweep),
+    "bell": Experiment(
+        "CHSH criterion for the two-target state",
+        (Param("gamma", float, _float_range(0.0, 1.0), required=True),), _run_bell),
+    "absorption": Experiment(
+        "full absorption of a delocalized flying boson", (), _run_absorption),
+    "coherent-rotation": Experiment(
+        "rotation driven by a truncated coherent mode",
+        (Param("eta", float, _float_nonneg, required=True),
+         Param("cutoff", int, _int_range(1, MAX_COHERENT_CUTOFF)), *_amplitudes()),
+        _run_coherent_rotation, check=_check_coherent_rotation),
 }
 
-_REQUIRED = {"bell": ["gamma"], "coherent-rotation": ["eta"]}
-_SERIES_EXPERIMENTS = {"rotate-sweep", "fermion-sweep"}
 _FORMATS = ("table", "csv", "json")
+
+
+def _entry(experiment) -> Experiment:
+    if experiment not in EXPERIMENTS:
+        raise UsageError(f"unknown experiment {experiment!r}; choose one of "
+                         f"{sorted(EXPERIMENTS)}")
+    return EXPERIMENTS[experiment]
 
 
 def _normalize_amplitudes(params: dict):
     if "alpha" not in params:
         return
     a, b = params["alpha"], params["beta"]
-    n2 = a * a + b * b
-    if n2 == 0:
+    n = math.hypot(a, b)
+    if n == 0:
         raise UsageError("alpha and beta cannot both be zero")
-    if abs(n2 - 1.0) > 1e-12:
-        n = math.sqrt(n2)
+    if abs(a * a + b * b - 1.0) > 1e-12:
         params["alpha"], params["beta"] = a / n, b / n
 
 
 def _validate(experiment: str, raw_params: dict, fmt: str, out, plot) -> RunConfig:
-    if experiment not in _EXPERIMENTS:
-        raise UsageError(f"unknown experiment {experiment!r}; choose one of "
-                         f"{sorted(_EXPERIMENTS)}")
-    schema = _EXPERIMENTS[experiment]
-    unknown = set(raw_params) - set(schema)
+    entry = _entry(experiment)
+    names = sorted(p.name for p in entry.params)
+    unknown = set(raw_params) - set(names)
     if unknown:
         raise UsageError(f"unknown parameter(s) for {experiment}: {sorted(unknown)}; "
-                         f"accepted: {sorted(schema)}")
+                         f"accepted: {names}")
     params = {}
-    for key, (check, default) in schema.items():
-        if key in raw_params and raw_params[key] is not None:
-            params[key] = check(key, raw_params[key])
-        elif key in _REQUIRED.get(experiment, []):
-            raise UsageError(f"{experiment} requires parameter {key!r}")
+    for p in entry.params:
+        if raw_params.get(p.name) is not None:
+            params[p.name] = p.check(p.name, raw_params[p.name])
+        elif p.required:
+            raise UsageError(f"{experiment} requires parameter {p.name!r}")
         else:
-            params[key] = default
+            params[p.name] = copy.copy(p.default)   # callers may mutate a list
     _normalize_amplitudes(params)
     if fmt not in _FORMATS:
         raise UsageError(f"format must be one of {_FORMATS}, got {fmt!r}")
     if plot is not None:
-        if experiment not in _SERIES_EXPERIMENTS:
-            raise UsageError(f"--plot is only available for series experiments "
-                             f"{sorted(_SERIES_EXPERIMENTS)}")
+        if entry.plot is None:
+            series = sorted(name for name, e in EXPERIMENTS.items() if e.plot)
+            raise UsageError(f"--plot is only available for series experiments {series}")
         if not plot.endswith(".svg"):
             raise UsageError(f"plot path must end in .svg, got {plot!r}")
-        if experiment == "fermion-sweep" and params["pairs"] > 2:
-            raise UsageError("plotting supports pairs in {1, 2}")
+    if entry.check is not None:
+        entry.check(params, plot)
     return RunConfig(experiment=experiment, parameters=params, format=fmt, out=out, plot=plot)
 
 
@@ -181,67 +331,36 @@ def _validate(experiment: str, raw_params: dict, fmt: str, out, plot) -> RunConf
 # argv + config-file parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree generated from ``EXPERIMENTS``; built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--out", default=None, metavar="PATH")
     common.add_argument("--plot", default=None, metavar="PATH.svg")
-    common.add_argument("--config", default=None, metavar="PATH.json")
+    # SUPPRESS: a subcommand without --config keeps the top-level value
+    common.add_argument("--config", default=argparse.SUPPRESS, metavar="PATH.json")
 
     parser = argparse.ArgumentParser(
         prog="modent",
         description="Mode-entanglement detection experiments at desk scale.")
     parser.add_argument("--config", default=None, metavar="PATH.json")
     sub = parser.add_subparsers(dest="experiment")
-
-    p = sub.add_parser("table1", parents=[common],
-                       help="summary concurrence table for all four particle classes")
-    p.add_argument("--n", type=int, default=None)
-
-    p = sub.add_parser("rotate", parents=[common],
-                       help="sequential ancilla rotation fidelity")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-
-    p = sub.add_parser("rotate-sweep", parents=[common],
-                       help="infidelity versus ancilla count")
-    p.add_argument("--n-list", dest="n_list", default=None,
-                   metavar="N1,N2,...")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-
-    p = sub.add_parser("collective-check", parents=[common],
-                       help="simultaneous coupling versus the collective mode")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-
-    p = sub.add_parser("fermion-sweep", parents=[common],
-                       help="mixing-angle grid search for the pair protocol")
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--refine", type=int, default=None)
-
-    p = sub.add_parser("bell", parents=[common],
-                       help="CHSH criterion for the two-target state")
-    p.add_argument("--gamma", type=float, default=None)
-
-    sub.add_parser("absorption", parents=[common],
-                   help="full absorption of a delocalized flying boson")
-
-    p = sub.add_parser("coherent-rotation", parents=[common],
-                       help="rotation driven by a truncated coherent mode")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-
+    for name, entry in EXPERIMENTS.items():
+        p = sub.add_parser(name, parents=[common], help=entry.help)
+        for param in entry.params:
+            p.add_argument("--" + param.name.replace("_", "-"), dest=param.name,
+                           type=param.flag_type, default=None, metavar=param.metavar)
     return parser
 
 
 _CONFIG_KEYS = {"experiment", "parameters", "output"}
 _OUTPUT_KEYS = {"format", "path", "plot"}
+
+
+def _check_optional_str(where: str, val):
+    if val is not None and not isinstance(val, str):
+        raise UsageError(f"config {where!r} must be a string or null, got {val!r}")
 
 
 def _load_config_document(text: str) -> dict:
@@ -255,6 +374,7 @@ def _load_config_document(text: str) -> dict:
     if unknown:
         raise UsageError(f"unknown config key(s): {sorted(unknown)}; accepted: "
                          f"{sorted(_CONFIG_KEYS)}")
+    _check_optional_str("experiment", doc.get("experiment"))
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise UsageError("config 'parameters' must be an object")
@@ -265,6 +385,8 @@ def _load_config_document(text: str) -> dict:
     if bad:
         raise UsageError(f"unknown output key(s): {sorted(bad)}; accepted: "
                          f"{sorted(_OUTPUT_KEYS)}")
+    _check_optional_str("output.path", output.get("path"))
+    _check_optional_str("output.plot", output.get("plot"))
     return doc
 
 
@@ -282,8 +404,7 @@ def parse_config(argv=None, config_text: str | None = None) -> RunConfig:
 
     ns = None
     if argv is not None:
-        parser = _build_parser()
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         if config_text is None and ns.config is not None:
             try:
                 with open(ns.config, "r", encoding="utf-8") as fh:
@@ -305,11 +426,10 @@ def parse_config(argv=None, config_text: str | None = None) -> RunConfig:
             raise UsageError(f"config experiment {experiment!r} conflicts with "
                              f"subcommand {ns.experiment!r}")
         experiment = ns.experiment
-        schema = _EXPERIMENTS.get(ns.experiment, {})
-        for key in schema:
-            val = getattr(ns, key, None)
+        for param in EXPERIMENTS[experiment].params:
+            val = getattr(ns, param.name)
             if val is not None:
-                raw_params[key] = val
+                raw_params[param.name] = val
         if ns.format is not None:
             fmt = ns.format
         if ns.out is not None:
@@ -330,72 +450,6 @@ def render_config(config: RunConfig) -> str:
         "output": {"format": config.format, "path": config.out, "plot": config.plot},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# execution
-# ---------------------------------------------------------------------------
-
-def _execute(config: RunConfig) -> dict:
-    p = config.parameters
-    name = config.experiment
-    payload = {"name": name, "params": dict(p), "scalars": {}, "flags": {},
-               "series": None, "series_columns": None, "table": None}
-
-    if name == "table1":
-        rows = table1_summary(p["n"])
-        payload["table"] = {
-            "columns": ["particle_type", "concurrence", "max_repetitions"],
-            "rows": [[r.particle_type, r.concurrence, r.repetitions] for r in rows],
-        }
-        for r in rows:
-            prefix = r.particle_type.replace(" ", "_")
-            for k, v in r.details.items():
-                payload["scalars"][f"{prefix}_{k}"] = float(v)
-
-    elif name == "rotate":
-        res = sequential_rotation(RotationProtocolParams(p["alpha"], p["beta"], p["n"]))
-        payload["scalars"] = dict(res.scalars)
-
-    elif name == "rotate-sweep":
-        series = []
-        for n in p["n_list"]:
-            res = sequential_rotation(RotationProtocolParams(p["alpha"], p["beta"], n))
-            series.append((float(n), res.scalars["infidelity"]))
-        payload["series"] = series
-        payload["series_columns"] = ["n_ancillas", "infidelity"]
-
-    elif name == "collective-check":
-        res = simultaneous_coupling_check(p["n"], p["alpha"], p["beta"])
-        payload["scalars"] = dict(res.scalars)
-
-    elif name == "fermion-sweep":
-        best_t, best_c, grid = optimize_angles(p["pairs"], p["grid"], p["refine"])
-        payload["scalars"]["best_concurrence"] = best_c
-        for i, t in enumerate(best_t, start=1):
-            payload["scalars"][f"best_theta_{i}"] = t
-        payload["series"] = [tuple(row) for row in grid]
-        payload["series_columns"] = [f"theta_{i}" for i in range(1, p["pairs"] + 1)] + ["concurrence"]
-
-    elif name == "bell":
-        rho = target_pair_density(p["gamma"])
-        payload["scalars"]["M"] = horodecki_m(rho)
-        payload["scalars"]["concurrence"] = concurrence(rho)
-        payload["flags"]["violated"] = chsh_violated(rho)
-
-    elif name == "absorption":
-        _, res = massless_absorption()
-        payload["scalars"] = dict(res.scalars)
-
-    elif name == "coherent-rotation":
-        res = coherent_field_rotation(p["alpha"], p["beta"], p["eta"], p["cutoff"])
-        payload["scalars"] = dict(res.scalars)
-        payload["params"]["cutoff"] = res.params["cutoff"]
-
-    else:  # pragma: no cover - _validate guards this
-        raise UsageError(f"unknown experiment {name!r}")
-
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +529,6 @@ def _emit_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_plot(config: RunConfig, payload: dict) -> str:
-    series = payload["series"]
-    cols = payload["series_columns"]
-    if config.experiment == "rotate-sweep":
-        return line_chart(series, cols[0], cols[1], "infidelity vs ancilla count")
-    if config.experiment == "fermion-sweep":
-        if len(cols) == 2:
-            return line_chart(series, cols[0], cols[1], "concurrence vs mixing angle")
-        return heatmap(series, cols[0], cols[1], "concurrence over the angle grid")
-    raise UsageError(f"experiment {config.experiment!r} produces no plot")
-
-
 def _write_file(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -501,14 +543,19 @@ def _write_file(path: str, text: str):
 
 def run(config: RunConfig) -> int:
     """Execute a validated config and emit its artifacts; returns the exit status."""
-    payload = _execute(config)
+    entry = _entry(config.experiment)
+    if config.plot and entry.plot is None:
+        raise UsageError(f"experiment {config.experiment!r} produces no plot")
+    payload = {"name": config.experiment, "params": dict(config.parameters), "scalars": {},
+               "flags": {}, "series": None, "series_columns": None, "table": None}
+    entry.run(config.parameters, payload)
     if config.format == "json":
         text = _emit_json(payload)
     elif config.format == "csv":
         text = _emit_csv(payload)
     else:
         text = _emit_table(payload)
-    plot_text = _render_plot(config, payload) if config.plot else None
+    plot_text = entry.plot(payload) if config.plot else None
 
     if config.out:
         _write_file(config.out, text)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -217,3 +218,80 @@ def test_console_entry_point_runs():
 def test_run_rejects_unvalidated_config():
     cfg = RunConfig("bell", {"gamma": 0.5}, "table", None, None)
     assert run(cfg) == 0
+
+
+# ---------------------------------------------------------------------------
+# config-file and amplitude regressions
+# ---------------------------------------------------------------------------
+
+def test_top_level_config_survives_subcommand(tmp_path, capsys):
+    # the subcommand's own --config default used to overwrite the top-level one
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "bell", "parameters": {"gamma": 0.5}}))
+    assert parse_config(["--config", str(path), "bell"]).parameters == {"gamma": 0.5}
+    assert main(["--config", str(path), "bell"]) == 0
+    assert "M = 1.25" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": ["bell"], "parameters": {"gamma": 0.5}},
+    {"experiment": "bell", "parameters": {"gamma": 0.5}, "output": {"path": 7}},
+    {"experiment": "rotate-sweep", "output": {"plot": 7}},
+])
+def test_config_rejects_non_string_names(doc, tmp_path, capsys):
+    with pytest.raises(UsageError, match="must be a string or null"):
+        parse_config(config_text=json.dumps(doc))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path)]) == 2
+    assert "must be a string or null" in capsys.readouterr().err
+
+
+def test_config_null_output_paths_still_allowed():
+    doc = json.dumps({"experiment": None, "output": {"path": None, "plot": None}})
+    assert parse_config(["bell", "--gamma", "0.5"], config_text=doc).out is None
+
+
+def test_normalization_survives_overflow_and_underflow():
+    p = parse_config(["rotate", "--alpha", "1e308", "--beta", "1e308"]).parameters
+    assert p["alpha"] == p["beta"] and abs(p["alpha"] - math.sqrt(0.5)) < 1e-15
+    p = parse_config(["rotate", "--alpha", "1e-200", "--beta", "0"]).parameters
+    assert (p["alpha"], p["beta"]) == (1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# size guards (parse_config only: a missing guard must not run the experiment)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["collective-check", "--n", "12"], r"n must be an integer in \[1,11\], got 12"),
+    (["coherent-rotation", "--eta", "100"], r"eta must be in \[0,41\.1996\]"),
+    (["coherent-rotation", "--eta", "41.3"], r"eta must be in \[0,41\.1996\]"),
+    (["coherent-rotation", "--eta", "1e300"], r"eta must be in \[0,41\.1996\]"),
+    (["coherent-rotation", "--eta", "4", "--cutoff", "2048"],
+     r"cutoff must be an integer in \[1,2047\], got 2048"),
+    (["fermion-sweep", "--pairs", "4", "--grid", "33"], r"grid\*\*pairs must be <= 1048576"),
+    (["fermion-sweep", "--pairs", "1000000000"], r"grid\*\*pairs must be <= 1048576"),
+])
+def test_size_guards_refuse_before_running(argv, message):
+    with pytest.raises(UsageError, match=message):
+        parse_config(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["collective-check", "--n", "11"],
+    ["coherent-rotation", "--eta", "41.19"],
+    ["coherent-rotation", "--eta", "100", "--cutoff", "2047"],
+    ["fermion-sweep", "--pairs", "4", "--grid", "32"],
+    ["fermion-sweep", "--pairs", "2", "--grid", "1024"],
+])
+def test_size_guards_accept_the_budget_edge(argv):
+    parse_config(argv)
+
+
+def test_size_guard_exit_code(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the guard let the experiment run")
+    monkeypatch.setattr("modent.cli.simultaneous_coupling_check", must_not_run)
+    assert main(["collective-check", "--n", "30"]) == 2
+    assert "n must be an integer in [1,11]" in capsys.readouterr().err
