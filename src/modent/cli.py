@@ -291,11 +291,14 @@ def _normalize_amplitudes(params: dict):
     if "alpha" not in params:
         return
     a, b = params["alpha"], params["beta"]
-    n = math.hypot(a, b)
+    # an exact power-of-two rescale first, so subnormal inputs keep their ratio
+    e = math.frexp(max(abs(a), abs(b)))[1]
+    sa, sb = math.ldexp(a, -e), math.ldexp(b, -e)
+    n = math.hypot(sa, sb)
     if n == 0:
         raise UsageError("alpha and beta cannot both be zero")
     if abs(a * a + b * b - 1.0) > 1e-12:
-        params["alpha"], params["beta"] = a / n, b / n
+        params["alpha"], params["beta"] = sa / n, sb / n
 
 
 def _validate(experiment: str, raw_params: dict, fmt: str, out, plot) -> RunConfig:

@@ -25,7 +25,7 @@ from .hilbert import (
     SystemLayout,
     TwoLevel,
     add_embedded,
-    basis_offsets,
+    embed_operator,
 )
 
 # Raising/lowering operators of a two-level particle, basis (g, e): s+|g> = |e>.
@@ -157,31 +157,6 @@ def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
     return PureState(state.layout, out)
 
 
-def mixing_subspace_indices(layout: SystemLayout, qubit_label: str,
-                            flying_label: str, ancilla_label: str):
-    """Global index pairs of the two-dimensional subspaces mixed by U(theta).
-
-    Returns ``(i1, i2)`` arrays: for every configuration of the remaining
-    subsystems, ``i1`` is the basis index with (qubit=e, flying=1, ancilla=0)
-    and ``i2`` the one with (qubit=e, flying=0, ancilla=1).
-    """
-    q = layout.position(qubit_label)
-    f = layout.position(flying_label)
-    a = layout.position(ancilla_label)
-    if len({q, f, a}) != 3:
-        raise ValueError("qubit, flying and ancilla labels must be distinct")
-    if not isinstance(layout.kind_of(qubit_label), TwoLevel):
-        raise ValueError(f"subsystem {qubit_label!r} must be TwoLevel")
-    for lab in (flying_label, ancilla_label):
-        if not isinstance(layout.kind_of(lab), FermionicMode):
-            raise ValueError(f"subsystem {lab!r} must be a FermionicMode")
-    strides = layout.strides()
-    base = basis_offsets(layout, [p for p in range(len(layout.dims)) if p not in (q, f, a)])
-    i1 = base + strides[q] + strides[f]
-    i2 = base + strides[q] + strides[a]
-    return i1, i2
-
-
 def controlled_mixing_unitary(layout: SystemLayout, qubit_label: str, flying_label: str,
                               ancilla_label: str, angle) -> LinearOp:
     """Rotation [[cos, -sin], [sin, cos]] on the ordered subspace
@@ -189,22 +164,16 @@ def controlled_mixing_unitary(layout: SystemLayout, qubit_label: str, flying_lab
     """
     theta = angle.theta if isinstance(angle, MixingAngle) else float(angle)
     MixingAngle(theta)  # range check
-    i1, i2 = mixing_subspace_indices(layout, qubit_label, flying_label, ancilla_label)
-    u = np.eye(layout.dim, dtype=complex)
+    if not isinstance(layout.kind_of(qubit_label), TwoLevel):
+        raise ValueError(f"subsystem {qubit_label!r} must be TwoLevel")
+    for lab in (flying_label, ancilla_label):
+        if not isinstance(layout.kind_of(lab), FermionicMode):
+            raise ValueError(f"subsystem {lab!r} must be a FermionicMode")
+    # local basis row-major over (qubit, flying, ancilla): |e,1,0> = 6, |e,0,1> = 5
+    local = np.eye(8, dtype=complex)
     c, s = math.cos(theta), math.sin(theta)
-    u[i1, i1] = c
-    u[i2, i2] = c
-    u[i1, i2] = -s
-    u[i2, i1] = s
-    return LinearOp(layout, u)
-
-
-def apply_mixing(amplitudes: np.ndarray, i1: np.ndarray, i2: np.ndarray,
-                 theta: float) -> np.ndarray:
-    """Apply the mixing rotation in place on an amplitude vector (fast path)."""
-    c, s = math.cos(theta), math.sin(theta)
-    v1 = amplitudes[i1].copy()
-    v2 = amplitudes[i2]
-    amplitudes[i1] = c * v1 - s * v2
-    amplitudes[i2] = s * v1 + c * v2
-    return amplitudes
+    local[6, 6] = c
+    local[5, 5] = c
+    local[6, 5] = -s
+    local[5, 6] = s
+    return embed_operator(layout, local, [qubit_label, flying_label, ancilla_label])

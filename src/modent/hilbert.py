@@ -221,20 +221,9 @@ class LinearOp:
         self._check_same_layout(other)
         return LinearOp(self.layout, self.matrix + other.matrix)
 
-    def __mul__(self, scalar) -> "LinearOp":
-        return LinearOp(self.layout, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
         self._check_same_layout(other)
         return LinearOp(self.layout, self.matrix @ other.matrix)
-
-    def apply_to(self, state: PureState) -> PureState:
-        """Apply to a pure state; the operator must be norm-preserving on it."""
-        if state.layout.dims != self.layout.dims:
-            raise ValueError("operator and state dimensions do not match")
-        return PureState(state.layout, self.matrix @ state.amplitudes)
 
 
 def identity_operator(layout: SystemLayout) -> LinearOp:

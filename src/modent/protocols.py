@@ -19,11 +19,9 @@ from . import dynamics
 from .dynamics import (
     CouplingSpec,
     MixingAngle,
-    apply_mixing,
     collective_jc_hamiltonian,
     evolve,
     jc_hamiltonian,
-    mixing_subspace_indices,
     number_operator,
     propagator,
 )
@@ -84,13 +82,11 @@ def single_step_analytic_density(alpha: complex, beta: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Labeled scalar and series outputs with the parameters that produced them."""
+    """Labeled scalar outputs with the parameters that produced them."""
 
     name: str
     params: dict
     scalars: dict
-    series: list | None = None
-    series_columns: list | None = None
 
     def __post_init__(self):
         for key, val in self.scalars.items():
@@ -358,54 +354,41 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
 # massive fermions: discarding the flying particle into entangled ancilla pairs
 # ---------------------------------------------------------------------------
 
-class _PairMixingEngine:
-    """Precomputed layout, initial state and mixing-subspace indices for a
-    fixed number of ancilla pairs; evaluating an angle tuple is then cheap."""
+# (|10> + |01>)/sqrt(2) over (anc_l, anc_r): one particle shared by a pair
+_SHARED_PAIR = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2)
 
-    def __init__(self, n_pairs: int):
-        subsystems = [("tgt_l", TwoLevel), ("tgt_r", TwoLevel),
-                      ("fly_l", FermionicMode), ("fly_r", FermionicMode)]
-        for j in range(1, n_pairs + 1):
-            subsystems += [(f"anc{j}_l", FermionicMode), (f"anc{j}_r", FermionicMode)]
-        self.layout = compose_layout(subsystems)
-        self.n_pairs = n_pairs
 
-        core = compose_layout(subsystems[:4])
-        psi = superpose([
-            (1.0, basis_state(core, ["e", "g", 1, 0])),
-            (1.0, basis_state(core, ["g", "e", 0, 1])),
-        ])
-        for j in range(1, n_pairs + 1):
-            pair = compose_layout([(f"anc{j}_l", FermionicMode), (f"anc{j}_r", FermionicMode)])
-            shared = superpose([(1.0, basis_state(pair, [1, 0])),
-                                (1.0, basis_state(pair, [0, 1]))])
-            psi = tensor(psi, shared)
-        self.initial = psi.amplitudes
+def _pair_mixing(n_pairs: int):
+    """Reduced-target map of the pairwise mixing sequence over ``n_pairs`` pairs.
 
-        self.index_pairs = []
-        for j in range(1, n_pairs + 1):
-            left = mixing_subspace_indices(self.layout, "tgt_l", "fly_l", f"anc{j}_l")
-            right = mixing_subspace_indices(self.layout, "tgt_r", "fly_r", f"anc{j}_r")
-            self.index_pairs.append((left, right))
+    Builds the initial amplitudes once, as a tensor over (tgt_l, tgt_r, fly_l,
+    fly_r, anc1_l, anc1_r, ..., ancN_l, ancN_r) in the basis contract's
+    row-major order, and returns a function mapping an angle tuple to the 4x4
+    reduced density matrix of (tgt_l, tgt_r).  Pair j's rotation mixes
+    (tgt=e, fly=1, anc=0) with (tgt=e, fly=0, anc=1) on each side, applied in
+    place on strided views of a copy of the initial amplitudes.
+    """
+    initial = np.zeros((2, 2, 2, 2), dtype=complex)
+    initial[1, 0, 1, 0] = initial[0, 1, 0, 1] = 1.0 / math.sqrt(2)
+    for _ in range(n_pairs):
+        initial = np.multiply.outer(initial, _SHARED_PAIR)
+    initial = initial.ravel()
 
-    def final_amplitudes(self, angles) -> np.ndarray:
-        amps = self.initial.copy()
-        for (left, right), theta in zip(self.index_pairs, angles):
-            apply_mixing(amps, left[0], left[1], theta)
-            apply_mixing(amps, right[0], right[1], theta)
-        return amps
-
-    def reduced_targets(self, angles) -> np.ndarray:
-        x = self.final_amplitudes(angles).reshape(4, -1)
+    def reduced_targets(angles) -> np.ndarray:
+        psi = initial.copy()
+        for j, theta in enumerate(angles):
+            c, s = math.cos(theta), math.sin(theta)
+            # axes: tgt_l, tgt_r, fly_l, fly_r, earlier pairs, anc_l, anc_r, later pairs
+            v = psi.reshape(2, 2, 2, 2, 4 ** j, 2, 2, -1)
+            for x1, x2 in ((v[1, :, 1, :, :, 0], v[1, :, 0, :, :, 1]),
+                           (v[:, 1, :, 1, :, :, 0], v[:, 1, :, 0, :, :, 1])):
+                v1 = x1.copy()
+                x1[...] = c * v1 - s * x2
+                x2[...] = s * v1 + c * x2
+        x = psi.reshape(4, -1)
         return x @ x.conj().T
 
-    def concurrence_of(self, angles) -> float:
-        return concurrence(TwoQubitDensity(self.reduced_targets(angles)))
-
-
-@lru_cache(maxsize=8)
-def _pair_engine(n_pairs: int) -> _PairMixingEngine:
-    return _PairMixingEngine(n_pairs)
+    return reduced_targets
 
 
 def massive_fermion_protocol(params: FermionProtocolParams):
@@ -416,8 +399,7 @@ def massive_fermion_protocol(params: FermionProtocolParams):
     mixing rotation with angle theta_j on the left and right triples (the two
     sides commute).  Returns the reduced two-target state and its concurrence.
     """
-    engine = _pair_engine(params.n_pairs)
-    targets = TwoQubitDensity(engine.reduced_targets(params.angles))
+    targets = TwoQubitDensity(_pair_mixing(params.n_pairs)(params.angles))
     return targets, concurrence(targets)
 
 
@@ -440,31 +422,23 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
         raise ValueError(f"grid_points must be >= 8, got {grid_points}")
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
-    engine = _pair_engine(n_pairs)
-    axis = np.linspace(0.0, math.pi, grid_points)
-
-    best_c = -1.0
-    best_t = None
-    grid_rows = []
-    for combo in itertools.product(axis, repeat=n_pairs):
-        angles = tuple(float(t) for t in combo)
-        c = engine.concurrence_of(angles)
-        grid_rows.append(angles + (c,))
-        if c > best_c or (c == best_c and angles < best_t):
-            best_c, best_t = c, angles
-
+    reduced_targets = _pair_mixing(n_pairs)
+    axes = [np.linspace(0.0, math.pi, grid_points)] * n_pairs
     step = math.pi / (grid_points - 1)
-    for _ in range(refine_rounds):
-        step /= 2.0
-        axes = []
-        for t in best_t:
-            vals = sorted({min(math.pi, max(0.0, t + k * step)) for k in range(-2, 3)})
-            axes.append(vals)
+    best_c, best_t, grid_rows = -1.0, None, None
+    for _ in range(refine_rounds + 1):
+        rows = []
         for combo in itertools.product(*axes):
             angles = tuple(float(t) for t in combo)
-            c = engine.concurrence_of(angles)
+            c = concurrence(TwoQubitDensity(reduced_targets(angles)))
+            rows.append(angles + (c,))
             if c > best_c or (c == best_c and angles < best_t):
                 best_c, best_t = c, angles
+        if grid_rows is None:
+            grid_rows = rows
+        step /= 2.0
+        axes = [sorted({min(math.pi, max(0.0, t + k * step)) for k in range(-2, 3)})
+                for t in best_t]
     return best_t, best_c, grid_rows
 
 

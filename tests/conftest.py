@@ -77,3 +77,19 @@ def dense_propagator(h, t):
     """exp(-i H t) from one eigendecomposition of the whole matrix."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def pair_protocol_state(n_pairs):
+    """Layout and initial state of the massive-fermion protocol, composed
+    explicitly: (|eg,10> + |ge,01>)/sqrt(2) on (tgt_l, tgt_r, fly_l, fly_r),
+    then one (|10> + |01>)/sqrt(2) per ancilla pair (anc{j}_l, anc{j}_r)."""
+    from modent import FermionicMode, TwoLevel, basis_state, superpose, tensor
+    core = compose_layout([("tgt_l", TwoLevel), ("tgt_r", TwoLevel),
+                           ("fly_l", FermionicMode), ("fly_r", FermionicMode)])
+    psi = superpose([(1.0, basis_state(core, ["e", "g", 1, 0])),
+                     (1.0, basis_state(core, ["g", "e", 0, 1]))])
+    for j in range(1, n_pairs + 1):
+        pair = compose_layout([(f"anc{j}_l", FermionicMode), (f"anc{j}_r", FermionicMode)])
+        psi = tensor(psi, superpose([(1.0, basis_state(pair, [1, 0])),
+                                     (1.0, basis_state(pair, [0, 1]))]))
+    return psi.layout, psi.amplitudes

@@ -8,9 +8,17 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import rand_amplitude_pair, rand_density_matrix, rand_hermitian, rand_pure_state, rand_unitary
+from conftest import (
+    pair_protocol_state,
+    rand_amplitude_pair,
+    rand_density_matrix,
+    rand_hermitian,
+    rand_pure_state,
+    rand_unitary,
+)
 from modent import (
     BosonicMode,
+    FermionProtocolParams,
     FermionicMode,
     LinearOp,
     RotationProtocolParams,
@@ -21,6 +29,7 @@ from modent import (
     controlled_mixing_unitary,
     evolve,
     horodecki_m,
+    massive_fermion_protocol,
     massless_absorption,
     optimize_angles,
     partial_trace,
@@ -32,7 +41,6 @@ from modent import (
     to_density,
 )
 from modent.cli import main
-from modent.protocols import _pair_engine
 
 SQ2 = math.sqrt(2)
 
@@ -141,20 +149,18 @@ def test_criterion_7_property_suites():
             assert abs(horodecki_m(rotated) - horodecki_m(rho)) < 1e-9
 
         # left/right mixing operations commute
-        engine = _pair_engine(1)
-        psi0 = engine.initial
+        pair_layout, psi0 = pair_protocol_state(1)
         for _ in range(200):
             th = float(rng.uniform(0, math.pi))
-            ul = controlled_mixing_unitary(engine.layout, "tgt_l", "fly_l", "anc1_l", th).matrix
-            ur = controlled_mixing_unitary(engine.layout, "tgt_r", "fly_r", "anc1_r", th).matrix
+            ul = controlled_mixing_unitary(pair_layout, "tgt_l", "fly_l", "anc1_l", th).matrix
+            ur = controlled_mixing_unitary(pair_layout, "tgt_r", "fly_r", "anc1_r", th).matrix
             assert np.max(np.abs(ul @ (ur @ psi0) - ur @ (ul @ psi0))) < 1e-12
 
         # angle-exchange symmetry of the two-pair concurrence surface
-        engine2 = _pair_engine(2)
         for _ in range(200):
             t1, t2 = rng.uniform(0, math.pi, size=2)
-            c12 = engine2.concurrence_of((t1, t2))
-            c21 = engine2.concurrence_of((t2, t1))
+            c12 = massive_fermion_protocol(FermionProtocolParams(2, (t1, t2)))[1]
+            c21 = massive_fermion_protocol(FermionProtocolParams(2, (t2, t1)))[1]
             assert abs(c12 - c21) < 1e-10
 
 

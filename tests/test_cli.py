@@ -259,6 +259,14 @@ def test_normalization_survives_overflow_and_underflow():
     assert (p["alpha"], p["beta"]) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("tiny", ["5e-324", "1e-320"])
+def test_normalization_of_subnormal_amplitudes(tiny):
+    # hypot of two subnormals rounds to a few bits, so a/hypot(a, b) missed 1/sqrt(2)
+    p = parse_config(["rotate", "--alpha", tiny, "--beta", tiny]).parameters
+    assert p["alpha"] == p["beta"] and abs(p["alpha"] - math.sqrt(0.5)) < 1e-15
+    assert main(["rotate", "--n", "2", "--alpha", tiny, "--beta", tiny]) == 0
+
+
 # ---------------------------------------------------------------------------
 # size guards (parse_config only: a missing guard must not run the experiment)
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from modent import (
     tensor,
 )
 from modent import dynamics
-from modent.dynamics import mixing_subspace_indices, number_operator
+from modent.dynamics import number_operator
 from modent.protocols import coherent_field_rotation, simultaneous_coupling_check
 
 
@@ -306,15 +306,6 @@ def test_mixing_angle_range():
     layout = _triple_layout()
     with pytest.raises(ValueError):
         controlled_mixing_unitary(layout, "T", "fly", "anc", 4.0)
-
-
-def test_mixing_index_pairs_agree_with_dense_unitary():
-    layout = _triple_layout(extra=[("x", FermionicMode)])
-    i1, i2 = mixing_subspace_indices(layout, "T", "fly", "anc")
-    u = controlled_mixing_unitary(layout, "T", "fly", "anc", 0.4).matrix
-    offdiag = np.argwhere(np.abs(u - np.diag(np.diag(u))) > 0)
-    assert {tuple(p) for p in offdiag} == (
-        {(a, b) for a, b in zip(i1, i2)} | {(b, a) for a, b in zip(i1, i2)})
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ COMMANDS = {
     "rotate-sweep": ["rotate-sweep", "--n-list", "4,8,16,32,64"],
     "collective-check": ["collective-check", "--n", "4"],
     "fermion-sweep": ["fermion-sweep", "--pairs", "2", "--grid", "16", "--refine", "2"],
+    "fermion-sweep-3pair": ["fermion-sweep", "--pairs", "3", "--grid", "8", "--refine", "1"],
     "coherent-rotation": ["coherent-rotation", "--eta", "8"],
 }
 PLOTS = {

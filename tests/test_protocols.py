@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_amplitude_pair
+from conftest import pair_protocol_state, rand_amplitude_pair
 from modent import (
     FermionProtocolParams,
     RotationProtocolParams,
@@ -18,7 +19,7 @@ from modent import (
     single_ancilla_rotation,
     table1_summary,
 )
-from modent.protocols import _pair_engine, rotation_step
+from modent.protocols import _pair_mixing, rotation_step
 
 SQ2 = math.sqrt(2)
 
@@ -177,23 +178,22 @@ def test_pair_protocol_all_zero_angles_is_separable():
 
 
 def test_left_and_right_operations_commute():
-    engine = _pair_engine(1)
-    layout = engine.layout
+    layout, psi = pair_protocol_state(1)
     u_left = controlled_mixing_unitary(layout, "tgt_l", "fly_l", "anc1_l", 0.9).matrix
     u_right = controlled_mixing_unitary(layout, "tgt_r", "fly_r", "anc1_r", 0.9).matrix
-    psi = engine.initial
     assert np.max(np.abs(u_left @ (u_right @ psi) - u_right @ (u_left @ psi))) < 1e-12
 
 
-def test_engine_agrees_with_dense_unitaries():
-    layout = _pair_engine(2).layout
-    thetas = (0.5, 1.3)
-    psi = _pair_engine(2).initial.copy()
+@given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3).map(tuple))
+@settings(max_examples=40, deadline=None)
+def test_pair_mixing_matches_dense_unitaries(thetas):
+    layout, psi = pair_protocol_state(len(thetas))
     for j, th in enumerate(thetas, start=1):
         psi = controlled_mixing_unitary(layout, "tgt_l", "fly_l", f"anc{j}_l", th).matrix @ psi
         psi = controlled_mixing_unitary(layout, "tgt_r", "fly_r", f"anc{j}_r", th).matrix @ psi
-    fast = _pair_engine(2).final_amplitudes(thetas)
-    assert np.max(np.abs(psi - fast)) < 1e-13
+    x = psi.reshape(4, -1)
+    dense = x @ x.conj().T
+    assert np.max(np.abs(_pair_mixing(len(thetas))(thetas) - dense)) < 1e-13
 
 
 def test_fermion_params_validation():
