@@ -13,13 +13,9 @@ from .hilbert import (
     compose_layout,
     default_coherent_cutoff,
     embed_operator,
-    identity_operator,
-    partial_trace,
     reduced_density,
     superpose,
     tensor,
-    tensor_op,
-    to_density,
 )
 from .dynamics import (
     CouplingSpec,

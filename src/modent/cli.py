@@ -533,14 +533,18 @@ def _emit_table(payload: dict) -> str:
 
 
 def _write_file(path: str, text: str):
+    # a failed open leaves the path as it was; only a partial write is removed,
+    # and never a device node or other non-regular file
+    fh = open(path, "w", encoding="utf-8", newline="")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(text)
     except BaseException:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+        if os.path.isfile(path):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
         raise
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    HERMITICITY_TOL,
     BosonicMode,
     FermionicMode,
     LinearOp,
@@ -115,10 +116,9 @@ def _sector_eigh(hamiltonian: LinearOp):
     Returns ``(idx, w, v)`` per sector size: ``idx`` (k, s) holds the global
     basis indices of the k sectors of size s, and ``v[j] diag(w[j]) v[j]^dag``
     is the block of H on ``idx[j]``.  If any nonzero entry of H joins two
-    sectors the whole basis is one block.
+    sectors the whole basis is one block.  Hermiticity is checked on the
+    blocks: every entry outside them is zero, so H is Hermitian iff they are.
     """
-    if not hamiltonian.is_hermitian():
-        raise ValueError("propagator requires a Hermitian Hamiltonian")
     h = hamiltonian.matrix
     # excitation number of each basis state: the sum of its level indices
     sector = np.indices(hamiltonian.layout.dims).sum(axis=0).ravel()
@@ -131,7 +131,11 @@ def _sector_eigh(hamiltonian: LinearOp):
     out = []
     for s in sorted(set(sizes.tolist()) - {0}):
         idx = order[starts[sizes == s][:, None] + np.arange(s)]
-        w, v = np.linalg.eigh(h[idx[:, :, None], idx[:, None, :]])
+        blocks = h[idx[:, :, None], idx[:, None, :]]
+        # written as "not <=" so that a NaN entry is rejected too
+        if not np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) <= HERMITICITY_TOL:
+            raise ValueError("propagator requires a Hermitian Hamiltonian")
+        w, v = np.linalg.eigh(blocks)
         out.append((idx, w, v))
     return out
 

@@ -210,9 +210,6 @@ class LinearOp:
             raise ValueError(f"operator shape {m.shape} does not match layout dimension {d}")
         object.__setattr__(self, "matrix", _freeze(m))
 
-    def is_hermitian(self, atol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= atol)
-
     def _check_same_layout(self, other: "LinearOp"):
         if self.layout.dims != other.layout.dims or self.layout.labels != other.layout.labels:
             raise ValueError("operators act on different layouts")
@@ -220,14 +217,6 @@ class LinearOp:
     def __add__(self, other: "LinearOp") -> "LinearOp":
         self._check_same_layout(other)
         return LinearOp(self.layout, self.matrix + other.matrix)
-
-    def __matmul__(self, other: "LinearOp") -> "LinearOp":
-        self._check_same_layout(other)
-        return LinearOp(self.layout, self.matrix @ other.matrix)
-
-
-def identity_operator(layout: SystemLayout) -> LinearOp:
-    return LinearOp(layout, np.eye(layout.dim, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +313,13 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
 # combination and reduction
 # ---------------------------------------------------------------------------
 
-def _merged_layout(a: SystemLayout, b: SystemLayout) -> SystemLayout:
-    clash = set(a.labels) & set(b.labels)
-    if clash:
-        raise ValueError(f"label collision in tensor product: {sorted(clash)}")
-    return SystemLayout(a.subsystems + b.subsystems)
-
-
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product of two states; layouts concatenate (labels disjoint)."""
-    layout = _merged_layout(a.layout, b.layout)
+    clash = set(a.layout.labels) & set(b.layout.labels)
+    if clash:
+        raise ValueError(f"label collision in tensor product: {sorted(clash)}")
+    layout = SystemLayout(a.layout.subsystems + b.layout.subsystems)
     return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
-
-
-def tensor_op(a: LinearOp, b: LinearOp) -> LinearOp:
-    """Tensor product of two operators, consistent with the basis contract."""
-    layout = _merged_layout(a.layout, b.layout)
-    return LinearOp(layout, np.kron(a.matrix, b.matrix))
 
 
 def basis_offsets(layout: SystemLayout, positions: Sequence[int]) -> np.ndarray:
@@ -367,7 +346,7 @@ def add_embedded(out: np.ndarray, layout: SystemLayout, local,
     """
     if not targets:
         raise ValueError("an embedded operator needs at least one target")
-    local_m = local.matrix if isinstance(local, LinearOp) else np.asarray(local, dtype=complex)
+    local_m = np.asarray(local, dtype=complex)
     positions = [layout.position(lab) for lab in targets]
     if len(set(positions)) != len(positions):
         raise ValueError("target labels must be distinct")
@@ -390,7 +369,7 @@ def embed_operator(layout: SystemLayout, local, targets: Sequence[str]) -> Linea
     ----------
     layout : SystemLayout
         The full system.
-    local : LinearOp or ndarray
+    local : ndarray
         Operator on the target subsystems, basis ordered row-major over
         ``targets`` as given.
     targets : sequence of str
@@ -401,51 +380,18 @@ def embed_operator(layout: SystemLayout, local, targets: Sequence[str]) -> Linea
     return LinearOp(layout, full)
 
 
-def to_density(state: PureState) -> DensityOp:
-    """Projector |psi><psi| as a DensityOp."""
-    return DensityOp(state.layout, np.outer(state.amplitudes, state.amplitudes.conj()))
+def reduced_density(state: PureState, keep: Sequence[str]) -> DensityOp:
+    """Reduced density operator of a pure state, without forming the full projector.
 
-
-def _keep_positions(layout: SystemLayout, keep: Sequence[str]):
+    Every subsystem not in ``keep`` is traced out; the reduced operator's
+    basis is ordered row-major over ``keep`` in the order given.
+    """
     keep = list(keep)
     if not keep:
         raise ValueError("keep-set must be non-empty")
-    positions = [layout.position(lab) for lab in keep]
+    positions = [state.layout.position(lab) for lab in keep]
     if len(set(positions)) != len(positions):
         raise ValueError("keep labels must be distinct")
-    return keep, positions
-
-
-def partial_trace(rho: DensityOp, keep: Sequence[str]) -> DensityOp:
-    """Trace out every subsystem not in ``keep``.
-
-    The reduced operator's basis is ordered row-major over ``keep`` in the
-    order given.
-    """
-    keep, positions = _keep_positions(rho.layout, keep)
-    dims = rho.layout.dims
-    n = len(dims)
-    tensor_form = rho.matrix.reshape(dims + dims)
-    # einsum with one shared letter per traced subsystem
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    if 2 * n > len(letters):
-        raise ValueError("too many subsystems for partial trace")
-    out_sub = list(letters[:n])
-    in_sub = list(letters[n:2 * n])
-    for i in range(n):
-        if i not in positions:
-            in_sub[i] = out_sub[i]
-    kept_out = [out_sub[i] for i in positions]
-    kept_in = [in_sub[i] for i in positions]
-    spec = "".join(out_sub) + "".join(in_sub) + "->" + "".join(kept_out) + "".join(kept_in)
-    d_keep = int(np.prod([dims[p] for p in positions]))
-    reduced = np.einsum(spec, tensor_form).reshape(d_keep, d_keep)
-    return DensityOp(rho.layout.restrict(keep), reduced)
-
-
-def reduced_density(state: PureState, keep: Sequence[str]) -> DensityOp:
-    """Reduced density operator of a pure state, without forming the full projector."""
-    keep, positions = _keep_positions(state.layout, keep)
     dims = state.layout.dims
     rest = [i for i in range(len(dims)) if i not in positions]
     order = positions + rest

@@ -73,6 +73,20 @@ def dense_collective_jc(layout, spec):
     return spec.strength_J * (h + h.conj().T)
 
 
+def dense_partial_trace(psi, keep):
+    """Trace the full projector |psi><psi| over every subsystem not in ``keep``;
+    the result is ordered row-major over ``keep`` as given."""
+    dims = psi.layout.dims
+    n = len(dims)
+    positions = [psi.layout.position(lab) for lab in keep]
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj()).reshape(dims + dims)
+    # one shared einsum axis per traced subsystem, a separate pair per kept one
+    cols = [n + i if i in positions else i for i in range(n)]
+    kept = positions + [cols[p] for p in positions]
+    d_keep = int(np.prod([dims[p] for p in positions]))
+    return np.einsum(rho, list(range(n)) + cols, kept).reshape(d_keep, d_keep)
+
+
 def dense_propagator(h, t):
     """exp(-i H t) from one eigendecomposition of the whole matrix."""
     w, v = np.linalg.eigh(h)

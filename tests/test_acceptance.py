@@ -32,13 +32,12 @@ from modent import (
     massive_fermion_protocol,
     massless_absorption,
     optimize_angles,
-    partial_trace,
+    reduced_density,
     sequential_rotation,
     simultaneous_coupling_check,
     single_ancilla_rotation,
     table1_summary,
     target_pair_density,
-    to_density,
 )
 from modent.cli import main
 
@@ -135,7 +134,7 @@ def test_criterion_7_property_suites():
             psi = rand_pure_state(rng, layout)
             out = evolve(psi, h, float(rng.uniform(0, 10)))
             assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
-            red = partial_trace(to_density(out), ["a", "c"])
+            red = reduced_density(out, ["a", "c"])
             assert abs(np.trace(red.matrix) - 1) < 1e-12
             assert np.max(np.abs(red.matrix - red.matrix.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(red.matrix)) > -1e-10

@@ -1,10 +1,12 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import modent
 from modent.cli import RunConfig, UsageError, main, parse_config, render_config, run
 
 
@@ -162,6 +164,44 @@ def test_svg_plots(tmp_path):
     assert text.startswith("<svg") and "rect" in text
 
 
+def test_failed_open_leaves_existing_file_intact(tmp_path, monkeypatch, capsys):
+    # e.g. a read-only file in a writable directory
+    out = tmp_path / "res.txt"
+    out.write_text("earlier result\n")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(out))
+    monkeypatch.setattr("modent.cli.open", refuse, raising=False)
+    assert main(["bell", "--gamma", "0.5", "--out", str(out)]) == 1
+    assert "PermissionError" in capsys.readouterr().err
+    assert out.read_text() == "earlier result\n"
+
+
+def test_failed_write_removes_partial_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "res.txt"
+    real_open = open
+
+    class WritesHalf:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            assert out.stat().st_size > 0
+            raise OSError(28, "No space left on device")
+    monkeypatch.setattr("modent.cli.open", WritesHalf, raising=False)
+    assert main(["bell", "--gamma", "0.5", "--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_absorption_and_coherent_rotation_run(capsys):
     assert main(["absorption"]) == 0
     assert main(["coherent-rotation", "--eta", "3", "--format", "csv"]) == 0
@@ -209,8 +249,11 @@ def test_determinism_byte_identical_outputs(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # run from the directory holding the imported package, so the child finds
+    # it also when only pytest's pythonpath setting put it on sys.path
     proc = subprocess.run([sys.executable, "-m", "modent.cli", "bell", "--gamma", "0.5"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          cwd=pathlib.Path(modent.__file__).parents[1])
     assert proc.returncode == 0
     assert "M = 1.25" in proc.stdout
 

@@ -207,7 +207,9 @@ def test_evolve_and_propagator_match_dense_oracle(case, seed, t, random_h):
     assert np.max(np.abs(evolve(psi, h, t).amplitudes - u @ psi.amplitudes)) < 1e-12
 
 
-def test_propagation_diagonalizes_sectors_not_the_whole_space(monkeypatch):
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Records the matrix size of every eigh call the dynamics module makes."""
     sizes = []
     eigh = np.linalg.eigh
 
@@ -216,11 +218,15 @@ def test_propagation_diagonalizes_sectors_not_the_whole_space(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(dynamics.np.linalg, "eigh", recording_eigh)
+    return sizes
+
+
+def test_propagation_diagonalizes_sectors_not_the_whole_space(eigh_sizes):
     simultaneous_coupling_check(9)  # dimension 1024, sectors C(10, k)
-    assert max(sizes) == 252
-    sizes.clear()
+    assert max(eigh_sizes) == 252
+    eigh_sizes.clear()
     coherent_field_rotation(1.0, 0.0, 20.0)  # dimension 1162, sectors of 2
-    assert max(sizes) == 2
+    assert max(eigh_sizes) == 2
 
 
 def test_evolve_rejects_non_hermitian():
@@ -228,6 +234,29 @@ def test_evolve_rejects_non_hermitian():
     h = LinearOp(layout, np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(basis_state(layout, ["g"]), h, 1.0)
+
+
+def _jc_with_in_sector_asymmetry(eps):
+    # |e,0> <- |g,1> lies inside the one-excitation sector, so H stays split
+    layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
+    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",))).matrix.copy()
+    h[3, 1] += eps
+    return basis_state(layout, ["e", 0]), LinearOp(layout, h)
+
+
+@pytest.mark.parametrize("eps", [1e-9, np.nan])
+def test_evolve_rejects_non_hermitian_sector_block(eps):
+    psi, h = _jc_with_in_sector_asymmetry(eps)
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve(psi, h, 1.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        propagator(h, 1.0)
+
+
+def test_hermiticity_tolerance_accepts_rounding_asymmetry(eigh_sizes):
+    psi, h = _jc_with_in_sector_asymmetry(1e-13)
+    assert abs(np.linalg.norm(evolve(psi, h, 1.0).amplitudes) - 1) < 1e-12
+    assert max(eigh_sizes) == 2  # checked and diagonalized block by block
 
 
 def test_propagator_is_unitary():

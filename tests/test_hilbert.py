@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_embed, rand_pure_state
+from conftest import dense_embed, dense_partial_trace, rand_pure_state
 from modent import (
     BosonicMode,
     DensityOp,
@@ -17,13 +17,9 @@ from modent import (
     compose_layout,
     default_coherent_cutoff,
     embed_operator,
-    identity_operator,
-    partial_trace,
     reduced_density,
     superpose,
     tensor,
-    tensor_op,
-    to_density,
 )
 
 
@@ -216,13 +212,6 @@ def test_tensor_rejects_label_collision():
         tensor(a, a)
 
 
-def test_tensor_op_identity():
-    la = compose_layout([("a", TwoLevel)])
-    lb = compose_layout([("b", BosonicMode(2))])
-    product = tensor_op(identity_operator(la), identity_operator(lb))
-    assert np.array_equal(product.matrix, np.eye(6))
-
-
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_tensor_norm_and_associativity(seed):
@@ -262,7 +251,7 @@ def test_embed_multiplication_homomorphism():
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     lhs = embed_operator(layout, x @ y, ["b"]).matrix
-    rhs = (embed_operator(layout, x, ["b"]) @ embed_operator(layout, y, ["b"])).matrix
+    rhs = embed_operator(layout, x, ["b"]).matrix @ embed_operator(layout, y, ["b"]).matrix
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
@@ -312,7 +301,7 @@ def test_embed_errors():
 
 
 # ---------------------------------------------------------------------------
-# partial trace
+# partial trace of a pure state (reduced_density)
 # ---------------------------------------------------------------------------
 
 def test_partial_trace_of_product_state():
@@ -320,15 +309,15 @@ def test_partial_trace_of_product_state():
     for _ in range(10):
         a = rand_pure_state(rng, compose_layout([("a", BosonicMode(2))]))
         b = rand_pure_state(rng, compose_layout([("b", TwoLevel)]))
-        joint = to_density(tensor(a, b))
-        reduced = partial_trace(joint, ["a"])
-        assert np.allclose(reduced.matrix, to_density(a).matrix, atol=1e-12)
+        reduced = reduced_density(tensor(a, b), ["a"])
+        assert np.allclose(reduced.matrix, np.outer(a.amplitudes, a.amplitudes.conj()),
+                           atol=1e-12)
 
 
 def test_partial_trace_bell_is_maximally_mixed():
     layout = compose_layout([("L", TwoLevel), ("R", TwoLevel)])
     bell = superpose([(1, basis_state(layout, ["g", "e"])), (1, basis_state(layout, ["e", "g"]))])
-    reduced = partial_trace(to_density(bell), ["L"])
+    reduced = reduced_density(bell, ["L"])
     assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
 
 
@@ -336,8 +325,7 @@ def test_partial_trace_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(23)
     layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(2)), ("c", FermionicMode)])
     for _ in range(10):
-        rho = to_density(rand_pure_state(rng, layout))
-        red = partial_trace(rho, ["b", "a"])
+        red = reduced_density(rand_pure_state(rng, layout), ["b", "a"])
         assert abs(np.trace(red.matrix) - 1) < 1e-12
         assert np.max(np.abs(red.matrix - red.matrix.conj().T)) < 1e-12
 
@@ -345,9 +333,9 @@ def test_partial_trace_preserves_trace_and_hermiticity():
 def test_partial_trace_keep_order_contract():
     rng = np.random.default_rng(31)
     layout = compose_layout([("a", TwoLevel), ("b", TwoLevel)])
-    rho = to_density(rand_pure_state(rng, layout))
-    ab = partial_trace(rho, ["a", "b"]).matrix
-    ba = partial_trace(rho, ["b", "a"]).matrix
+    psi = rand_pure_state(rng, layout)
+    ab = reduced_density(psi, ["a", "b"]).matrix
+    ba = reduced_density(psi, ["b", "a"]).matrix
     swap = np.zeros((4, 4))
     for i in range(2):
         for j in range(2):
@@ -355,21 +343,28 @@ def test_partial_trace_keep_order_contract():
     assert np.allclose(ba, swap @ ab @ swap.T, atol=1e-14)
 
 
-def test_partial_trace_matches_pure_reduction():
-    rng = np.random.default_rng(43)
-    layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(1)), ("c", TwoLevel)])
-    psi = rand_pure_state(rng, layout)
-    assert np.allclose(partial_trace(to_density(psi), ["c", "a"]).matrix,
-                       reduced_density(psi, ["c", "a"]).matrix, atol=1e-13)
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_partial_trace_matches_pure_reduction(data):
+    kinds = data.draw(st.lists(_KINDS, min_size=1, max_size=4))
+    layout = compose_layout([(f"s{i}", kind) for i, kind in enumerate(kinds)])
+    order = data.draw(st.permutations(layout.labels))
+    keep = order[:data.draw(st.integers(1, len(order)))]
+    psi = rand_pure_state(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), layout)
+    reduced = reduced_density(psi, keep)
+    assert reduced.layout.labels == tuple(keep)
+    assert np.max(np.abs(reduced.matrix - dense_partial_trace(psi, keep))) < 1e-13
 
 
 def test_partial_trace_errors():
     layout = compose_layout([("a", TwoLevel), ("b", TwoLevel)])
-    rho = to_density(basis_state(layout, ["g", "g"]))
+    psi = basis_state(layout, ["g", "g"])
     with pytest.raises(KeyError):
-        partial_trace(rho, ["zzz"])
+        reduced_density(psi, ["zzz"])
     with pytest.raises(ValueError, match="non-empty"):
-        partial_trace(rho, [])
+        reduced_density(psi, [])
+    with pytest.raises(ValueError, match="distinct"):
+        reduced_density(psi, ["a", "a"])
 
 
 # ---------------------------------------------------------------------------
