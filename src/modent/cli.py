@@ -9,8 +9,9 @@ those entries.
 
 Numeric output is formatted to 12 significant digits and runs are
 deterministic: identical configs produce byte-identical CSV/JSON.
-Exit codes: 0 success, 2 usage/validation error (including sizes whose dense
-arrays would exceed ``MAX_DENSE_DIM``), 1 computation failure.
+Exit codes: 0 success, 2 usage/validation error (including sizes beyond the
+memory guards ``MAX_COLLECTIVE_N``, ``MAX_COHERENT_CUTOFF`` and
+``MAX_SWEEP_ROWS``), 1 computation failure.
 """
 
 from __future__ import annotations
@@ -56,11 +57,12 @@ def _fmt12(x) -> str:
     return format(float(x), ".12g")
 
 
-# Memory budget: the largest dense dimension d an accepted run may build;
-# one complex d x d array then takes 16 * 4096**2 bytes = 256 MiB.
-MAX_DENSE_DIM = 4096
-MAX_COLLECTIVE_N = MAX_DENSE_DIM.bit_length() - 2   # d = 2**(n+1)
-MAX_COHERENT_CUTOFF = MAX_DENSE_DIM // 2 - 1        # d = 2 * (cutoff + 1)
+# Memory guards.  collective-check holds its eigh blocks, sum_k C(n+1, k)**2
+# = C(2n+2, n+1) complex entries: about 2.7M (41 MiB) at n = 11, and each
+# step of n multiplies it by nearly 4.  coherent-rotation holds O(cutoff)
+# arrays of 2 (cutoff + 1) amplitudes and 2 cutoff Hamiltonian triplets.
+MAX_COLLECTIVE_N = 11
+MAX_COHERENT_CUTOFF = 2 ** 17 - 1
 MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory
 
 

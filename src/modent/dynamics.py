@@ -1,12 +1,14 @@
 """Excitation-exchange Hamiltonians, time evolution, and the controlled mixing unitary.
 
 Units: hbar = 1 and the default coupling strength is J = 1, so all times are
-expressed in units of 1/J.  Time evolution is exact: the Hamiltonian is
-eigendecomposed one excitation sector at a time.  The excitation number of a
-basis state is the sum of its level indices; every coupling built here
-conserves it, so H is block diagonal over the sectors and each block is
-diagonalized on its own (equal-size blocks in one batched ``eigh``).  A
-Hamiltonian that couples two sectors is diagonalized as one block.
+expressed in units of 1/J.  Hamiltonians are ``LinearOp`` triplets built from
+the nonzeros of each coupling; no d x d array is formed.  Time evolution is
+exact: the Hamiltonian is eigendecomposed one excitation sector at a time.
+The excitation number of a basis state is the sum of its level indices; every
+coupling built here conserves it, so H is block diagonal over the sectors and
+each block is scattered straight from the triplets and diagonalized on its
+own (equal-size blocks in one batched ``eigh``).  A Hamiltonian that couples
+two sectors is diagonalized as one block.
 """
 
 from __future__ import annotations
@@ -22,31 +24,11 @@ from .hilbert import (
     FermionicMode,
     LinearOp,
     PureState,
-    SubsystemKind,
     SystemLayout,
     TwoLevel,
-    add_embedded,
     embed_operator,
+    embed_triplets,
 )
-
-# Raising/lowering operators of a two-level particle, basis (g, e): s+|g> = |e>.
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_MINUS = SIGMA_PLUS.conj().T
-
-
-def annihilation(kind: SubsystemKind) -> np.ndarray:
-    """Annihilation matrix of a mode: sqrt(n) ladder for bosons, hard-core for fermions."""
-    if isinstance(kind, BosonicMode):
-        return np.diag(np.sqrt(np.arange(1, kind.dim, dtype=float)), k=1).astype(complex)
-    if isinstance(kind, FermionicMode):
-        return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    raise ValueError(f"no annihilation operator for subsystem kind {kind!r}")
-
-
-def number_operator(kind: SubsystemKind) -> np.ndarray:
-    a = annihilation(kind)
-    return a.conj().T @ a
-
 
 @dataclass(frozen=True)
 class CouplingSpec:
@@ -91,15 +73,22 @@ def collective_jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> Linea
     """J * sum_k (i s+ a_k - i s- a_k^dag) embedded in the layout.
 
     Hermitian by construction; conserves the total excitation number
-    (qubit excitation plus mode occupations).
+    (qubit excitation plus mode occupations).  With s+|g> = |e>, each mode
+    contributes the ladder's nonzeros only: i J sqrt(n) at row (e, n-1),
+    column (g, n) of the local (qubit, mode) basis, plus the conjugate
+    transpose.
     """
     _check_coupling_kinds(layout, spec)
-    h = np.zeros((layout.dim, layout.dim), dtype=complex)
+    h = None
     for m in spec.mode_labels:
-        term = 1j * np.kron(SIGMA_PLUS, annihilation(layout.kind_of(m)))
-        add_embedded(h, layout, spec.strength_J * (term + term.conj().T),
-                     [spec.qubit_label, m])
-    return LinearOp(layout, h)
+        # <n-1| a |n> = sqrt(n) for n = 1 .. n_max; a hard-core fermion has n_max = 1
+        n = np.arange(1, layout.kind_of(m).dim)
+        values = 1j * (spec.strength_J * np.sqrt(n))
+        excited = n.size + n   # (e, n-1): the qubit's stride is n_max + 1
+        term = embed_triplets(layout, np.concatenate([excited, n]), np.concatenate([n, excited]),
+                              np.concatenate([values, values.conj()]), [spec.qubit_label, m])
+        h = term if h is None else h + term
+    return h
 
 
 def jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> LinearOp:
@@ -110,28 +99,51 @@ def jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> LinearOp:
     return collective_jc_hamiltonian(layout, spec)
 
 
-def _sector_eigh(hamiltonian: LinearOp):
-    """Eigendecomposition of H over the excitation sectors it leaves uncoupled.
+def _sector_blocks(hamiltonian: LinearOp):
+    """The blocks of H over the excitation sectors it leaves uncoupled.
 
-    Returns ``(idx, w, v)`` per sector size: ``idx`` (k, s) holds the global
-    basis indices of the k sectors of size s, and ``v[j] diag(w[j]) v[j]^dag``
-    is the block of H on ``idx[j]``.  If any nonzero entry of H joins two
-    sectors the whole basis is one block.  Hermiticity is checked on the
-    blocks: every entry outside them is zero, so H is Hermitian iff they are.
+    Returns ``(idx, blocks)`` per sector size: ``idx`` (k, s) holds the global
+    basis indices of the k sectors of size s, and ``blocks`` (k, s, s) the
+    entries of H among them, scattered from the triplets (repeated entries
+    add up).  If any triplet joins two sectors the whole basis is one block.
     """
-    h = hamiltonian.matrix
+    rows, cols, values = hamiltonian.rows, hamiltonian.cols, hamiltonian.values
     # excitation number of each basis state: the sum of its level indices
     sector = np.indices(hamiltonian.layout.dims).sum(axis=0).ravel()
-    rows, cols = np.nonzero(h)
     if np.any(sector[rows] != sector[cols]):
         sector = np.zeros_like(sector)
     order = np.argsort(sector, kind="stable")
     sizes = np.bincount(sector)
     starts = np.cumsum(sizes) - sizes
+    # position of each basis state within its sector, and of each sector
+    # among the sectors of its size
+    within = np.empty_like(order)
+    within[order] = np.arange(order.size) - starts[sector[order]]
+    rank = np.empty_like(sizes)
     out = []
+    row_sector = sector[rows]
     for s in sorted(set(sizes.tolist()) - {0}):
-        idx = order[starts[sizes == s][:, None] + np.arange(s)]
-        blocks = h[idx[:, :, None], idx[:, None, :]]
+        members = np.flatnonzero(sizes == s)
+        rank[members] = np.arange(members.size)
+        idx = order[starts[members][:, None] + np.arange(s)]
+        blocks = np.zeros((members.size, s, s), dtype=complex)
+        mine = sizes[row_sector] == s
+        np.add.at(blocks, (rank[row_sector[mine]], within[rows[mine]], within[cols[mine]]),
+                  values[mine])
+        out.append((idx, blocks))
+    return out
+
+
+def _sector_eigh(hamiltonian: LinearOp):
+    """Eigendecomposition of H over the excitation sectors it leaves uncoupled.
+
+    Returns ``(idx, w, v)`` per sector size, with ``idx`` as in
+    ``_sector_blocks`` and ``v[j] diag(w[j]) v[j]^dag`` the block of H on
+    ``idx[j]``.  Hermiticity is checked on the blocks: every entry outside
+    them is zero, so H is Hermitian iff they are.
+    """
+    out = []
+    for idx, blocks in _sector_blocks(hamiltonian):
         # written as "not <=" so that a NaN entry is rejected too
         if not np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) <= HERMITICITY_TOL:
             raise ValueError("propagator requires a Hermitian Hamiltonian")
@@ -140,13 +152,15 @@ def _sector_eigh(hamiltonian: LinearOp):
     return out
 
 
-def propagator(hamiltonian: LinearOp, t: float) -> LinearOp:
-    """exp(-i H t), assembled block by block from the sector eigendecompositions."""
-    u = np.zeros_like(hamiltonian.matrix)
+def propagator(hamiltonian: LinearOp, t: float) -> np.ndarray:
+    """exp(-i H t) as a dense d x d array, assembled from the sector
+    eigendecompositions; meant for small systems such as one collision."""
+    d = hamiltonian.layout.dim
+    u = np.zeros((d, d), dtype=complex)
     for idx, w, v in _sector_eigh(hamiltonian):
         phases = np.exp(-1j * w * float(t))[:, None, :]
         u[idx[:, :, None], idx[:, None, :]] = (v * phases) @ v.conj().transpose(0, 2, 1)
-    return LinearOp(hamiltonian.layout, u)
+    return u
 
 
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:

@@ -32,11 +32,12 @@ class TwoQubitDensity:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"two-qubit density matrix must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
+        # written as "not <=" so that a NaN entry is rejected too
+        if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
             raise ValueError("two-qubit density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m) - 1.0) > _HERM_TOL:
+        if not abs(np.trace(m) - 1.0) <= _HERM_TOL:
             raise ValueError("two-qubit density matrix trace deviates from 1")
-        if np.min(np.linalg.eigvalsh(m)) < -_PSD_TOL:
+        if not np.min(np.linalg.eigvalsh(m)) >= -_PSD_TOL:
             raise ValueError("two-qubit density matrix is not positive semidefinite")
         m = m.copy()
         m.flags.writeable = False
@@ -87,6 +88,8 @@ def fidelity(rho, ideal) -> float:
     if m.shape != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: rho is {m.shape}, state has length {psi.size}")
     val = complex(psi.conj() @ m @ psi)
+    if not np.isfinite(val):
+        raise ValueError(f"fidelity came out non-finite ({val})")
     if abs(val.imag) > 1e-12:
         raise ValueError(f"fidelity came out non-real ({val}); rho is not Hermitian enough")
     return float(min(1.0, max(0.0, val.real)))

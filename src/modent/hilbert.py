@@ -1,11 +1,12 @@
 """Composite Hilbert spaces of two-level particles and truncated field modes.
 
-States and operators are dense numpy arrays over a fixed basis contract: the
+States are dense numpy amplitude vectors over a fixed basis contract: the
 global basis index runs row-major over the subsystem list, with the
 first-listed subsystem varying slowest (so ``tensor`` is a plain Kronecker
-product).  Embedded operators are assembled by scattering the nonzeros of
-the local matrix to their global indices (``basis_offsets``), never through a
-Kronecker product with an identity.
+product).  Operators are held as COO triplets (rows, cols, values) and never
+as a d x d array: an embedded operator scatters the nonzeros of its local
+matrix to the global index pairs they occupy (``basis_offsets``), never
+through a Kronecker product with an identity.
 
 Fermionic modes are hard-core two-level modes without antisymmetrization
 sign strings; the protocols built on top only ever address modes locally and
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import special
 
 #: Tolerance for state normalization and trace checks.
 NORM_TOL = 1e-12
@@ -164,7 +164,8 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, layout dimension is {self.layout.dim}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        # checks are written as "not <=" so that a NaN is rejected too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -186,37 +187,52 @@ class DensityOp:
         d = self.layout.dim
         if m.shape != (d, d):
             raise ValueError(f"density matrix shape {m.shape} does not match layout dimension {d}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = np.trace(m)
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-        if np.min(np.linalg.eigvalsh(m)) < -POSITIVITY_TOL:
+        if not np.min(np.linalg.eigvalsh(m)) >= -POSITIVITY_TOL:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "matrix", _freeze(m))
 
 
 @dataclass(frozen=True)
 class LinearOp:
-    """A complex square matrix acting on a layout."""
+    """A complex square matrix acting on a layout, held as COO triplets.
+
+    Entry ``(rows[j], cols[j])`` is ``values[j]``; repeated index pairs add up
+    and every other entry is zero.  The arrays are kept as read-only views,
+    not copied, so a caller hands them over.
+    """
 
     layout: SystemLayout
-    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        rows = np.asarray(self.rows, dtype=np.int64).ravel()
+        cols = np.asarray(self.cols, dtype=np.int64).ravel()
+        values = np.asarray(self.values, dtype=complex).ravel()
+        if not rows.size == cols.size == values.size:
+            raise ValueError(f"operator triplets have lengths {rows.size}, {cols.size}, "
+                             f"{values.size}")
         d = self.layout.dim
-        if m.shape != (d, d):
-            raise ValueError(f"operator shape {m.shape} does not match layout dimension {d}")
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    def _check_same_layout(self, other: "LinearOp"):
-        if self.layout.dims != other.layout.dims or self.layout.labels != other.layout.labels:
-            raise ValueError("operators act on different layouts")
+        if rows.size and not (0 <= min(rows.min(), cols.min())
+                              and max(rows.max(), cols.max()) < d):
+            raise ValueError(f"operator index out of range for layout dimension {d}")
+        for name, arr in (("rows", rows), ("cols", cols), ("values", values)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
-        self._check_same_layout(other)
-        return LinearOp(self.layout, self.matrix + other.matrix)
+        if self.layout.dims != other.layout.dims or self.layout.labels != other.layout.labels:
+            raise ValueError("operators act on different layouts")
+        return LinearOp(self.layout, np.concatenate([self.rows, other.rows]),
+                        np.concatenate([self.cols, other.cols]),
+                        np.concatenate([self.values, other.values]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +307,8 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
         The state on a single BosonicMode(cutoff) layout, and the weight the
         untruncated expansion carries beyond the cutoff.
     """
+    from scipy import special  # imported here: a cold import costs ~0.3 s
+
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     eta = complex(eta)
@@ -336,30 +354,25 @@ def basis_offsets(layout: SystemLayout, positions: Sequence[int]) -> np.ndarray:
     return out
 
 
-def add_embedded(out: np.ndarray, layout: SystemLayout, local,
-                 targets: Sequence[str]) -> None:
-    """Add ``local`` acting on ``targets`` (identity elsewhere) into ``out`` in place.
+def embed_triplets(layout: SystemLayout, rows, cols, values,
+                   targets: Sequence[str]) -> LinearOp:
+    """Embed the local operator with nonzeros ``values`` at (``rows``, ``cols``)
+    so it acts on ``targets`` and as identity elsewhere.
 
-    Each nonzero of the local matrix is scattered to the global index pairs
-    it occupies for every level of the other subsystems; no other entry of
-    ``out`` is touched.  Arguments are as for ``embed_operator``.
+    Each local triplet is scattered to the global index pairs it occupies for
+    every level of the other subsystems.  Local indices run row-major over
+    ``targets`` as given.
     """
     if not targets:
         raise ValueError("an embedded operator needs at least one target")
-    local_m = np.asarray(local, dtype=complex)
     positions = [layout.position(lab) for lab in targets]
     if len(set(positions)) != len(positions):
         raise ValueError("target labels must be distinct")
     target_off = basis_offsets(layout, positions)
-    if local_m.shape != (target_off.size, target_off.size):
-        raise ValueError(
-            f"local operator shape {local_m.shape} does not match target dimension "
-            f"{target_off.size}")
     rest_off = basis_offsets(layout, [i for i in range(len(layout.dims)) if i not in positions])
-    rows, cols = np.nonzero(local_m)
-    out[(target_off[rows, None] + rest_off).ravel(),
-        (target_off[cols, None] + rest_off).ravel()] += np.repeat(local_m[rows, cols],
-                                                                  rest_off.size)
+    return LinearOp(layout, (target_off[rows, None] + rest_off).ravel(),
+                    (target_off[cols, None] + rest_off).ravel(),
+                    np.repeat(values, rest_off.size))
 
 
 def embed_operator(layout: SystemLayout, local, targets: Sequence[str]) -> LinearOp:
@@ -375,9 +388,13 @@ def embed_operator(layout: SystemLayout, local, targets: Sequence[str]) -> Linea
     targets : sequence of str
         Ordered subsystem labels the local operator acts on.
     """
-    full = np.zeros((layout.dim, layout.dim), dtype=complex)
-    add_embedded(full, layout, local, targets)
-    return LinearOp(layout, full)
+    local_m = np.asarray(local, dtype=complex)
+    d_target = math.prod(layout.kind_of(lab).dim for lab in targets)
+    if local_m.shape != (d_target, d_target):
+        raise ValueError(
+            f"local operator shape {local_m.shape} does not match target dimension {d_target}")
+    rows, cols = np.nonzero(local_m)
+    return embed_triplets(layout, rows, cols, local_m[rows, cols], targets)
 
 
 def reduced_density(state: PureState, keep: Sequence[str]) -> DensityOp:

@@ -15,14 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import dynamics
 from .dynamics import (
     CouplingSpec,
     MixingAngle,
     collective_jc_hamiltonian,
     evolve,
     jc_hamiltonian,
-    number_operator,
     propagator,
 )
 from .entanglement import (
@@ -44,7 +42,6 @@ from .hilbert import (
     coherent_mode_state,
     compose_layout,
     default_coherent_cutoff,
-    embed_operator,
     reduced_density,
     superpose,
     tensor,
@@ -180,10 +177,9 @@ def massless_absorption():
     if abs(overlap - 1.0) > 1e-10:
         raise RuntimeError(f"absorption missed the transferred state (overlap {overlap!r})")
 
-    n_fly = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for lab in ("fly_l", "fly_r"):
-        n_fly = n_fly + embed_operator(layout, number_operator(layout.kind_of(lab)), [lab]).matrix
-    occupation = float(np.real(np.vdot(final.amplitudes, n_fly @ final.amplitudes)))
+    # <n_fly_l + n_fly_r>: the flying modes' levels are their occupation numbers
+    n_fly = np.indices(layout.dims)[[layout.position("fly_l"), layout.position("fly_r")]]
+    occupation = float(np.sum(np.abs(final.amplitudes) ** 2 * n_fly.sum(axis=0).ravel()))
 
     targets = TwoQubitDensity.from_density_op(reduced_density(final, ["tgt_l", "tgt_r"]))
     result = ExperimentResult(
@@ -209,7 +205,7 @@ _ANCILLA_PLUS_RHO = 0.5 * np.ones((2, 2), dtype=complex)
 def _collision_unitary(duration: float) -> np.ndarray:
     layout = compose_layout([("target", TwoLevel), ("ancilla", FermionicMode)])
     h = jc_hamiltonian(layout, CouplingSpec("target", ("ancilla",)))
-    return propagator(h, duration).matrix
+    return propagator(h, duration)
 
 
 def rotation_step(rho: np.ndarray, duration: float) -> np.ndarray:
@@ -276,29 +272,24 @@ def sequential_rotation(params: RotationProtocolParams) -> ExperimentResult:
 # simultaneous coupling and the collective-mode reduction
 # ---------------------------------------------------------------------------
 
-def _symmetric_ladder(n_modes: int) -> np.ndarray:
-    """Annihilation matrix of the collective mode on the symmetric occupation ladder."""
-    d = n_modes + 1
-    b = np.zeros((d, d), dtype=complex)
-    for m in range(1, d):
-        b[m - 1, m] = math.sqrt(m * (n_modes - m + 1) / n_modes)
-    return b
-
-
 def collective_mode_reference(n_modes: int, alpha: complex, beta: complex,
                               duration: float) -> DensityOp:
     """Reduced target state when the N modes are replaced by the one collective
-    mode they address: coupling sqrt(N) J on the symmetric ladder, initial mode
-    amplitudes sqrt(C(N, m)) 2^(-N/2)."""
+    mode they address: coupling sqrt(N) J on the symmetric ladder
+    <m-1| b |m> = sqrt(m (N - m + 1) / N), initial mode amplitudes
+    sqrt(C(N, m)) 2^(-N/2)."""
     d = n_modes + 1
     layout = compose_layout([("target", TwoLevel), ("collective", BosonicMode(n_modes))])
-    b = _symmetric_ladder(n_modes)
-    h = math.sqrt(n_modes) * (
-        1j * np.kron(dynamics.SIGMA_PLUS, b) - 1j * np.kron(dynamics.SIGMA_MINUS, b.conj().T))
+    ladder = [math.sqrt(m * (n_modes - m + 1) / n_modes) for m in range(1, d)]
+    # i sqrt(N) b_m at (e, m-1), (g, m) of the (target, collective) basis, plus the adjoint
+    values = 1j * (math.sqrt(n_modes) * np.array(ladder))
+    ground = np.arange(1, d)
+    h = LinearOp(layout, np.concatenate([d + ground - 1, ground]),
+                 np.concatenate([ground, d + ground - 1]), np.concatenate([values, values.conj()]))
     chi = np.array([math.sqrt(math.comb(n_modes, m)) * 2 ** (-n_modes / 2) for m in range(d)],
                    dtype=complex)
     psi0 = PureState(layout, np.kron(np.array([alpha, beta], dtype=complex), chi))
-    final = evolve(psi0, LinearOp(layout, h), duration)
+    final = evolve(psi0, h, duration)
     return reduced_density(final, ["target"])
 
 

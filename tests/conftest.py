@@ -1,7 +1,6 @@
 import numpy as np
 
-from modent import PureState, compose_layout
-from modent.dynamics import SIGMA_PLUS, annihilation
+from modent import BosonicMode, FermionicMode, LinearOp, PureState, compose_layout
 
 
 def rand_amplitude_pair(rng):
@@ -47,6 +46,24 @@ def single_qubit_layout(label="q"):
 
 
 # ---------------------------------------------------------------------------
+# dense views of triplet operators (the library never forms them)
+# ---------------------------------------------------------------------------
+
+def dense(op):
+    """The d x d matrix of a LinearOp; repeated triplets add up."""
+    m = np.zeros((op.layout.dim, op.layout.dim), dtype=complex)
+    np.add.at(m, (op.rows, op.cols), op.values)
+    return m
+
+
+def linear_op(layout, matrix):
+    """LinearOp holding the nonzero entries of a dense matrix."""
+    m = np.asarray(matrix, dtype=complex)
+    rows, cols = np.nonzero(m)
+    return LinearOp(layout, rows, cols, m[rows, cols])
+
+
+# ---------------------------------------------------------------------------
 # dense oracles: the direct formulas the structured library code must match
 # ---------------------------------------------------------------------------
 
@@ -62,6 +79,19 @@ def dense_embed(layout, local, targets):
     inv = np.argsort(order)
     perm = tuple(inv) + tuple(inv + len(dims))
     return full.reshape(shape + shape).transpose(perm).reshape(layout.dim, layout.dim)
+
+
+# Raising operator of a two-level particle, basis (g, e): s+|g> = |e>.
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+
+def annihilation(kind):
+    """Annihilation matrix of a mode: sqrt(n) ladder for bosons, hard-core for fermions."""
+    if isinstance(kind, BosonicMode):
+        return np.diag(np.sqrt(np.arange(1, kind.dim, dtype=float)), k=1).astype(complex)
+    if isinstance(kind, FermionicMode):
+        return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    raise ValueError(f"no annihilation operator for subsystem kind {kind!r}")
 
 
 def dense_collective_jc(layout, spec):

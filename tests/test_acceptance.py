@@ -9,6 +9,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (
+    dense,
+    linear_op,
     pair_protocol_state,
     rand_amplitude_pair,
     rand_density_matrix,
@@ -20,7 +22,6 @@ from modent import (
     BosonicMode,
     FermionProtocolParams,
     FermionicMode,
-    LinearOp,
     RotationProtocolParams,
     TwoLevel,
     chsh_violated,
@@ -130,7 +131,7 @@ def test_criterion_7_property_suites():
 
         # unitarity of evolution, trace/Hermiticity/positivity of reductions
         for _ in range(200):
-            h = LinearOp(layout, rand_hermitian(rng, layout.dim))
+            h = linear_op(layout, rand_hermitian(rng, layout.dim))
             psi = rand_pure_state(rng, layout)
             out = evolve(psi, h, float(rng.uniform(0, 10)))
             assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
@@ -151,8 +152,8 @@ def test_criterion_7_property_suites():
         pair_layout, psi0 = pair_protocol_state(1)
         for _ in range(200):
             th = float(rng.uniform(0, math.pi))
-            ul = controlled_mixing_unitary(pair_layout, "tgt_l", "fly_l", "anc1_l", th).matrix
-            ur = controlled_mixing_unitary(pair_layout, "tgt_r", "fly_r", "anc1_r", th).matrix
+            ul = dense(controlled_mixing_unitary(pair_layout, "tgt_l", "fly_l", "anc1_l", th))
+            ur = dense(controlled_mixing_unitary(pair_layout, "tgt_r", "fly_r", "anc1_r", th))
             assert np.max(np.abs(ul @ (ur @ psi0) - ur @ (ul @ psi0))) < 1e-12
 
         # angle-exchange symmetry of the two-pair concurrence surface

@@ -224,6 +224,25 @@ def test_computation_failure_exit_code(capsys):
     assert "truncation weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta", ["1e-310", "1e-320"])
+def test_non_finite_result_is_a_computation_failure(eta, capsys):
+    # pi / (4 eta) overflows to inf, so the evolved amplitudes are NaN; this
+    # printed fidelity 0 and exited 0 when NaN slipped through the checks
+    assert main(["coherent-rotation", "--eta", eta, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "norm" in captured.err
+
+
+def test_coherent_rotation_eta_100_keeps_inverse_square_scaling(capsys):
+    # eta = 100 (cutoff 10820) was refused by the dense-size guard
+    scaled = {}
+    for eta in (20, 100):
+        assert main(["coherent-rotation", "--eta", str(eta), "--format", "json"]) == 0
+        scaled[eta] = json.loads(capsys.readouterr().out)["scalars"]["infidelity"] * eta ** 2
+    assert abs(scaled[100] / scaled[20] - 1) < 0.05
+
+
 def test_run_config_from_file_only(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -316,11 +335,11 @@ def test_normalization_of_subnormal_amplitudes(tiny):
 
 @pytest.mark.parametrize("argv, message", [
     (["collective-check", "--n", "12"], r"n must be an integer in \[1,11\], got 12"),
-    (["coherent-rotation", "--eta", "100"], r"eta must be in \[0,41\.1996\]"),
-    (["coherent-rotation", "--eta", "41.3"], r"eta must be in \[0,41\.1996\]"),
-    (["coherent-rotation", "--eta", "1e300"], r"eta must be in \[0,41\.1996\]"),
-    (["coherent-rotation", "--eta", "4", "--cutoff", "2048"],
-     r"cutoff must be an integer in \[1,2047\], got 2048"),
+    (["coherent-rotation", "--eta", "358.1"], r"eta must be in \[0,358\.032\]"),
+    (["coherent-rotation", "--eta", "1e300"], r"eta must be in \[0,358\.032\]"),
+    (["coherent-rotation", "--eta", "1000"], r"eta must be in \[0,358\.032\]"),
+    (["coherent-rotation", "--eta", "4", "--cutoff", "131072"],
+     r"cutoff must be an integer in \[1,131071\], got 131072"),
     (["fermion-sweep", "--pairs", "4", "--grid", "33"], r"grid\*\*pairs must be <= 1048576"),
     (["fermion-sweep", "--pairs", "1000000000"], r"grid\*\*pairs must be <= 1048576"),
 ])
@@ -331,10 +350,12 @@ def test_size_guards_refuse_before_running(argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["collective-check", "--n", "11"],
-    ["coherent-rotation", "--eta", "41.19"],
-    ["coherent-rotation", "--eta", "100", "--cutoff", "2047"],
+    ["coherent-rotation", "--eta", "358"],
+    ["coherent-rotation", "--eta", "100", "--cutoff", "131071"],
     ["fermion-sweep", "--pairs", "4", "--grid", "32"],
     ["fermion-sweep", "--pairs", "2", "--grid", "1024"],
+    ["coherent-rotation", "--eta", "100"],
+    ["coherent-rotation", "--eta", "41.3"],
 ])
 def test_size_guards_accept_the_budget_edge(argv):
     parse_config(argv)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    annihilation,
+    dense,
     dense_collective_jc,
     dense_propagator,
+    linear_op,
     rand_hermitian,
     rand_pure_state,
 )
@@ -31,7 +34,6 @@ from modent import (
     tensor,
 )
 from modent import dynamics
-from modent.dynamics import number_operator
 from modent.protocols import coherent_field_rotation, simultaneous_coupling_check
 
 
@@ -45,7 +47,7 @@ def _qubit_mode_layout(kind=FermionicMode):
 
 def test_jc_block_on_single_excitation_subspace():
     layout = _qubit_mode_layout()
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",))).matrix
+    h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",))))
     # ordered basis {|g>|1>, |e>|0>}: indices 1 and 2 (T slowest)
     block = h[np.ix_([1, 2], [1, 2])]
     assert np.allclose(block, [[0, -1j], [1j, 0]], atol=1e-15)
@@ -53,7 +55,7 @@ def test_jc_block_on_single_excitation_subspace():
 
 def test_jc_vacuum_is_dark():
     layout = _qubit_mode_layout()
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",))).matrix
+    h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",))))
     assert np.all(h[0, :] == 0)
     assert np.all(h[:, 0] == 0)
 
@@ -61,7 +63,7 @@ def test_jc_vacuum_is_dark():
 def test_jc_exactly_hermitian():
     for kind in (FermionicMode, BosonicMode(3)):
         layout = _qubit_mode_layout(kind)
-        h = jc_hamiltonian(layout, CouplingSpec("T", ("m",), strength_J=2.5)).matrix
+        h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",), strength_J=2.5)))
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
@@ -78,9 +80,10 @@ def test_jc_kind_validation():
 def test_jc_commutes_with_excitation_number():
     for kind in (FermionicMode, BosonicMode(3)):
         layout = _qubit_mode_layout(kind)
-        h = jc_hamiltonian(layout, CouplingSpec("T", ("m",))).matrix
-        excite = embed_operator(layout, np.diag([0.0, 1.0]), ["T"]).matrix
-        occupy = embed_operator(layout, number_operator(layout.kind_of("m")), ["m"]).matrix
+        h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",))))
+        excite = dense(embed_operator(layout, np.diag([0.0, 1.0]), ["T"]))
+        a = annihilation(layout.kind_of("m"))
+        occupy = dense(embed_operator(layout, a.conj().T @ a, ["m"]))
         total = excite + occupy
         assert np.max(np.abs(h @ total - total @ h)) < 1e-12
 
@@ -88,16 +91,16 @@ def test_jc_commutes_with_excitation_number():
 def test_collective_single_mode_reduces_to_jc():
     layout = _qubit_mode_layout()
     spec = CouplingSpec("T", ("m",))
-    assert np.array_equal(collective_jc_hamiltonian(layout, spec).matrix,
-                          jc_hamiltonian(layout, spec).matrix)
+    assert np.array_equal(dense(collective_jc_hamiltonian(layout, spec)),
+                          dense(jc_hamiltonian(layout, spec)))
 
 
 def test_collective_two_modes_spreads_excitation_evenly():
     layout = compose_layout([("T", TwoLevel), ("m0", FermionicMode), ("m1", FermionicMode)])
     h = collective_jc_hamiltonian(layout, CouplingSpec("T", ("m0", "m1")))
-    assert np.max(np.abs(h.matrix - h.matrix.conj().T)) == 0.0
+    assert np.max(np.abs(dense(h) - dense(h).conj().T)) == 0.0
     excited_empty = basis_state(layout, ["e", 0, 0])
-    image = h.matrix @ excited_empty.amplitudes
+    image = dense(h) @ excited_empty.amplitudes
     g10 = basis_state(layout, ["g", 1, 0]).amplitudes
     g01 = basis_state(layout, ["g", 0, 1]).amplitudes
     w10 = complex(np.vdot(g10, image))
@@ -125,8 +128,74 @@ def _coupled_layouts(draw):
 @settings(max_examples=60, deadline=None)
 def test_collective_matches_dense_sum_oracle(case):
     layout, spec = case
-    assert np.array_equal(collective_jc_hamiltonian(layout, spec).matrix,
+    assert np.array_equal(dense(collective_jc_hamiltonian(layout, spec)),
                           dense_collective_jc(layout, spec))
+
+
+@st.composite
+def _mixed_layouts(draw):
+    """1-4 subsystems drawn from TwoLevel, FermionicMode and BosonicMode(1..3),
+    plus the coupled qubit at a random position; every mode is coupled and
+    the extra two-level particles are spectators."""
+    kinds = draw(st.lists(st.sampled_from([TwoLevel(), FermionicMode(), BosonicMode(1),
+                                           BosonicMode(2), BosonicMode(3)]),
+                          min_size=1, max_size=4))
+    subs = [(f"s{k}", kind) for k, kind in enumerate(kinds)]
+    subs.insert(draw(st.integers(0, len(subs))), ("T", TwoLevel()))
+    modes = tuple(lab for lab, kind in subs if not isinstance(kind, TwoLevel))
+    layout = compose_layout(subs)
+    if not modes:
+        return layout, None
+    return layout, CouplingSpec("T", modes, draw(st.floats(0.1, 3.0)))
+
+
+@given(_mixed_layouts())
+@settings(max_examples=80, deadline=None)
+def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
+    layout, spec = case
+    if spec is None:  # no mode to couple: H = 0, still split into sectors
+        h = LinearOp(layout, [], [], [])
+        oracle = np.zeros((layout.dim, layout.dim), dtype=complex)
+    else:
+        h = collective_jc_hamiltonian(layout, spec)
+        oracle = dense_collective_jc(layout, spec)
+    covered = 0
+    for idx, blocks in dynamics._sector_blocks(h):
+        expected = oracle[idx[:, :, None], idx[:, None, :]]
+        assert blocks.flags.c_contiguous
+        assert blocks.tobytes() == expected.tobytes()
+        covered += idx.size
+    assert covered == layout.dim
+
+
+def test_sum_of_operators_densifies_to_dense_sum():
+    layout = compose_layout([("T", TwoLevel), ("m0", BosonicMode(2)), ("m1", FermionicMode)])
+    h = collective_jc_hamiltonian(layout, CouplingSpec("T", ("m0", "m1"), 0.7))
+    assert np.array_equal(dense(h + h), dense(h) + dense(h))
+    # repeated triplets add up when the blocks are gathered
+    for (idx2, twice), (idx, once) in zip(dynamics._sector_blocks(h + h),
+                                          dynamics._sector_blocks(h)):
+        assert np.array_equal(idx2, idx)
+        assert np.array_equal(twice, once + once)
+    other = compose_layout([("T", TwoLevel), ("m1", FermionicMode), ("m0", BosonicMode(2))])
+    with pytest.raises(ValueError, match="different layouts"):
+        h + collective_jc_hamiltonian(other, CouplingSpec("T", ("m0",)))
+
+
+def test_one_cross_sector_triplet_gives_one_block(eigh_sizes):
+    layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
+    jc = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
+    assert len(dynamics._sector_blocks(jc)) == 2  # sectors of 1 and 2 states
+    # |g,0> <-> |e,2> joins excitation sectors 0 and 3
+    h = jc + LinearOp(layout, [0, 5], [5, 0], [0.25, 0.25])
+    (idx, blocks), = dynamics._sector_blocks(h)
+    assert idx.shape == (1, layout.dim)
+    assert np.array_equal(blocks[0], dense(h)[idx[0][:, None], idx[0]])
+    psi = basis_state(layout, ["g", 0])
+    out = evolve(psi, h, 1.3)
+    assert eigh_sizes == [layout.dim]
+    u = dense_propagator(dense(h), 1.3)
+    assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
 
 
 def test_coupling_spec_validation():
@@ -174,7 +243,7 @@ def test_evolve_half_absorption_is_balanced():
 def test_evolve_preserves_norm(seed, t):
     rng = np.random.default_rng(seed)
     layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(2))])
-    h = LinearOp(layout, rand_hermitian(rng, layout.dim))
+    h = linear_op(layout, rand_hermitian(rng, layout.dim))
     psi = rand_pure_state(rng, layout)
     out = evolve(psi, h, t)
     assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
@@ -185,7 +254,7 @@ def test_evolve_preserves_norm(seed, t):
 def test_evolve_composes_in_time(seed, t1, t2):
     rng = np.random.default_rng(seed)
     layout = compose_layout([("a", TwoLevel), ("b", FermionicMode)])
-    h = LinearOp(layout, rand_hermitian(rng, layout.dim))
+    h = linear_op(layout, rand_hermitian(rng, layout.dim))
     psi = rand_pure_state(rng, layout)
     stepped = evolve(evolve(psi, h, t1), h, t2)
     direct = evolve(psi, h, t1 + t2)
@@ -199,10 +268,10 @@ def test_evolve_and_propagator_match_dense_oracle(case, seed, t, random_h):
     # couples them all and is propagated as one block
     layout, spec = case
     rng = np.random.default_rng(seed)
-    h = (LinearOp(layout, rand_hermitian(rng, layout.dim)) if random_h
+    h = (linear_op(layout, rand_hermitian(rng, layout.dim)) if random_h
          else collective_jc_hamiltonian(layout, spec))
-    u = dense_propagator(h.matrix, t)
-    assert np.max(np.abs(propagator(h, t).matrix - u)) < 1e-12
+    u = dense_propagator(dense(h), t)
+    assert np.max(np.abs(propagator(h, t) - u)) < 1e-12
     psi = rand_pure_state(rng, layout)
     assert np.max(np.abs(evolve(psi, h, t).amplitudes - u @ psi.amplitudes)) < 1e-12
 
@@ -231,7 +300,7 @@ def test_propagation_diagonalizes_sectors_not_the_whole_space(eigh_sizes):
 
 def test_evolve_rejects_non_hermitian():
     layout = compose_layout([("T", TwoLevel)])
-    h = LinearOp(layout, np.array([[0, 1], [0, 0]], dtype=complex))
+    h = linear_op(layout, np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(basis_state(layout, ["g"]), h, 1.0)
 
@@ -239,9 +308,9 @@ def test_evolve_rejects_non_hermitian():
 def _jc_with_in_sector_asymmetry(eps):
     # |e,0> <- |g,1> lies inside the one-excitation sector, so H stays split
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",))).matrix.copy()
+    h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",)))).copy()
     h[3, 1] += eps
-    return basis_state(layout, ["e", 0]), LinearOp(layout, h)
+    return basis_state(layout, ["e", 0]), linear_op(layout, h)
 
 
 @pytest.mark.parametrize("eps", [1e-9, np.nan])
@@ -262,8 +331,8 @@ def test_hermiticity_tolerance_accepts_rounding_asymmetry(eigh_sizes):
 def test_propagator_is_unitary():
     rng = np.random.default_rng(17)
     layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(3))])
-    h = LinearOp(layout, rand_hermitian(rng, layout.dim))
-    u = propagator(h, 2.7).matrix
+    h = linear_op(layout, rand_hermitian(rng, layout.dim))
+    u = propagator(h, 2.7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(layout.dim))) < 1e-12
 
 
@@ -279,14 +348,14 @@ def _triple_layout(extra=()):
 def test_mixing_at_zero_angle_is_identity():
     layout = _triple_layout()
     u = controlled_mixing_unitary(layout, "T", "fly", "anc", 0.0)
-    assert np.array_equal(u.matrix, np.eye(8))
+    assert np.array_equal(dense(u), np.eye(8))
 
 
 def test_mixing_at_half_turn_swaps_occupation():
     layout = _triple_layout()
     u = controlled_mixing_unitary(layout, "T", "fly", "anc", math.pi / 2)
     before = basis_state(layout, ["e", 1, 0])
-    after = PureState(layout, u.matrix @ before.amplitudes)
+    after = PureState(layout, dense(u) @ before.amplitudes)
     assert abs(abs(after.overlap(basis_state(layout, ["e", 0, 1]))) - 1) < 1e-14
 
 
@@ -298,13 +367,13 @@ def test_mixing_leaves_ground_qubit_alone():
     amps = np.zeros(8, dtype=complex)
     amps[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
-    assert np.allclose(u.matrix @ amps, amps, atol=1e-15)
+    assert np.allclose(dense(u) @ amps, amps, atol=1e-15)
 
 
 def test_mixing_unitary_and_identity_outside_subspace():
     layout = _triple_layout(extra=[("spectator", BosonicMode(2))])
     theta = 0.7
-    u = controlled_mixing_unitary(layout, "T", "fly", "anc", theta).matrix
+    u = dense(controlled_mixing_unitary(layout, "T", "fly", "anc", theta))
     assert np.max(np.abs(u @ u.conj().T - np.eye(layout.dim))) < 1e-12
     # independent oracle built by decoding every basis index
     dims = layout.dims

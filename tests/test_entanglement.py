@@ -47,6 +47,14 @@ def test_fidelity_dimension_mismatch():
         fidelity(np.eye(2) / 2, np.zeros(4))
 
 
+def test_nan_is_never_read_as_a_fidelity_or_two_qubit_state():
+    # max(0, nan) used to clamp a NaN fidelity to 0
+    with pytest.raises(ValueError, match="non-finite"):
+        fidelity(np.full((2, 2), np.nan), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        TwoQubitDensity(np.full((4, 4), np.nan))
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_fidelity_bounds_and_purity(seed):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_embed, dense_partial_trace, rand_pure_state
+from conftest import dense, dense_embed, dense_partial_trace, linear_op, rand_pure_state
 from modent import (
+    LinearOp,
     BosonicMode,
     DensityOp,
     FermionicMode,
-    LinearOp,
     PureState,
     TwoLevel,
     basis_state,
@@ -235,14 +235,14 @@ SP = np.array([[0, 0], [1, 0]], dtype=complex)
 def test_embed_on_first_subsystem():
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     embedded = embed_operator(layout, SP, ["T"])
-    assert np.allclose(embedded.matrix, np.kron(SP, np.eye(3)))
+    assert np.allclose(dense(embedded), np.kron(SP, np.eye(3)))
 
 
 def test_embed_on_second_subsystem():
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     a = np.diag(np.sqrt([1.0, 2.0]), k=1)
     embedded = embed_operator(layout, a, ["m"])
-    assert np.allclose(embedded.matrix, np.kron(np.eye(2), a))
+    assert np.allclose(dense(embedded), np.kron(np.eye(2), a))
 
 
 def test_embed_multiplication_homomorphism():
@@ -250,8 +250,8 @@ def test_embed_multiplication_homomorphism():
     layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(2)), ("c", FermionicMode)])
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    lhs = embed_operator(layout, x @ y, ["b"]).matrix
-    rhs = embed_operator(layout, x, ["b"]).matrix @ embed_operator(layout, y, ["b"]).matrix
+    lhs = dense(embed_operator(layout, x @ y, ["b"]))
+    rhs = dense(embed_operator(layout, x, ["b"])) @ dense(embed_operator(layout, y, ["b"]))
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
@@ -260,7 +260,7 @@ def test_embed_nonadjacent_and_reordered_targets():
     layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(1)), ("c", TwoLevel)])
     rng = np.random.default_rng(3)
     local = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))  # acts on (c, a)
-    embedded = embed_operator(layout, local, ["c", "a"]).matrix
+    embedded = dense(embed_operator(layout, local, ["c", "a"]))
     dims = (2, 2, 2)
     expected = np.zeros((8, 8), dtype=complex)
     for col in range(8):
@@ -288,7 +288,7 @@ def test_embed_matches_kron_oracle(data):
     d = int(np.prod([layout.kind_of(lab).dim for lab in targets]))
     local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     local[rng.random((d, d)) < data.draw(st.floats(0.0, 1.0))] = 0.0
-    embedded = embed_operator(layout, local, targets).matrix
+    embedded = dense(embed_operator(layout, local, targets))
     assert np.array_equal(embedded, dense_embed(layout, local, targets))
 
 
@@ -387,10 +387,33 @@ def test_density_validation():
         DensityOp(layout, np.diag([1.5, -0.5]))
 
 
+def test_nan_states_and_densities_are_rejected():
+    layout = compose_layout([("T", TwoLevel)])
+    with pytest.raises(ValueError, match="norm"):
+        PureState(layout, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="norm"):
+        PureState(layout, np.array([np.nan, np.nan]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityOp(layout, np.array([[np.nan, 0.0], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityOp(layout, np.full((2, 2), np.nan))
+
+
+def test_linear_op_triplet_checks():
+    layout = compose_layout([("T", TwoLevel)])
+    with pytest.raises(ValueError, match="lengths"):
+        LinearOp(layout, [0, 1], [0], [1.0])
+    with pytest.raises(ValueError, match="out of range"):
+        LinearOp(layout, [-1], [0], [1.0])
+    op = LinearOp(layout, [0, 1], [1, 0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        op.values[0] = 2.0
+
+
 def test_linear_op_dimension_check():
     layout = compose_layout([("T", TwoLevel)])
     with pytest.raises(ValueError):
-        LinearOp(layout, np.eye(3))
+        linear_op(layout, np.eye(3))
 
 
 def test_states_are_immutable():

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pair_protocol_state, rand_amplitude_pair
+from conftest import dense, pair_protocol_state, rand_amplitude_pair
 from modent import (
     FermionProtocolParams,
     RotationProtocolParams,
@@ -179,8 +180,8 @@ def test_pair_protocol_all_zero_angles_is_separable():
 
 def test_left_and_right_operations_commute():
     layout, psi = pair_protocol_state(1)
-    u_left = controlled_mixing_unitary(layout, "tgt_l", "fly_l", "anc1_l", 0.9).matrix
-    u_right = controlled_mixing_unitary(layout, "tgt_r", "fly_r", "anc1_r", 0.9).matrix
+    u_left = dense(controlled_mixing_unitary(layout, "tgt_l", "fly_l", "anc1_l", 0.9))
+    u_right = dense(controlled_mixing_unitary(layout, "tgt_r", "fly_r", "anc1_r", 0.9))
     assert np.max(np.abs(u_left @ (u_right @ psi) - u_right @ (u_left @ psi))) < 1e-12
 
 
@@ -189,11 +190,11 @@ def test_left_and_right_operations_commute():
 def test_pair_mixing_matches_dense_unitaries(thetas):
     layout, psi = pair_protocol_state(len(thetas))
     for j, th in enumerate(thetas, start=1):
-        psi = controlled_mixing_unitary(layout, "tgt_l", "fly_l", f"anc{j}_l", th).matrix @ psi
-        psi = controlled_mixing_unitary(layout, "tgt_r", "fly_r", f"anc{j}_r", th).matrix @ psi
+        psi = dense(controlled_mixing_unitary(layout, "tgt_l", "fly_l", f"anc{j}_l", th)) @ psi
+        psi = dense(controlled_mixing_unitary(layout, "tgt_r", "fly_r", f"anc{j}_r", th)) @ psi
     x = psi.reshape(4, -1)
-    dense = x @ x.conj().T
-    assert np.max(np.abs(_pair_mixing(len(thetas))(thetas) - dense)) < 1e-13
+    oracle = x @ x.conj().T
+    assert np.max(np.abs(_pair_mixing(len(thetas))(thetas) - oracle)) < 1e-13
 
 
 def test_fermion_params_validation():
@@ -311,3 +312,16 @@ def test_experiment_result_requires_finite_scalars():
     from modent import ExperimentResult
     with pytest.raises(ValueError, match="finite"):
         ExperimentResult("x", {}, {"bad": float("nan")})
+
+
+def test_coherent_rotation_allocates_no_dense_hamiltonian():
+    # d = 4072 at eta = 41: one complex d x d array alone would take 265 MB
+    coherent_field_rotation(0.8, 0.6, 2.0)  # imports done outside the trace
+    tracemalloc.start()
+    try:
+        res = coherent_field_rotation(0.8, 0.6, 41.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.params["cutoff"] == 2029
+    assert peak < 16 * 2 ** 20
