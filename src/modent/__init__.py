@@ -28,7 +28,6 @@ from .dynamics import (
 )
 from .entanglement import (
     CorrelationTensor,
-    TwoQubitDensity,
     chsh_violated,
     concurrence,
     correlation_tensor,

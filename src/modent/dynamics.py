@@ -152,13 +152,21 @@ def _sector_eigh(hamiltonian: LinearOp):
     return out
 
 
+def _finite_time(t) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time {t!r} is not finite")
+    return t
+
+
 def propagator(hamiltonian: LinearOp, t: float) -> np.ndarray:
     """exp(-i H t) as a dense d x d array, assembled from the sector
     eigendecompositions; meant for small systems such as one collision."""
+    t = _finite_time(t)
     d = hamiltonian.layout.dim
     u = np.zeros((d, d), dtype=complex)
     for idx, w, v in _sector_eigh(hamiltonian):
-        phases = np.exp(-1j * w * float(t))[:, None, :]
+        phases = np.exp(-1j * w * t)[:, None, :]
         u[idx[:, :, None], idx[:, None, :]] = (v * phases) @ v.conj().transpose(0, 2, 1)
     return u
 
@@ -166,12 +174,13 @@ def propagator(hamiltonian: LinearOp, t: float) -> np.ndarray:
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
     """exp(-i H t) |state> as v e^{-iwt} v^dag |state> per sector, never forming
     the propagator; norm is preserved to rounding."""
+    t = _finite_time(t)
     if state.layout.dims != hamiltonian.layout.dims:
         raise ValueError("state and Hamiltonian dimensions do not match")
     out = np.empty_like(state.amplitudes)
     for idx, w, v in _sector_eigh(hamiltonian):
         coeffs = (v.conj().transpose(0, 2, 1) @ state.amplitudes[idx][:, :, None])[:, :, 0]
-        out[idx] = (v @ (np.exp(-1j * w * float(t)) * coeffs)[:, :, None])[:, :, 0]
+        out[idx] = (v @ (np.exp(-1j * w * t) * coeffs)[:, :, None])[:, :, 0]
     return PureState(state.layout, out)
 
 

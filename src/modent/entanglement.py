@@ -1,8 +1,12 @@
 """Fidelity, Wootters concurrence, and the Horodecki CHSH criterion.
 
-Two-qubit matrices are in the basis {gg, ge, eg, ee}.  Pauli convention:
-sigma_3 |g> = +|g> (ground state is spin-up); concurrence and the criterion
-value M are invariant under this choice.
+``DensityOp`` is the one density type.  Two-qubit matrices are in the basis
+{gg, ge, eg, ee} of ``TWO_TARGETS``, the layout (tgt_l, tgt_r) of the two
+target particles.  The two-qubit measures take a ``DensityOp`` with dims
+(2, 2), whatever its labels, or a 4x4 array, which is validated once as a
+``DensityOp`` on ``TWO_TARGETS``.  Pauli convention: sigma_3 |g> = +|g>
+(ground state is spin-up); concurrence and the criterion value M are
+invariant under this choice.
 """
 
 from __future__ import annotations
@@ -11,43 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityOp, PureState
+from .hilbert import DensityOp, PureState, TwoLevel, compose_layout
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 
-_HERM_TOL = 1e-10
-_PSD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TwoQubitDensity:
-    """4x4 density matrix of the two target particles, basis {gg, ge, eg, ee}."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"two-qubit density matrix must be 4x4, got {m.shape}")
-        # written as "not <=" so that a NaN entry is rejected too
-        if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
-            raise ValueError("two-qubit density matrix is not Hermitian within tolerance")
-        if not abs(np.trace(m) - 1.0) <= _HERM_TOL:
-            raise ValueError("two-qubit density matrix trace deviates from 1")
-        if not np.min(np.linalg.eigvalsh(m)) >= -_PSD_TOL:
-            raise ValueError("two-qubit density matrix is not positive semidefinite")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_density_op(cls, rho: DensityOp) -> "TwoQubitDensity":
-        if rho.layout.dims != (2, 2):
-            raise ValueError("expected a density operator on two two-level subsystems")
-        return cls(rho.matrix)
+#: The two targets (tgt_l, tgt_r); its row-major basis is {gg, ge, eg, ee}.
+TWO_TARGETS = compose_layout([("tgt_l", TwoLevel), ("tgt_r", TwoLevel)])
 
 
 @dataclass(frozen=True)
@@ -60,7 +36,8 @@ class CorrelationTensor:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"correlation tensor must be 3x3, got {m.shape}")
-        if np.max(np.abs(m)) > 1.0 + 1e-9:
+        # written as "not <=" so that a NaN entry is rejected too
+        if not np.max(np.abs(m)) <= 1.0 + 1e-9:
             raise ValueError("correlation tensor entries must lie in [-1, 1]")
         m = np.clip(m, -1.0, 1.0)
         m.flags.writeable = False
@@ -68,17 +45,19 @@ class CorrelationTensor:
 
 
 def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityOp) or isinstance(rho, TwoQubitDensity):
+    if isinstance(rho, DensityOp):
         return rho.matrix
     return np.asarray(rho, dtype=complex)
 
 
-def _as_two_qubit(rho) -> np.ndarray:
-    if isinstance(rho, TwoQubitDensity):
-        return rho.matrix
-    if isinstance(rho, DensityOp):
-        return TwoQubitDensity.from_density_op(rho).matrix
-    return TwoQubitDensity(np.asarray(rho, dtype=complex)).matrix
+def _two_target_matrix(rho) -> np.ndarray:
+    """Matrix of a ``DensityOp`` on two two-level subsystems, or of a 4x4
+    array validated as a ``DensityOp`` on ``TWO_TARGETS``."""
+    if not isinstance(rho, DensityOp):
+        rho = DensityOp(TWO_TARGETS, rho)
+    if rho.layout.dims != (2, 2):
+        raise ValueError("expected a density operator on two two-level subsystems")
+    return rho.matrix
 
 
 def fidelity(rho, ideal) -> float:
@@ -104,7 +83,7 @@ def concurrence(rho) -> float:
     singular values of A^T (s2 x s2) A, which stays accurate when the
     spectrum touches zero (sqrt of eigvals of the product does not).
     """
-    m = _as_two_qubit(rho)
+    m = _two_target_matrix(rho)
     w, v = np.linalg.eigh(m)
     a = v * np.sqrt(np.clip(w, 0.0, None))
     yy = np.kron(SIGMA_2, SIGMA_2)
@@ -112,7 +91,7 @@ def concurrence(rho) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def target_pair_density(gamma: float) -> TwoQubitDensity:
+def target_pair_density(gamma: float) -> DensityOp:
     """Two-target state with equal single-excitation populations and coherence gamma.
 
     (1/2) * [[0,0,0,0], [0,1,g,0], [0,g,1,0], [0,0,0,0]] in {gg, ge, eg, ee}.
@@ -123,12 +102,12 @@ def target_pair_density(gamma: float) -> TwoQubitDensity:
     m = np.zeros((4, 4), dtype=complex)
     m[1, 1] = m[2, 2] = 0.5
     m[1, 2] = m[2, 1] = 0.5 * g
-    return TwoQubitDensity(m)
+    return DensityOp(TWO_TARGETS, m)
 
 
 def correlation_tensor(rho) -> CorrelationTensor:
     """Pauli correlation matrix T_ij = Tr[rho (s_i^L x s_j^R)]."""
-    m = _as_two_qubit(rho)
+    m = _two_target_matrix(rho)
     t = np.empty((3, 3), dtype=float)
     for i, si in enumerate(PAULIS):
         for j, sj in enumerate(PAULIS):
@@ -157,7 +136,7 @@ def chsh_violated(rho) -> bool:
 def trace_distance(a, b) -> float:
     """(1/2) tr |a - b| for Hermitian a, b."""
     diff = _as_matrix(a) - _as_matrix(b)
-    if np.max(np.abs(diff - diff.conj().T)) > 1e-9:
+    if not np.max(np.abs(diff - diff.conj().T)) <= 1e-9:
         raise ValueError("trace distance expects Hermitian operators")
     ev = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     return float(0.5 * np.sum(np.abs(ev)))

@@ -24,7 +24,7 @@ from .dynamics import (
     propagator,
 )
 from .entanglement import (
-    TwoQubitDensity,
+    TWO_TARGETS,
     concurrence,
     fidelity,
     state_overlap,
@@ -52,7 +52,8 @@ _NORM_TOL = 1e-12
 
 def _check_normalized(alpha: complex, beta: complex):
     n2 = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(n2 - 1.0) > _NORM_TOL:
+    # written as "not <=" so that a NaN is rejected too
+    if not abs(n2 - 1.0) <= _NORM_TOL:
         raise ValueError(f"(alpha, beta) must be normalized; |a|^2+|b|^2 = {n2!r}")
 
 
@@ -157,10 +158,8 @@ def massless_absorption():
     with the excitation moved coherently onto the targets, and returns the
     reduced two-target state.
     """
-    layout = compose_layout([
-        ("fly_l", BosonicMode(1)), ("fly_r", BosonicMode(1)),
-        ("tgt_l", TwoLevel), ("tgt_r", TwoLevel),
-    ])
+    layout = compose_layout([("fly_l", BosonicMode(1)), ("fly_r", BosonicMode(1)),
+                             *TWO_TARGETS.subsystems])
     psi0 = superpose([
         (1.0, basis_state(layout, [1, 0, "g", "g"])),
         (1.0, basis_state(layout, [0, 1, "g", "g"])),
@@ -181,7 +180,7 @@ def massless_absorption():
     n_fly = np.indices(layout.dims)[[layout.position("fly_l"), layout.position("fly_r")]]
     occupation = float(np.sum(np.abs(final.amplitudes) ** 2 * n_fly.sum(axis=0).ravel()))
 
-    targets = TwoQubitDensity.from_density_op(reduced_density(final, ["tgt_l", "tgt_r"]))
+    targets = reduced_density(final, TWO_TARGETS.labels)
     result = ExperimentResult(
         name="massless_absorption",
         params={"duration": math.pi / 2},
@@ -220,6 +219,19 @@ def rotation_step(rho: np.ndarray, duration: float) -> np.ndarray:
     return np.einsum("ikjk->ij", out.reshape(2, 2, 2, 2))
 
 
+def _rotated_target(alpha: complex, beta: complex, mode: PureState,
+                    duration: float) -> DensityOp:
+    """Couple the target alpha|g> + beta|e> to the one-mode state ``mode``
+    for ``duration`` and return the target's reduced state."""
+    target_layout = compose_layout([("target", TwoLevel)])
+    target = superpose([(alpha, basis_state(target_layout, ["g"])),
+                        (beta, basis_state(target_layout, ["e"]))])
+    psi0 = tensor(target, mode)
+    h = jc_hamiltonian(psi0.layout, CouplingSpec("target", mode.layout.labels))
+    final = evolve(psi0, h, duration)
+    return reduced_density(final, ["target"])
+
+
 def single_ancilla_rotation(alpha: complex, beta: complex):
     """One ancilla collision at Jt = pi/4, compared against its closed form.
 
@@ -227,19 +239,10 @@ def single_ancilla_rotation(alpha: complex, beta: complex):
     ideal rotated target).
     """
     _check_normalized(alpha, beta)
-    layout = compose_layout([("target", TwoLevel), ("ancilla", FermionicMode)])
-    target = superpose([
-        (alpha, basis_state(compose_layout([("target", TwoLevel)]), ["g"])),
-        (beta, basis_state(compose_layout([("target", TwoLevel)]), ["e"])),
-    ])
-    ancilla = superpose([
-        (1.0, basis_state(compose_layout([("ancilla", FermionicMode)]), [0])),
-        (1.0, basis_state(compose_layout([("ancilla", FermionicMode)]), [1])),
-    ])
-    psi0 = tensor(target, ancilla)
-    h = jc_hamiltonian(layout, CouplingSpec("target", ("ancilla",)))
-    final = evolve(psi0, h, math.pi / 4)
-    simulated = reduced_density(final, ["target"])
+    ancilla_layout = compose_layout([("ancilla", FermionicMode)])
+    ancilla = superpose([(1.0, basis_state(ancilla_layout, [0])),
+                         (1.0, basis_state(ancilla_layout, [1]))])
+    simulated = _rotated_target(alpha, beta, ancilla, math.pi / 4)
     analytic = DensityOp(simulated.layout, single_step_analytic_density(alpha, beta))
     fid = fidelity(simulated, rotated_target_state(alpha, beta))
     return simulated, analytic, fid
@@ -390,7 +393,7 @@ def massive_fermion_protocol(params: FermionProtocolParams):
     mixing rotation with angle theta_j on the left and right triples (the two
     sides commute).  Returns the reduced two-target state and its concurrence.
     """
-    targets = TwoQubitDensity(_pair_mixing(params.n_pairs)(params.angles))
+    targets = DensityOp(TWO_TARGETS, _pair_mixing(params.n_pairs)(params.angles))
     return targets, concurrence(targets)
 
 
@@ -421,7 +424,7 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
         rows = []
         for combo in itertools.product(*axes):
             angles = tuple(float(t) for t in combo)
-            c = concurrence(TwoQubitDensity(reduced_targets(angles)))
+            c = concurrence(DensityOp(TWO_TARGETS, reduced_targets(angles)))
             rows.append(angles + (c,))
             if c > best_c or (c == best_c and angles < best_t):
                 best_c, best_t = c, angles
@@ -452,14 +455,8 @@ def coherent_field_rotation(alpha: complex, beta: complex, eta: complex,
     if weight > 1e-8:
         raise ValueError(
             f"cutoff {cutoff} too small for |eta| = {abs(eta)}: truncation weight {weight:.3e}")
-    target_layout = compose_layout([("target", TwoLevel)])
-    target = superpose([(alpha, basis_state(target_layout, ["g"])),
-                        (beta, basis_state(target_layout, ["e"]))])
-    psi0 = tensor(target, mode)
     duration = 0.0 if abs(eta) == 0 else math.pi / (4.0 * abs(eta))
-    h = jc_hamiltonian(psi0.layout, CouplingSpec("target", ("field",)))
-    final = evolve(psi0, h, duration)
-    reduced = reduced_density(final, ["target"])
+    reduced = _rotated_target(alpha, beta, mode, duration)
     fid = fidelity(reduced, rotated_target_state(alpha, beta))
     return ExperimentResult(
         name="coherent_field_rotation",

@@ -3,6 +3,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -226,12 +227,15 @@ def test_computation_failure_exit_code(capsys):
 
 @pytest.mark.parametrize("eta", ["1e-310", "1e-320"])
 def test_non_finite_result_is_a_computation_failure(eta, capsys):
-    # pi / (4 eta) overflows to inf, so the evolved amplitudes are NaN; this
-    # printed fidelity 0 and exited 0 when NaN slipped through the checks
-    assert main(["coherent-rotation", "--eta", eta, "--format", "csv"]) == 1
+    # pi / (4 eta) overflows to inf; this printed fidelity 0 and exited 0 when
+    # NaN slipped through the checks, then named the NaN norm it led to
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["coherent-rotation", "--eta", eta, "--format", "csv"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "norm" in captured.err
+    assert "evolution time inf is not finite" in captured.err
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_coherent_rotation_eta_100_keeps_inverse_square_scaling(capsys):

@@ -219,6 +219,16 @@ def test_evolve_zero_time_is_identity():
     assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-14
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_time_is_refused(t):
+    layout = _qubit_mode_layout()
+    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
+    with pytest.raises(ValueError, match="evolution time"):
+        evolve(basis_state(layout, ["e", 0]), h, t)
+    with pytest.raises(ValueError, match="evolution time"):
+        propagator(h, t)
+
+
 def test_evolve_full_absorption():
     layout = compose_layout([("m", FermionicMode), ("T", TwoLevel)])
     h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))

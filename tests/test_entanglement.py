@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rand_density_matrix, rand_pure_vector, rand_unitary
 from modent import (
+    BosonicMode,
     CorrelationTensor,
-    TwoQubitDensity,
+    DensityOp,
+    FermionicMode,
     chsh_violated,
+    compose_layout,
     concurrence,
     correlation_tensor,
     fidelity,
@@ -52,7 +55,7 @@ def test_nan_is_never_read_as_a_fidelity_or_two_qubit_state():
     with pytest.raises(ValueError, match="non-finite"):
         fidelity(np.full((2, 2), np.nan), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="Hermitian"):
-        TwoQubitDensity(np.full((4, 4), np.nan))
+        concurrence(np.full((4, 4), np.nan))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -177,12 +180,36 @@ def test_horodecki_local_unitary_invariance(seed):
 # ---------------------------------------------------------------------------
 
 def test_two_qubit_density_validation():
-    with pytest.raises(ValueError, match="4x4"):
-        TwoQubitDensity(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="does not match layout dimension 4"):
+        concurrence(np.eye(2) / 2)
     with pytest.raises(ValueError, match="Hermitian"):
-        TwoQubitDensity(np.triu(np.ones((4, 4))) / 4)
-    with pytest.raises(ValueError, match="positive"):
-        TwoQubitDensity(np.diag([0.75, 0.75, -0.25, -0.25]))
+        concurrence(np.triu(np.ones((4, 4))) / 4)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        concurrence(np.diag([0.75, 0.75, -0.25, -0.25]))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_two_qubit_measures_take_an_array_or_a_density_op(seed):
+    rng = np.random.default_rng(seed)
+    m = rand_density_matrix(rng, 4, rank=int(rng.integers(1, 5)))
+    fermion_pair = compose_layout([("a", FermionicMode), ("b", FermionicMode)])
+    rho = DensityOp(fermion_pair, m)
+    assert concurrence(m) == concurrence(rho)
+    assert horodecki_m(m) == horodecki_m(rho)
+    assert np.array_equal(correlation_tensor(m).matrix, correlation_tensor(rho).matrix)
+
+    ququart = DensityOp(compose_layout([("q", BosonicMode(3))]), m)
+    for measure in (concurrence, horodecki_m, correlation_tensor):
+        with pytest.raises(ValueError, match="two two-level subsystems"):
+            measure(ququart)
+
+    # the Hermiticity tolerance is DensityOp's 1e-12
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[1, 2] = 1j
+    concurrence(m + 1e-13 * skew)
+    with pytest.raises(ValueError, match="Hermitian"):
+        concurrence(m + 1e-11 * skew)
 
 
 def test_correlation_tensor_validation():
@@ -190,6 +217,8 @@ def test_correlation_tensor_validation():
         CorrelationTensor(np.eye(2))
     with pytest.raises(ValueError, match="lie in"):
         CorrelationTensor(np.eye(3) * 1.5)
+    with pytest.raises(ValueError, match="lie in"):
+        CorrelationTensor(np.full((3, 3), np.nan))
 
 
 def test_trace_distance():
@@ -197,6 +226,8 @@ def test_trace_distance():
     b = np.diag([0.0, 1.0])
     assert abs(trace_distance(a, b) - 1.0) < 1e-14
     assert trace_distance(a, a) == 0.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_distance(np.full((2, 2), np.nan), a)
 
 
 def test_state_overlap():

@@ -114,6 +114,8 @@ def test_rotation_step_preserves_trace_and_positivity():
 def test_rotation_params_validation():
     with pytest.raises(ValueError, match="normalized"):
         RotationProtocolParams(0.9, 0.9, 4)
+    with pytest.raises(ValueError, match="normalized"):
+        RotationProtocolParams(math.nan, 0.0, 4)
     with pytest.raises(ValueError, match="n_ancillas"):
         RotationProtocolParams(1.0, 0.0, 0)
     with pytest.raises(ValueError, match="positive"):
