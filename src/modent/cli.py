@@ -58,8 +58,8 @@ def _fmt12(x) -> str:
 
 
 # Memory guards.  collective-check holds its eigh blocks, sum_k C(n+1, k)**2
-# = C(2n+2, n+1) complex entries: about 2.7M (41 MiB) at n = 11, and each
-# step of n multiplies it by nearly 4.  coherent-rotation holds O(cutoff)
+# = C(2n+2, n+1) real (8-byte) entries: about 2.7M (21 MiB) at n = 11, and
+# each step of n multiplies it by nearly 4.  coherent-rotation holds O(cutoff)
 # arrays of 2 (cutoff + 1) amplitudes and 2 cutoff Hamiltonian triplets.
 MAX_COLLECTIVE_N = 11
 MAX_COHERENT_CUTOFF = 2 ** 17 - 1

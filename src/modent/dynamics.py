@@ -9,6 +9,15 @@ coupling built here conserves it, so H is block diagonal over the sectors and
 each block is scattered straight from the triplets and diagonalized on its
 own (equal-size blocks in one batched ``eigh``).  A Hamiltonian that couples
 two sectors is diagonalized as one block.
+
+The blocks are made real where the data allow it.  Every coupling built here
+is i J sqrt(n) times a real ladder between states whose two-level indices sum
+to q + 1 and q, so with D = diag(i^q) the gauged H' = D^dag H D is real
+symmetric, and exp(-i H t) = D exp(-i H' t) D^dag.  The gauge is exact: each
+entry of H' and each amplitude is turned by a power of i, which only swaps
+and negates its real and imaginary parts.  When some entry of H' keeps a
+nonzero imaginary part, D = 1 and the blocks stay complex.  Either way it is
+one path, and ``eigh`` picks the real or the complex solver from the dtype.
 """
 
 from __future__ import annotations
@@ -99,17 +108,44 @@ def jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> LinearOp:
     return collective_jc_hamiltonian(layout, spec)
 
 
-def _sector_blocks(hamiltonian: LinearOp):
-    """The blocks of H over the excitation sectors it leaves uncoupled.
+# i^k, and the sign of the real part of i^k (a + ib) taken from a or b, for k = 0 .. 3
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+_REAL_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
-    Returns ``(idx, blocks)`` per sector size: ``idx`` (k, s) holds the global
-    basis indices of the k sectors of size s, and ``blocks`` (k, s, s) the
-    entries of H among them, scattered from the triplets (repeated entries
-    add up).  If any triplet joins two sectors the whole basis is one block.
+
+def _sector_blocks(hamiltonian: LinearOp):
+    """The blocks of H over the excitation sectors it leaves uncoupled, in the
+    gauge that makes them real when one exists.
+
+    Returns ``(phase, sectors)``.  ``phase`` (d,) is the diagonal of the gauge
+    D: i^q, with q the sum of a basis state's two-level indices, if every entry
+    of D^dag H D has an exactly zero imaginary part, and 1 otherwise.
+    ``sectors`` holds ``(idx, blocks)`` per sector size: ``idx`` (k, s) the
+    global basis indices of the k sectors of size s, and ``blocks`` (k, s, s)
+    the entries of D^dag H D among them, float64 in the real gauge and complex
+    otherwise, scattered from the triplets (repeated entries add up in triplet
+    order).  If any triplet joins two sectors the whole basis is one block.
+    The gauge is exact: a power of i only swaps and negates the real and
+    imaginary parts of an entry, so the real blocks hold D^dag H D without
+    rounding.
     """
+    layout = hamiltonian.layout
     rows, cols, values = hamiltonian.rows, hamiltonian.cols, hamiltonian.values
+    levels = np.indices(layout.dims).reshape(len(layout.dims), -1)
     # excitation number of each basis state: the sum of its level indices
-    sector = np.indices(hamiltonian.layout.dims).sum(axis=0).ravel()
+    sector = levels.sum(axis=0)
+    q = levels[[i for i, (_, kind) in enumerate(layout.subsystems)
+                if isinstance(kind, TwoLevel)]].sum(axis=0)
+    # entry (r, c) of D^dag H D is i^k H[r, c] with k = q[c] - q[r] (mod 4):
+    # an odd k swaps re and im, and k = 1, 2 flip the sign of the real part.
+    # Both are exact, even for a non-finite entry.
+    turn = (q[cols] - q[rows]) % 4
+    odd = turn % 2 == 1
+    if not np.any(np.where(odd, values.real, values.imag)):
+        phase = _POWERS_OF_I[q % 4]
+        values = np.where(odd, values.imag, values.real) * _REAL_SIGN[turn]
+    else:
+        phase = np.ones(layout.dim, dtype=complex)
     if np.any(sector[rows] != sector[cols]):
         sector = np.zeros_like(sector)
     order = np.argsort(sector, kind="stable")
@@ -120,36 +156,45 @@ def _sector_blocks(hamiltonian: LinearOp):
     within = np.empty_like(order)
     within[order] = np.arange(order.size) - starts[sector[order]]
     rank = np.empty_like(sizes)
-    out = []
+    sectors = []
     row_sector = sector[rows]
     for s in sorted(set(sizes.tolist()) - {0}):
         members = np.flatnonzero(sizes == s)
         rank[members] = np.arange(members.size)
         idx = order[starts[members][:, None] + np.arange(s)]
-        blocks = np.zeros((members.size, s, s), dtype=complex)
         mine = sizes[row_sector] == s
-        np.add.at(blocks, (rank[row_sector[mine]], within[rows[mine]], within[cols[mine]]),
-                  values[mine])
-        out.append((idx, blocks))
-    return out
+        flat = (rank[row_sector[mine]] * s + within[rows[mine]]) * s + within[cols[mine]]
+        size = members.size * s * s
+        # assigned, not returned: bincount gives integer zeros when there is
+        # nothing to add
+        blocks = np.zeros(size, dtype=values.dtype)
+        blocks.real = np.bincount(flat, values.real[mine], size)
+        if np.iscomplexobj(values):
+            blocks.imag = np.bincount(flat, values.imag[mine], size)
+        sectors.append((idx, blocks.reshape(members.size, s, s)))
+    return phase, sectors
 
 
 def _sector_eigh(hamiltonian: LinearOp):
     """Eigendecomposition of H over the excitation sectors it leaves uncoupled.
 
-    Returns ``(idx, w, v)`` per sector size, with ``idx`` as in
-    ``_sector_blocks`` and ``v[j] diag(w[j]) v[j]^dag`` the block of H on
-    ``idx[j]``.  Hermiticity is checked on the blocks: every entry outside
-    them is zero, so H is Hermitian iff they are.
+    Returns ``(phase, sectors)`` with ``phase`` as in ``_sector_blocks`` and
+    ``sectors`` holding ``(idx, w, v)`` per sector size: ``v[j] diag(w[j])
+    v[j]^dag`` is the block of D^dag H D on ``idx[j]``, real when the blocks
+    are, so ``eigh`` runs the real symmetric solver there.  Hermiticity is
+    checked on the blocks: every entry outside them is zero, and the gauge
+    turns H[r, c] - conj(H[c, r]) by a power of i, which keeps its modulus, so
+    the blocks pass the same tolerance iff H does.
     """
+    phase, sectors = _sector_blocks(hamiltonian)
     out = []
-    for idx, blocks in _sector_blocks(hamiltonian):
+    for idx, blocks in sectors:
         # written as "not <=" so that a NaN entry is rejected too
         if not np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) <= HERMITICITY_TOL:
             raise ValueError("propagator requires a Hermitian Hamiltonian")
         w, v = np.linalg.eigh(blocks)
         out.append((idx, w, v))
-    return out
+    return phase, out
 
 
 def _finite_time(t) -> float:
@@ -165,23 +210,26 @@ def propagator(hamiltonian: LinearOp, t: float) -> np.ndarray:
     t = _finite_time(t)
     d = hamiltonian.layout.dim
     u = np.zeros((d, d), dtype=complex)
-    for idx, w, v in _sector_eigh(hamiltonian):
+    phase, sectors = _sector_eigh(hamiltonian)
+    for idx, w, v in sectors:
         phases = np.exp(-1j * w * t)[:, None, :]
         u[idx[:, :, None], idx[:, None, :]] = (v * phases) @ v.conj().transpose(0, 2, 1)
-    return u
+    return phase[:, None] * u * phase.conj()
 
 
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
-    """exp(-i H t) |state> as v e^{-iwt} v^dag |state> per sector, never forming
-    the propagator; norm is preserved to rounding."""
+    """exp(-i H t) |state> as D v e^{-iwt} v^dag D^dag |state> per sector, never
+    forming the propagator; norm is preserved to rounding."""
     t = _finite_time(t)
     if state.layout.dims != hamiltonian.layout.dims:
         raise ValueError("state and Hamiltonian dimensions do not match")
-    out = np.empty_like(state.amplitudes)
-    for idx, w, v in _sector_eigh(hamiltonian):
-        coeffs = (v.conj().transpose(0, 2, 1) @ state.amplitudes[idx][:, :, None])[:, :, 0]
+    phase, sectors = _sector_eigh(hamiltonian)
+    amps = phase.conj() * state.amplitudes
+    out = np.empty_like(amps)
+    for idx, w, v in sectors:
+        coeffs = (v.conj().transpose(0, 2, 1) @ amps[idx][:, :, None])[:, :, 0]
         out[idx] = (v @ (np.exp(-1j * w * t) * coeffs)[:, :, None])[:, :, 0]
-    return PureState(state.layout, out)
+    return PureState(state.layout, phase * out)
 
 
 def controlled_mixing_unitary(layout: SystemLayout, qubit_label: str, flying_label: str,

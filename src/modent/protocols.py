@@ -110,8 +110,9 @@ class RotationProtocolParams:
         _check_normalized(self.alpha, self.beta)
         if self.n_ancillas < 1:
             raise ValueError(f"n_ancillas must be >= 1, got {self.n_ancillas}")
-        if self.per_step_duration is not None and not self.per_step_duration > 0:
-            raise ValueError("per_step_duration must be positive")
+        dt = self.per_step_duration
+        if dt is not None and not (dt > 0 and math.isfinite(dt)):
+            raise ValueError(f"per_step_duration must be positive and finite, got {dt!r}")
 
     @property
     def step_duration(self) -> float:

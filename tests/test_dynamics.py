@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,8 +34,14 @@ from modent import (
     superpose,
     tensor,
 )
-from modent import dynamics
-from modent.protocols import coherent_field_rotation, simultaneous_coupling_check
+from modent import dynamics, protocols
+from modent.protocols import (
+    RotationProtocolParams,
+    coherent_field_rotation,
+    massless_absorption,
+    sequential_rotation,
+    simultaneous_coupling_check,
+)
 
 
 def _qubit_mode_layout(kind=FermionicMode):
@@ -149,6 +156,20 @@ def _mixed_layouts(draw):
     return layout, CouplingSpec("T", modes, draw(st.floats(0.1, 3.0)))
 
 
+def _gauge_phase(layout):
+    """i^q per basis state, q the sum of the two-level indices, decoded index by index."""
+    qubits = [i for i, (_, kind) in enumerate(layout.subsystems) if isinstance(kind, TwoLevel)]
+    levels = np.unravel_index(np.arange(layout.dim), layout.dims)
+    q = sum((levels[i] for i in qubits), np.zeros(layout.dim, dtype=int))
+    return np.array([1j ** int(k) for k in q])
+
+
+def _gauged(layout, h):
+    """D^dag H D with D = diag(i^q), as a dense product."""
+    phase = _gauge_phase(layout)
+    return phase.conj()[:, None] * h * phase
+
+
 @given(_mixed_layouts())
 @settings(max_examples=80, deadline=None)
 def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
@@ -159,9 +180,15 @@ def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
     else:
         h = collective_jc_hamiltonian(layout, spec)
         oracle = dense_collective_jc(layout, spec)
+    gauged = _gauged(layout, oracle)
+    assert np.all(gauged.imag == 0)
+    phase, sectors = dynamics._sector_blocks(h)
+    assert np.array_equal(phase, _gauge_phase(layout))
     covered = 0
-    for idx, blocks in dynamics._sector_blocks(h):
-        expected = oracle[idx[:, :, None], idx[:, None, :]]
+    for idx, blocks in sectors:
+        # the scatter sums from +0.0, so the oracle's signed zeros are made +0.0
+        expected = gauged.real[idx[:, :, None], idx[:, None, :]] + 0.0
+        assert blocks.dtype == np.float64
         assert blocks.flags.c_contiguous
         assert blocks.tobytes() == expected.tobytes()
         covered += idx.size
@@ -172,30 +199,37 @@ def test_sum_of_operators_densifies_to_dense_sum():
     layout = compose_layout([("T", TwoLevel), ("m0", BosonicMode(2)), ("m1", FermionicMode)])
     h = collective_jc_hamiltonian(layout, CouplingSpec("T", ("m0", "m1"), 0.7))
     assert np.array_equal(dense(h + h), dense(h) + dense(h))
-    # repeated triplets add up when the blocks are gathered
-    for (idx2, twice), (idx, once) in zip(dynamics._sector_blocks(h + h),
-                                          dynamics._sector_blocks(h)):
+    # repeated triplets add up when the blocks are gathered, in the same gauge
+    phase2, sectors2 = dynamics._sector_blocks(h + h)
+    phase, sectors = dynamics._sector_blocks(h)
+    assert np.array_equal(phase2, phase)
+    for (idx2, twice), (idx, once) in zip(sectors2, sectors):
         assert np.array_equal(idx2, idx)
+        assert twice.dtype == np.float64
         assert np.array_equal(twice, once + once)
     other = compose_layout([("T", TwoLevel), ("m1", FermionicMode), ("m0", BosonicMode(2))])
     with pytest.raises(ValueError, match="different layouts"):
         h + collective_jc_hamiltonian(other, CouplingSpec("T", ("m0",)))
 
 
-def test_one_cross_sector_triplet_gives_one_block(eigh_sizes):
+def test_one_cross_sector_triplet_gives_one_block(eigh_calls):
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     jc = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
-    assert len(dynamics._sector_blocks(jc)) == 2  # sectors of 1 and 2 states
-    # |g,0> <-> |e,2> joins excitation sectors 0 and 3
+    assert len(dynamics._sector_blocks(jc)[1]) == 2  # sectors of 1 and 2 states
+    # |g,0> <-> |e,2> joins excitation sectors 0 and 3; a real entry between
+    # states whose q differs by one has no real gauge, so H stays complex
     h = jc + LinearOp(layout, [0, 5], [5, 0], [0.25, 0.25])
-    (idx, blocks), = dynamics._sector_blocks(h)
+    phase, ((idx, blocks),) = dynamics._sector_blocks(h)
+    assert np.array_equal(phase, np.ones(layout.dim))
     assert idx.shape == (1, layout.dim)
-    assert np.array_equal(blocks[0], dense(h)[idx[0][:, None], idx[0]])
+    assert blocks.dtype == np.complex128
+    assert blocks[0].tobytes() == dense(h)[idx[0][:, None], idx[0]].tobytes()
     psi = basis_state(layout, ["g", 0])
     out = evolve(psi, h, 1.3)
-    assert eigh_sizes == [layout.dim]
+    assert eigh_calls == [(layout.dim, np.complex128)]
     u = dense_propagator(dense(h), 1.3)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
+    assert np.max(np.abs(propagator(h, 1.3) - u)) < 1e-12
 
 
 def test_coupling_spec_validation():
@@ -280,32 +314,84 @@ def test_evolve_and_propagator_match_dense_oracle(case, seed, t, random_h):
     rng = np.random.default_rng(seed)
     h = (linear_op(layout, rand_hermitian(rng, layout.dim)) if random_h
          else collective_jc_hamiltonian(layout, spec))
+    # a random complex H has no real gauge; its blocks stay complex
+    expected = np.complex128 if random_h else np.float64
+    assert all(b.dtype == expected for _, b in dynamics._sector_blocks(h)[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(propagator(h, t) - u)) < 1e-12
     psi = rand_pure_state(rng, layout)
     assert np.max(np.abs(evolve(psi, h, t).amplitudes - u @ psi.amplitudes)) < 1e-12
 
 
+@st.composite
+def _gauge_real_hamiltonians(draw):
+    """A Hermitian H with a real gauge: either a sum of couplings of 1-2 qubits,
+    each mode coupled to one of them, or D S D^dag for a random real symmetric
+    S that couples every sector."""
+    n_qubits = draw(st.integers(1, 2))
+    kinds = draw(st.lists(st.sampled_from([FermionicMode(), BosonicMode(1), BosonicMode(2)]),
+                          min_size=n_qubits, max_size=3))
+    qubits = [(f"T{j}", TwoLevel()) for j in range(n_qubits)]
+    modes = [(f"m{k}", kind) for k, kind in enumerate(kinds)]
+    layout = compose_layout(draw(st.permutations(qubits + modes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        z = rng.normal(size=(layout.dim, layout.dim))
+        return layout, linear_op(layout, _gauged(layout, z + z.T).conj())
+    h = None
+    for k, (label, _) in enumerate(modes):
+        spec = CouplingSpec(f"T{k % n_qubits}", (label,), draw(st.floats(0.1, 3.0)))
+        term = collective_jc_hamiltonian(layout, spec)
+        h = term if h is None else h + term
+    return layout, h
+
+
+@given(_gauge_real_hamiltonians(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_real_path_matches_dense_oracle(case, seed, t):
+    layout, h = case
+    assert all(b.dtype == np.float64 for _, b in dynamics._sector_blocks(h)[1])
+    u = dense_propagator(dense(h), t)
+    assert np.max(np.abs(propagator(h, t) - u)) < 1e-12
+    psi = rand_pure_state(np.random.default_rng(seed), layout)
+    assert np.max(np.abs(evolve(psi, h, t).amplitudes - u @ psi.amplitudes)) < 1e-12
+
+
 @pytest.fixture
-def eigh_sizes(monkeypatch):
-    """Records the matrix size of every eigh call the dynamics module makes."""
-    sizes = []
+def eigh_calls(monkeypatch):
+    """Records (matrix size, dtype) of every eigh call the dynamics module makes."""
+    calls = []
     eigh = np.linalg.eigh
 
     def recording_eigh(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-1])
+        # np.linalg is shared: skip the calls of the other modules
+        if sys._getframe(1).f_globals["__name__"] == dynamics.__name__:
+            calls.append((np.shape(a)[-1], np.asarray(a).dtype))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(dynamics.np.linalg, "eigh", recording_eigh)
-    return sizes
+    return calls
 
 
-def test_propagation_diagonalizes_sectors_not_the_whole_space(eigh_sizes):
+def test_propagation_diagonalizes_sectors_not_the_whole_space(eigh_calls):
     simultaneous_coupling_check(9)  # dimension 1024, sectors C(10, k)
-    assert max(eigh_sizes) == 252
-    eigh_sizes.clear()
+    assert max(size for size, _ in eigh_calls) == 252
+    eigh_calls.clear()
     coherent_field_rotation(1.0, 0.0, 20.0)  # dimension 1162, sectors of 2
-    assert max(eigh_sizes) == 2
+    assert max(size for size, _ in eigh_calls) == 2
+
+
+def test_every_production_hamiltonian_reaches_eigh_real(eigh_calls):
+    # fermionic and bosonic collective_jc_hamiltonian, collective_mode_reference,
+    # the massless-absorption sum over two targets and the collision of the
+    # sequential rotation (uncached so that it is built here)
+    simultaneous_coupling_check(3)
+    coherent_field_rotation(0.6, 0.8, 4.0)
+    massless_absorption()
+    protocols._collision_unitary.cache_clear()
+    sequential_rotation(RotationProtocolParams(1.0, 0.0, 2))
+    assert eigh_calls
+    assert {dtype for _, dtype in eigh_calls} == {np.dtype(np.float64)}
 
 
 def test_evolve_rejects_non_hermitian():
@@ -332,10 +418,25 @@ def test_evolve_rejects_non_hermitian_sector_block(eps):
         propagator(h, 1.0)
 
 
-def test_hermiticity_tolerance_accepts_rounding_asymmetry(eigh_sizes):
+def test_hermiticity_tolerance_accepts_rounding_asymmetry(eigh_calls):
     psi, h = _jc_with_in_sector_asymmetry(1e-13)
     assert abs(np.linalg.norm(evolve(psi, h, 1.0).amplitudes) - 1) < 1e-12
-    assert max(eigh_sizes) == 2  # checked and diagonalized block by block
+    # checked and diagonalized block by block
+    assert max(size for size, _ in eigh_calls) == 2
+
+
+@pytest.mark.parametrize("extra", [(3, 1, 1e-9j), (3, 3, np.nan)])
+def test_real_path_refuses_non_hermitian_and_nan(extra):
+    # i 1e-9 at (|e,0>, |g,1>) and a NaN on the diagonal both gauge real, so
+    # the blocks are float64 and the check runs on them
+    layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
+    row, col, value = extra
+    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",))) + LinearOp(layout, [row], [col], [value])
+    assert all(b.dtype == np.float64 for _, b in dynamics._sector_blocks(h)[1])
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve(basis_state(layout, ["e", 0]), h, 1.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        propagator(h, 1.0)
 
 
 def test_propagator_is_unitary():

@@ -118,8 +118,14 @@ def test_rotation_params_validation():
         RotationProtocolParams(math.nan, 0.0, 4)
     with pytest.raises(ValueError, match="n_ancillas"):
         RotationProtocolParams(1.0, 0.0, 0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="per_step_duration must be positive"):
         RotationProtocolParams(1.0, 0.0, 2, per_step_duration=0.0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+def test_rotation_params_refuse_non_finite_step_duration(dt):
+    with pytest.raises(ValueError, match="per_step_duration must be positive and finite"):
+        RotationProtocolParams(1.0, 0.0, 2, per_step_duration=dt)
 
 
 # ---------------------------------------------------------------------------
