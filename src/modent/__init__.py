@@ -20,11 +20,9 @@ from .hilbert import (
 from .dynamics import (
     CouplingSpec,
     MixingAngle,
-    collective_jc_hamiltonian,
     controlled_mixing_unitary,
     evolve,
     jc_hamiltonian,
-    propagator,
 )
 from .entanglement import (
     CorrelationTensor,

@@ -57,10 +57,13 @@ def _fmt12(x) -> str:
     return format(float(x), ".12g")
 
 
-# Memory guards.  collective-check holds its eigh blocks, sum_k C(n+1, k)**2
-# = C(2n+2, n+1) real (8-byte) entries: about 2.7M (21 MiB) at n = 11, and
-# each step of n multiplies it by nearly 4.  coherent-rotation holds O(cutoff)
-# arrays of 2 (cutoff + 1) amplitudes and 2 cutoff Hamiltonian triplets.
+# Memory guards.  At n = 11 collective-check holds its eigh blocks, C(2n+2, n+1)
+# real entries (21 MiB), with the eigenvector stack eigh returns (21 MiB); evolve
+# adds the complex128 copy numpy makes of one sector size's eigenvectors (up to
+# 19 MiB) and the d = 4096 state (64 KiB).  A fresh run peaks at 96 MiB RSS (30 MiB
+# of it the interpreter and numpy); each step of n multiplies the arrays by
+# nearly 4.  coherent-rotation holds O(cutoff) arrays of 2 (cutoff + 1)
+# amplitudes and 2 cutoff Hamiltonian triplets.
 MAX_COLLECTIVE_N = 11
 MAX_COHERENT_CUTOFF = 2 ** 17 - 1
 MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory

@@ -78,8 +78,8 @@ def _check_coupling_kinds(layout: SystemLayout, spec: CouplingSpec):
             raise ValueError(f"subsystem {m!r} must be a bosonic or fermionic mode")
 
 
-def collective_jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> LinearOp:
-    """J * sum_k (i s+ a_k - i s- a_k^dag) embedded in the layout.
+def jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> LinearOp:
+    """J * sum_k (i s+ a_k - i s- a_k^dag) over the spec's modes, embedded in the layout.
 
     Hermitian by construction; conserves the total excitation number
     (qubit excitation plus mode occupations).  With s+|g> = |e>, each mode
@@ -98,14 +98,6 @@ def collective_jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> Linea
                               np.concatenate([values, values.conj()]), [spec.qubit_label, m])
         h = term if h is None else h + term
     return h
-
-
-def jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> LinearOp:
-    """Single-mode excitation-exchange Hamiltonian J (i s+ a - i s- a^dag)."""
-    if len(spec.mode_labels) != 1:
-        raise ValueError("jc_hamiltonian couples exactly one mode; "
-                         "use collective_jc_hamiltonian for several")
-    return collective_jc_hamiltonian(layout, spec)
 
 
 # i^k, and the sign of the real part of i^k (a + ib) taken from a or b, for k = 0 .. 3
@@ -191,7 +183,7 @@ def _sector_eigh(hamiltonian: LinearOp):
     for idx, blocks in sectors:
         # written as "not <=" so that a NaN entry is rejected too
         if not np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) <= HERMITICITY_TOL:
-            raise ValueError("propagator requires a Hermitian Hamiltonian")
+            raise ValueError("evolve requires a Hermitian Hamiltonian")
         w, v = np.linalg.eigh(blocks)
         out.append((idx, w, v))
     return phase, out
@@ -204,22 +196,9 @@ def _finite_time(t) -> float:
     return t
 
 
-def propagator(hamiltonian: LinearOp, t: float) -> np.ndarray:
-    """exp(-i H t) as a dense d x d array, assembled from the sector
-    eigendecompositions; meant for small systems such as one collision."""
-    t = _finite_time(t)
-    d = hamiltonian.layout.dim
-    u = np.zeros((d, d), dtype=complex)
-    phase, sectors = _sector_eigh(hamiltonian)
-    for idx, w, v in sectors:
-        phases = np.exp(-1j * w * t)[:, None, :]
-        u[idx[:, :, None], idx[:, None, :]] = (v * phases) @ v.conj().transpose(0, 2, 1)
-    return phase[:, None] * u * phase.conj()
-
-
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
     """exp(-i H t) |state> as D v e^{-iwt} v^dag D^dag |state> per sector, never
-    forming the propagator; norm is preserved to rounding."""
+    forming exp(-i H t) itself; norm is preserved to rounding."""
     t = _finite_time(t)
     if state.layout.dims != hamiltonian.layout.dims:
         raise ValueError("state and Hamiltonian dimensions do not match")

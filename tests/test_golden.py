@@ -23,6 +23,10 @@ COMMANDS = {
     "rotate": ["rotate", "--n", "16", "--alpha", "0.8", "--beta", "0.6"],
     "rotate-sweep": ["rotate-sweep", "--n-list", "4,8,16,32,64"],
     "collective-check": ["collective-check", "--n", "4"],
+    # (alpha, beta) off the poles: the one-ancilla fidelity shows whether the
+    # target amplitudes are renormalized before the collision
+    "collective-check-amplitudes": ["collective-check", "--n", "3", "--alpha", "0.999924701839",
+                                    "--beta", "0.0122715382857"],
     "fermion-sweep": ["fermion-sweep", "--pairs", "2", "--grid", "16", "--refine", "2"],
     "fermion-sweep-3pair": ["fermion-sweep", "--pairs", "3", "--grid", "8", "--refine", "1"],
     "coherent-rotation": ["coherent-rotation", "--eta", "8"],
