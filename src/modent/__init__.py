@@ -12,15 +12,12 @@ from .hilbert import (
     coherent_mode_state,
     compose_layout,
     default_coherent_cutoff,
-    embed_operator,
     reduced_density,
     superpose,
     tensor,
 )
 from .dynamics import (
     CouplingSpec,
-    MixingAngle,
-    controlled_mixing_unitary,
     evolve,
     jc_hamiltonian,
 )

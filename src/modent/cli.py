@@ -330,6 +330,8 @@ def _validate(experiment: str, raw_params: dict, fmt: str, out, plot) -> RunConf
             raise UsageError(f"--plot is only available for series experiments {series}")
         if not plot.endswith(".svg"):
             raise UsageError(f"plot path must end in .svg, got {plot!r}")
+        if out is not None and os.path.realpath(out) == os.path.realpath(plot):
+            raise UsageError(f"--out and --plot name the same file {plot!r}")
     if entry.check is not None:
         entry.check(params, plot)
     return RunConfig(experiment=experiment, parameters=params, format=fmt, out=out, plot=plot)

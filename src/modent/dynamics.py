@@ -1,4 +1,4 @@
-"""Excitation-exchange Hamiltonians, time evolution, and the controlled mixing unitary.
+"""Excitation-exchange Hamiltonians and their exact time evolution.
 
 Units: hbar = 1 and the default coupling strength is J = 1, so all times are
 expressed in units of 1/J.  Hamiltonians are ``LinearOp`` triplets built from
@@ -35,9 +35,9 @@ from .hilbert import (
     PureState,
     SystemLayout,
     TwoLevel,
-    embed_operator,
     embed_triplets,
 )
+
 
 @dataclass(frozen=True)
 class CouplingSpec:
@@ -57,17 +57,6 @@ class CouplingSpec:
         if not self.strength_J > 0:
             raise ValueError(f"coupling strength must be positive, got {self.strength_J}")
         object.__setattr__(self, "mode_labels", modes)
-
-
-@dataclass(frozen=True)
-class MixingAngle:
-    """Rotation angle of the controlled mixing operation, in [0, pi]."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"mixing angle must lie in [0, pi], got {self.theta}")
 
 
 def _check_coupling_kinds(layout: SystemLayout, spec: CouplingSpec):
@@ -209,25 +198,3 @@ def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
         coeffs = (v.conj().transpose(0, 2, 1) @ amps[idx][:, :, None])[:, :, 0]
         out[idx] = (v @ (np.exp(-1j * w * t) * coeffs)[:, :, None])[:, :, 0]
     return PureState(state.layout, phase * out)
-
-
-def controlled_mixing_unitary(layout: SystemLayout, qubit_label: str, flying_label: str,
-                              ancilla_label: str, angle) -> LinearOp:
-    """Rotation [[cos, -sin], [sin, cos]] on the ordered subspace
-    {|e,1,0>, |e,0,1>} of (qubit, flying mode, ancilla mode), identity elsewhere.
-    """
-    theta = angle.theta if isinstance(angle, MixingAngle) else float(angle)
-    MixingAngle(theta)  # range check
-    if not isinstance(layout.kind_of(qubit_label), TwoLevel):
-        raise ValueError(f"subsystem {qubit_label!r} must be TwoLevel")
-    for lab in (flying_label, ancilla_label):
-        if not isinstance(layout.kind_of(lab), FermionicMode):
-            raise ValueError(f"subsystem {lab!r} must be a FermionicMode")
-    # local basis row-major over (qubit, flying, ancilla): |e,1,0> = 6, |e,0,1> = 5
-    local = np.eye(8, dtype=complex)
-    c, s = math.cos(theta), math.sin(theta)
-    local[6, 6] = c
-    local[5, 5] = c
-    local[6, 5] = -s
-    local[5, 6] = s
-    return embed_operator(layout, local, [qubit_label, flying_label, ancilla_label])

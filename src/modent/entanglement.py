@@ -151,6 +151,9 @@ def state_overlap(a, b) -> float:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError("state overlap requires matching dimensions")
+    # eigh reads one triangle only, so a NaN in the other would go unseen
+    if not (np.all(np.isfinite(ma)) and np.all(np.isfinite(mb))):
+        raise ValueError("state overlap of a non-finite matrix")
     wa, va = np.linalg.eigh(ma)
     wb, vb = np.linalg.eigh(mb)
     # rounding-level weights would inject sqrt(eps) noise through the sqrt

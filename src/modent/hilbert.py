@@ -375,28 +375,6 @@ def embed_triplets(layout: SystemLayout, rows, cols, values,
                     np.repeat(values, rest_off.size))
 
 
-def embed_operator(layout: SystemLayout, local, targets: Sequence[str]) -> LinearOp:
-    """Embed a local operator so it acts on ``targets`` and as identity elsewhere.
-
-    Parameters
-    ----------
-    layout : SystemLayout
-        The full system.
-    local : ndarray
-        Operator on the target subsystems, basis ordered row-major over
-        ``targets`` as given.
-    targets : sequence of str
-        Ordered subsystem labels the local operator acts on.
-    """
-    local_m = np.asarray(local, dtype=complex)
-    d_target = math.prod(layout.kind_of(lab).dim for lab in targets)
-    if local_m.shape != (d_target, d_target):
-        raise ValueError(
-            f"local operator shape {local_m.shape} does not match target dimension {d_target}")
-    rows, cols = np.nonzero(local_m)
-    return embed_triplets(layout, rows, cols, local_m[rows, cols], targets)
-
-
 def reduced_density(state: PureState, keep: Sequence[str]) -> DensityOp:
     """Reduced density operator of a pure state, without forming the full projector.
 

@@ -15,12 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (
-    CouplingSpec,
-    MixingAngle,
-    evolve,
-    jc_hamiltonian,
-)
+from .dynamics import CouplingSpec, evolve, jc_hamiltonian
 from .entanglement import (
     TWO_TARGETS,
     concurrence,
@@ -129,11 +124,13 @@ class FermionProtocolParams:
     def __post_init__(self):
         if self.n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        angles = tuple(a.theta if isinstance(a, MixingAngle) else float(a) for a in self.angles)
+        angles = tuple(float(a) for a in self.angles)
         if len(angles) != self.n_pairs:
             raise ValueError(f"need {self.n_pairs} angles, got {len(angles)}")
         for a in angles:
-            MixingAngle(a)  # range check
+            # written as "not <=" so that a NaN angle is rejected too
+            if not 0.0 <= a <= math.pi:
+                raise ValueError(f"mixing angle must lie in [0, pi], got {a}")
         object.__setattr__(self, "angles", angles)
 
 

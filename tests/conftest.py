@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 
 from modent import BosonicMode, FermionicMode, LinearOp, PureState, compose_layout
+from modent.hilbert import embed_triplets
 
 
 def rand_amplitude_pair(rng):
@@ -63,6 +66,14 @@ def linear_op(layout, matrix):
     return LinearOp(layout, rows, cols, m[rows, cols])
 
 
+def embed_local(layout, local, targets):
+    """The library's embedding of a local matrix: its nonzeros fed to
+    ``embed_triplets``, so it acts on ``targets`` and as identity elsewhere."""
+    m = np.asarray(local, dtype=complex)
+    rows, cols = np.nonzero(m)
+    return embed_triplets(layout, rows, cols, m[rows, cols], targets)
+
+
 # ---------------------------------------------------------------------------
 # dense oracles: the direct formulas the structured library code must match
 # ---------------------------------------------------------------------------
@@ -79,6 +90,19 @@ def dense_embed(layout, local, targets):
     inv = np.argsort(order)
     perm = tuple(inv) + tuple(inv + len(dims))
     return full.reshape(shape + shape).transpose(perm).reshape(layout.dim, layout.dim)
+
+
+def dense_mixing(layout, qubit, flying, ancilla, theta):
+    """Rotation [[cos, -sin], [sin, cos]] on the ordered subspace
+    {|e,1,0>, |e,0,1>} of (qubit, flying mode, ancilla mode), identity
+    elsewhere: the d x d matrix of one step of the pair-mixing protocol."""
+    # local basis row-major over (qubit, flying, ancilla): |e,1,0> = 6, |e,0,1> = 5
+    local = np.eye(8, dtype=complex)
+    c, s = math.cos(theta), math.sin(theta)
+    local[6, 6] = local[5, 5] = c
+    local[6, 5] = -s
+    local[5, 6] = s
+    return dense_embed(layout, local, [qubit, flying, ancilla])
 
 
 # Raising operator of a two-level particle, basis (g, e): s+|g> = |e>.

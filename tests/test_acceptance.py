@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (
-    dense,
+    dense_mixing,
     linear_op,
     pair_protocol_state,
     rand_amplitude_pair,
@@ -27,7 +27,6 @@ from modent import (
     chsh_violated,
     compose_layout,
     concurrence,
-    controlled_mixing_unitary,
     evolve,
     horodecki_m,
     massive_fermion_protocol,
@@ -152,8 +151,8 @@ def test_criterion_7_property_suites():
         pair_layout, psi0 = pair_protocol_state(1)
         for _ in range(200):
             th = float(rng.uniform(0, math.pi))
-            ul = dense(controlled_mixing_unitary(pair_layout, "tgt_l", "fly_l", "anc1_l", th))
-            ur = dense(controlled_mixing_unitary(pair_layout, "tgt_r", "fly_r", "anc1_r", th))
+            ul = dense_mixing(pair_layout, "tgt_l", "fly_l", "anc1_l", th)
+            ur = dense_mixing(pair_layout, "tgt_r", "fly_r", "anc1_r", th)
             assert np.max(np.abs(ul @ (ur @ psi0) - ur @ (ul @ psi0))) < 1e-12
 
         # angle-exchange symmetry of the two-pair concurrence surface

@@ -165,6 +165,21 @@ def test_svg_plots(tmp_path):
     assert text.startswith("<svg") and "rect" in text
 
 
+def test_out_and_plot_naming_one_file_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--out", "x.svg", "--plot", "x.svg"],
+                 ["--out", "./x.svg", "--plot", str(tmp_path / "x.svg")]):
+        with pytest.raises(UsageError, match="same file"):
+            parse_config(["rotate-sweep", "--format", "csv"] + argv)
+    doc = json.dumps({"experiment": "rotate-sweep",
+                      "output": {"format": "csv", "path": "x.svg", "plot": "sub/../x.svg"}})
+    with pytest.raises(UsageError, match="same file"):
+        parse_config(config_text=doc)
+    assert main(["rotate-sweep", "--format", "csv", "--out", "x.svg", "--plot", "x.svg"]) == 2
+    assert "same file" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_failed_open_leaves_existing_file_intact(tmp_path, monkeypatch, capsys):
     # e.g. a read-only file in a writable directory
     out = tmp_path / "res.txt"

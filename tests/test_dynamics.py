@@ -9,6 +9,8 @@ from conftest import (
     annihilation,
     dense,
     dense_collective_jc,
+    dense_embed,
+    dense_mixing,
     dense_propagator,
     linear_op,
     rand_hermitian,
@@ -19,13 +21,10 @@ from modent import (
     CouplingSpec,
     FermionicMode,
     LinearOp,
-    MixingAngle,
     PureState,
     TwoLevel,
     basis_state,
     compose_layout,
-    controlled_mixing_unitary,
-    embed_operator,
     evolve,
     jc_hamiltonian,
     reduced_density,
@@ -84,9 +83,9 @@ def test_jc_commutes_with_excitation_number():
     for kind in (FermionicMode, BosonicMode(3)):
         layout = _qubit_mode_layout(kind)
         h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",))))
-        excite = dense(embed_operator(layout, np.diag([0.0, 1.0]), ["T"]))
+        excite = dense_embed(layout, np.diag([0.0, 1.0]), ["T"])
         a = annihilation(layout.kind_of("m"))
-        occupy = dense(embed_operator(layout, a.conj().T @ a, ["m"]))
+        occupy = dense_embed(layout, a.conj().T @ a, ["m"])
         total = excite + occupy
         assert np.max(np.abs(h @ total - total @ h)) < 1e-12
 
@@ -446,7 +445,7 @@ def test_collision_unitary_is_unitary_and_matches_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
-# controlled mixing unitary
+# the dense pair-mixing oracle
 # ---------------------------------------------------------------------------
 
 def _triple_layout(extra=()):
@@ -456,33 +455,32 @@ def _triple_layout(extra=()):
 
 def test_mixing_at_zero_angle_is_identity():
     layout = _triple_layout()
-    u = controlled_mixing_unitary(layout, "T", "fly", "anc", 0.0)
-    assert np.array_equal(dense(u), np.eye(8))
+    assert np.array_equal(dense_mixing(layout, "T", "fly", "anc", 0.0), np.eye(8))
 
 
 def test_mixing_at_half_turn_swaps_occupation():
     layout = _triple_layout()
-    u = controlled_mixing_unitary(layout, "T", "fly", "anc", math.pi / 2)
+    u = dense_mixing(layout, "T", "fly", "anc", math.pi / 2)
     before = basis_state(layout, ["e", 1, 0])
-    after = PureState(layout, dense(u) @ before.amplitudes)
+    after = PureState(layout, u @ before.amplitudes)
     assert abs(abs(after.overlap(basis_state(layout, ["e", 0, 1]))) - 1) < 1e-14
 
 
 def test_mixing_leaves_ground_qubit_alone():
     rng = np.random.default_rng(5)
     layout = _triple_layout()
-    u = controlled_mixing_unitary(layout, "T", "fly", "anc", 1.1)
+    u = dense_mixing(layout, "T", "fly", "anc", 1.1)
     # arbitrary state supported on the qubit-ground subspace
     amps = np.zeros(8, dtype=complex)
     amps[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
-    assert np.allclose(dense(u) @ amps, amps, atol=1e-15)
+    assert np.allclose(u @ amps, amps, atol=1e-15)
 
 
 def test_mixing_unitary_and_identity_outside_subspace():
     layout = _triple_layout(extra=[("spectator", BosonicMode(2))])
     theta = 0.7
-    u = dense(controlled_mixing_unitary(layout, "T", "fly", "anc", theta))
+    u = dense_mixing(layout, "T", "fly", "anc", theta)
     assert np.max(np.abs(u @ u.conj().T - np.eye(layout.dim))) < 1e-12
     # independent oracle built by decoding every basis index
     dims = layout.dims
@@ -497,22 +495,6 @@ def test_mixing_unitary_and_identity_outside_subspace():
             expected[idx, partner] = -s
             expected[partner, idx] = s
     assert np.array_equal(u, expected)
-
-
-def test_mixing_requires_fermionic_modes():
-    layout = compose_layout([("T", TwoLevel), ("fly", BosonicMode(1)), ("anc", FermionicMode)])
-    with pytest.raises(ValueError, match="FermionicMode"):
-        controlled_mixing_unitary(layout, "T", "fly", "anc", 0.3)
-
-
-def test_mixing_angle_range():
-    with pytest.raises(ValueError):
-        MixingAngle(-0.1)
-    with pytest.raises(ValueError):
-        MixingAngle(math.pi + 0.1)
-    layout = _triple_layout()
-    with pytest.raises(ValueError):
-        controlled_mixing_unitary(layout, "T", "fly", "anc", 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from modent import (
     correlation_tensor,
     fidelity,
     horodecki_m,
+    state_overlap,
     target_pair_density,
     trace_distance,
 )
@@ -56,6 +57,14 @@ def test_nan_is_never_read_as_a_fidelity_or_two_qubit_state():
         fidelity(np.full((2, 2), np.nan), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="Hermitian"):
         concurrence(np.full((4, 4), np.nan))
+    # min(1, nan) is 1, and eigh reads one triangle only, so neither sees a NaN
+    half = np.eye(2) / 2
+    for bad in (np.full((2, 2), np.nan), np.array([[0.5, np.nan], [0.0, 0.5]]),
+                np.array([[np.inf, 0.0], [0.0, 0.5]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            state_overlap(half, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            state_overlap(bad, half)
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense, dense_embed, dense_partial_trace, linear_op, rand_pure_state
+from conftest import (
+    dense,
+    dense_embed,
+    dense_partial_trace,
+    embed_local,
+    linear_op,
+    rand_pure_state,
+)
 from modent import (
     LinearOp,
     BosonicMode,
@@ -16,7 +23,6 @@ from modent import (
     coherent_mode_state,
     compose_layout,
     default_coherent_cutoff,
-    embed_operator,
     reduced_density,
     superpose,
     tensor,
@@ -234,14 +240,14 @@ SP = np.array([[0, 0], [1, 0]], dtype=complex)
 
 def test_embed_on_first_subsystem():
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
-    embedded = embed_operator(layout, SP, ["T"])
+    embedded = embed_local(layout, SP, ["T"])
     assert np.allclose(dense(embedded), np.kron(SP, np.eye(3)))
 
 
 def test_embed_on_second_subsystem():
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     a = np.diag(np.sqrt([1.0, 2.0]), k=1)
-    embedded = embed_operator(layout, a, ["m"])
+    embedded = embed_local(layout, a, ["m"])
     assert np.allclose(dense(embedded), np.kron(np.eye(2), a))
 
 
@@ -250,8 +256,8 @@ def test_embed_multiplication_homomorphism():
     layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(2)), ("c", FermionicMode)])
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    lhs = dense(embed_operator(layout, x @ y, ["b"]))
-    rhs = dense(embed_operator(layout, x, ["b"])) @ dense(embed_operator(layout, y, ["b"]))
+    lhs = dense(embed_local(layout, x @ y, ["b"]))
+    rhs = dense(embed_local(layout, x, ["b"])) @ dense(embed_local(layout, y, ["b"]))
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
@@ -260,7 +266,7 @@ def test_embed_nonadjacent_and_reordered_targets():
     layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(1)), ("c", TwoLevel)])
     rng = np.random.default_rng(3)
     local = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))  # acts on (c, a)
-    embedded = dense(embed_operator(layout, local, ["c", "a"]))
+    embedded = dense(embed_local(layout, local, ["c", "a"]))
     dims = (2, 2, 2)
     expected = np.zeros((8, 8), dtype=complex)
     for col in range(8):
@@ -288,16 +294,18 @@ def test_embed_matches_kron_oracle(data):
     d = int(np.prod([layout.kind_of(lab).dim for lab in targets]))
     local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     local[rng.random((d, d)) < data.draw(st.floats(0.0, 1.0))] = 0.0
-    embedded = dense(embed_operator(layout, local, targets))
+    embedded = dense(embed_local(layout, local, targets))
     assert np.array_equal(embedded, dense_embed(layout, local, targets))
 
 
 def test_embed_errors():
     layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(1))])
     with pytest.raises(KeyError):
-        embed_operator(layout, SP, ["nope"])
-    with pytest.raises(ValueError, match="shape"):
-        embed_operator(layout, np.eye(3), ["a"])
+        embed_local(layout, SP, ["nope"])
+    with pytest.raises(ValueError, match="at least one target"):
+        embed_local(layout, np.eye(1), [])
+    with pytest.raises(ValueError, match="distinct"):
+        embed_local(layout, np.eye(4), ["a", "a"])
 
 
 # ---------------------------------------------------------------------------

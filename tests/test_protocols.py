@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense, pair_protocol_state, rand_amplitude_pair
+from conftest import dense_mixing, pair_protocol_state, rand_amplitude_pair
 from modent import (
     FermionProtocolParams,
     RotationProtocolParams,
     coherent_field_rotation,
-    controlled_mixing_unitary,
     massive_fermion_protocol,
     massless_absorption,
     optimize_angles,
@@ -188,8 +187,8 @@ def test_pair_protocol_all_zero_angles_is_separable():
 
 def test_left_and_right_operations_commute():
     layout, psi = pair_protocol_state(1)
-    u_left = dense(controlled_mixing_unitary(layout, "tgt_l", "fly_l", "anc1_l", 0.9))
-    u_right = dense(controlled_mixing_unitary(layout, "tgt_r", "fly_r", "anc1_r", 0.9))
+    u_left = dense_mixing(layout, "tgt_l", "fly_l", "anc1_l", 0.9)
+    u_right = dense_mixing(layout, "tgt_r", "fly_r", "anc1_r", 0.9)
     assert np.max(np.abs(u_left @ (u_right @ psi) - u_right @ (u_left @ psi))) < 1e-12
 
 
@@ -198,8 +197,8 @@ def test_left_and_right_operations_commute():
 def test_pair_mixing_matches_dense_unitaries(thetas):
     layout, psi = pair_protocol_state(len(thetas))
     for j, th in enumerate(thetas, start=1):
-        psi = dense(controlled_mixing_unitary(layout, "tgt_l", "fly_l", f"anc{j}_l", th)) @ psi
-        psi = dense(controlled_mixing_unitary(layout, "tgt_r", "fly_r", f"anc{j}_r", th)) @ psi
+        psi = dense_mixing(layout, "tgt_l", "fly_l", f"anc{j}_l", th) @ psi
+        psi = dense_mixing(layout, "tgt_r", "fly_r", f"anc{j}_r", th) @ psi
     x = psi.reshape(4, -1)
     oracle = x @ x.conj().T
     assert np.max(np.abs(_pair_mixing(len(thetas))(thetas) - oracle)) < 1e-13
@@ -208,8 +207,9 @@ def test_pair_mixing_matches_dense_unitaries(thetas):
 def test_fermion_params_validation():
     with pytest.raises(ValueError, match="angles"):
         FermionProtocolParams(2, (0.1,))
-    with pytest.raises(ValueError):
-        FermionProtocolParams(1, (4.0,))  # out of [0, pi]
+    for bad in (-0.1, math.pi + 0.1, 4.0, math.nan):
+        with pytest.raises(ValueError, match=r"mixing angle must lie in \[0, pi\]"):
+            FermionProtocolParams(1, (bad,))
     with pytest.raises(ValueError, match="n_pairs"):
         FermionProtocolParams(0, ())
 

@@ -60,3 +60,16 @@ def test_parser_built_once_does_not_leak_values():
     assert parse_config(["rotate"]).parameters == {"n": 1, "alpha": 1.0, "beta": 0.0}
     parse_config(["rotate-sweep"]).parameters["n_list"].append(128)
     assert parse_config(["rotate-sweep"]).parameters["n_list"] == [4, 8, 16, 32, 64]
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """Run the README's Python example; each printed value must match the
+    number in its comment, to the comment's last digit when marked "~"."""
+    (code,) = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+    expected = re.findall(r"print\(.*#\s*(~?)([0-9.]+)", code)
+    exec(code, {})
+    printed = [float(line) for line in capsys.readouterr().out.split()]
+    assert len(printed) == len(expected) == 2
+    for value, (approx, text) in zip(printed, expected):
+        tol = 0.5 * 10.0 ** -len(text.partition(".")[2]) if approx else 1e-12
+        assert abs(value - float(text)) <= tol, (value, text)
