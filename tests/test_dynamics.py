@@ -497,6 +497,18 @@ def test_mixing_unitary_and_identity_outside_subspace():
     assert np.array_equal(u, expected)
 
 
+def test_mixing_angle_range():
+    # the closed range [0, pi] is accepted at both ends and the pair mixing runs
+    for theta, expected in ((0.0, 0.0), (math.pi, 0.0)):
+        params = protocols.FermionProtocolParams(1, (theta,))
+        _, c = protocols.massive_fermion_protocol(params)
+        assert abs(c - expected) < 1e-12
+    # just outside the range, the angle is refused before any mixing is done
+    for bad in (-0.1, math.pi + 0.1, 4.0):
+        with pytest.raises(ValueError):
+            protocols.FermionProtocolParams(1, (bad,))
+
+
 # ---------------------------------------------------------------------------
 # collective-mode equivalence
 # ---------------------------------------------------------------------------
