@@ -84,12 +84,18 @@ def _int_range(lo, hi=None):
     return check
 
 
+def _number(key, val) -> float:
+    if not isinstance(val, bool):  # float() would read JSON true/false as 1.0/0.0
+        try:
+            return float(val)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"{key} must be a number, got {val!r}")
+
+
 def _float_range(lo, hi):
     def check(key, val):
-        try:
-            v = float(val)
-        except (TypeError, ValueError):
-            raise UsageError(f"{key} must be a number, got {val!r}") from None
+        v = _number(key, val)
         if not (lo <= v <= hi) or not math.isfinite(v):
             raise UsageError(f"{key} out of range [{lo},{hi}], got {val!r}")
         return v
@@ -97,10 +103,7 @@ def _float_range(lo, hi):
 
 
 def _float_any(key, val):
-    try:
-        v = float(val)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be a number, got {val!r}") from None
+    v = _number(key, val)
     if not math.isfinite(v):
         raise UsageError(f"{key} must be finite, got {val!r}")
     return v

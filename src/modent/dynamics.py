@@ -185,16 +185,21 @@ def _finite_time(t) -> float:
     return t
 
 
-def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
-    """exp(-i H t) |state> as D v e^{-iwt} v^dag D^dag |state> per sector, never
-    forming exp(-i H t) itself; norm is preserved to rounding."""
-    t = _finite_time(t)
-    if state.layout.dims != hamiltonian.layout.dims:
-        raise ValueError("state and Hamiltonian dimensions do not match")
-    phase, sectors = _sector_eigh(hamiltonian)
-    amps = phase.conj() * state.amplitudes
+def _propagate(spectrum, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) amplitudes from H's ``_sector_eigh`` spectrum: D v e^{-iwt} v^dag D^dag."""
+    phase, sectors = spectrum
+    amps = phase.conj() * amplitudes
     out = np.empty_like(amps)
     for idx, w, v in sectors:
         coeffs = (v.conj().transpose(0, 2, 1) @ amps[idx][:, :, None])[:, :, 0]
         out[idx] = (v @ (np.exp(-1j * w * t) * coeffs)[:, :, None])[:, :, 0]
-    return PureState(state.layout, phase * out)
+    return phase * out
+
+
+def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
+    """exp(-i H t) |state>: H is diagonalized once, sector by sector, and its
+    spectrum applied, never forming exp(-i H t); norm is preserved to rounding."""
+    t = _finite_time(t)
+    if state.layout.dims != hamiltonian.layout.dims:
+        raise ValueError("state and Hamiltonian dimensions do not match")
+    return PureState(state.layout, _propagate(_sector_eigh(hamiltonian), state.amplitudes, t))

@@ -11,11 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import CouplingSpec, evolve, jc_hamiltonian
+from .dynamics import CouplingSpec, _finite_time, _propagate, _sector_eigh, evolve, jc_hamiltonian
 from .entanglement import (
     TWO_TARGETS,
     concurrence,
@@ -195,26 +194,25 @@ def massless_absorption():
 
 _ANCILLA_PLUS_RHO = 0.5 * np.ones((2, 2), dtype=complex)
 
+# the fixed target-ancilla collision Hamiltonian, diagonalized once
+_COLLISION_SPECTRUM = _sector_eigh(jc_hamiltonian(compose_layout(
+    [("target", TwoLevel), ("ancilla", FermionicMode)]), CouplingSpec("target", ("ancilla",))))
 
-@lru_cache(maxsize=None)
+
 def _collision_unitary(duration: float) -> np.ndarray:
     """exp(-i H t) of one target-ancilla collision; column j is U|j>."""
-    layout = compose_layout([("target", TwoLevel), ("ancilla", FermionicMode)])
-    h = jc_hamiltonian(layout, CouplingSpec("target", ("ancilla",)))
-    return np.column_stack([evolve(basis_state(layout, levels), h, duration).amplitudes
-                            for levels in np.ndindex(*layout.dims)])
+    t = _finite_time(duration)
+    return np.column_stack([_propagate(_COLLISION_SPECTRUM, column, t)
+                            for column in np.eye(4, dtype=complex)])
 
 
-def rotation_step(rho: np.ndarray, duration: float) -> np.ndarray:
-    """One collision of the target with a fresh ancilla mode in (|0>+|1>)/sqrt(2).
-
-    Takes and returns plain 2x2 density matrices; exact for the sequential
-    protocol because a used ancilla never interacts again.
-    """
-    u = _collision_unitary(float(duration))
+def rotation_step(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One collision, by the collision unitary ``u`` (``_collision_unitary``), of
+    the target with a fresh ancilla mode in (|0>+|1>)/sqrt(2).  Takes and returns
+    plain 2x2 density matrices; exact for the sequential protocol because a used
+    ancilla never interacts again."""
     joint = np.kron(np.asarray(rho, dtype=complex), _ANCILLA_PLUS_RHO)
-    out = u @ joint @ u.conj().T
-    return np.einsum("ikjk->ij", out.reshape(2, 2, 2, 2))
+    return np.einsum("ikjk->ij", (u @ joint @ u.conj().T).reshape(2, 2, 2, 2))
 
 
 def single_ancilla_rotation(alpha: complex, beta: complex):
@@ -230,7 +228,8 @@ def single_ancilla_rotation(alpha: complex, beta: complex):
     psi = np.array([alpha, beta], dtype=complex)
     psi = psi / np.linalg.norm(psi)
     layout = compose_layout([("target", TwoLevel)])
-    simulated = DensityOp(layout, rotation_step(np.outer(psi, psi.conj()), math.pi / 4))
+    u = _collision_unitary(math.pi / 4)
+    simulated = DensityOp(layout, rotation_step(np.outer(psi, psi.conj()), u))
     analytic = DensityOp(layout, single_step_analytic_density(alpha, beta))
     fid = fidelity(simulated, rotated_target_state(alpha, beta))
     return simulated, analytic, fid
@@ -246,8 +245,9 @@ def sequential_rotation(params: RotationProtocolParams) -> ExperimentResult:
     psi = np.array([params.alpha, params.beta], dtype=complex)
     rho = np.outer(psi, psi.conj())
     dt = params.step_duration
+    u = _collision_unitary(dt)
     for _ in range(params.n_ancillas):
-        rho = rotation_step(rho, dt)
+        rho = rotation_step(rho, u)
     fid = fidelity(rho, rotated_target_state(params.alpha, params.beta))
     return ExperimentResult(
         name="sequential_rotation",

@@ -328,6 +328,22 @@ def test_config_rejects_non_string_names(doc, tmp_path, capsys):
     assert "must be a string or null" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("bell", "gamma", True),
+    ("rotate", "alpha", False),
+])
+def test_config_rejects_boolean_numbers(experiment, key, value, tmp_path, capsys):
+    # float() reads true/false as 1.0/0.0; a JSON boolean is not a number here
+    doc = json.dumps({"experiment": experiment, "parameters": {key: value}})
+    message = f"{key} must be a number, got {value!r}"
+    with pytest.raises(UsageError, match=message):
+        parse_config(config_text=doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    assert main(["--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_null_output_paths_still_allowed():
     doc = json.dumps({"experiment": None, "output": {"path": None, "plot": None}})
     assert parse_config(["bell", "--gamma", "0.5"], config_text=doc).out is None

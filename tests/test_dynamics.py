@@ -38,6 +38,7 @@ from modent.protocols import (
     massless_absorption,
     sequential_rotation,
     simultaneous_coupling_check,
+    single_ancilla_rotation,
 )
 
 
@@ -261,6 +262,8 @@ def test_non_finite_time_is_refused(t):
     h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
     with pytest.raises(ValueError, match="evolution time"):
         evolve(basis_state(layout, ["e", 0]), h, t)
+    with pytest.raises(ValueError, match=r"evolution time .* is not finite"):
+        protocols._collision_unitary(t)
 
 
 def test_evolve_full_absorption():
@@ -383,16 +386,22 @@ def test_propagation_diagonalizes_sectors_not_the_whole_space(eigh_calls):
 
 def test_every_production_hamiltonian_reaches_eigh_real(eigh_calls):
     # fermionic and bosonic jc_hamiltonian over several modes,
-    # collective_mode_reference, the massless-absorption sum over two targets
-    # and the collision of the sequential rotation (uncached so that it is
-    # built here)
+    # collective_mode_reference and the massless-absorption sum over two targets
     simultaneous_coupling_check(3)
     coherent_field_rotation(0.6, 0.8, 4.0)
     massless_absorption()
-    protocols._collision_unitary.cache_clear()
-    sequential_rotation(RotationProtocolParams(1.0, 0.0, 2))
     assert eigh_calls
     assert {dtype for _, dtype in eigh_calls} == {np.dtype(np.float64)}
+    # the collision of the sequential rotation is diagonalized at import, out
+    # of the fixture's sight, so its eigenvectors are checked instead
+    _, sectors = protocols._COLLISION_SPECTRUM
+    assert {v.dtype for _, _, v in sectors} == {np.dtype(np.float64)}
+
+
+def test_rotation_protocols_diagonalize_nothing(eigh_calls):
+    sequential_rotation(RotationProtocolParams(0.8, 0.6, 64))
+    single_ancilla_rotation(0.8, 0.6)
+    assert eigh_calls == []
 
 
 def test_evolve_rejects_non_hermitian():
@@ -442,6 +451,15 @@ def test_collision_unitary_is_unitary_and_matches_dense_oracle():
     u = protocols._collision_unitary(2.7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(layout.dim))) < 1e-12
     assert np.max(np.abs(u - dense_propagator(dense(h), 2.7))) < 1e-12
+
+
+@pytest.mark.parametrize("t", [math.pi / 4, math.pi / 2, math.pi / 32, math.pi / 2048, 2.7])
+def test_collision_unitary_is_bit_identical_to_evolve(t):
+    layout = compose_layout([("target", TwoLevel), ("ancilla", FermionicMode)])
+    h = jc_hamiltonian(layout, CouplingSpec("target", ("ancilla",)))
+    columns = [evolve(basis_state(layout, levels), h, t).amplitudes
+               for levels in np.ndindex(2, 2)]
+    assert np.array_equal(protocols._collision_unitary(t), np.column_stack(columns))
 
 
 # ---------------------------------------------------------------------------

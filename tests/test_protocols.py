@@ -19,7 +19,7 @@ from modent import (
     single_ancilla_rotation,
     table1_summary,
 )
-from modent.protocols import _pair_mixing, rotation_step
+from modent.protocols import _collision_unitary, _pair_mixing, rotation_step
 
 SQ2 = math.sqrt(2)
 
@@ -104,8 +104,9 @@ def test_rotation_step_preserves_trace_and_positivity():
     psi = np.array([alpha, beta])
     rho = np.outer(psi, psi.conj())
     n = 12
+    u = _collision_unitary(math.pi / (2 * n))
     for _ in range(n):
-        rho = rotation_step(rho, math.pi / (2 * n))
+        rho = rotation_step(rho, u)
         assert abs(np.trace(rho).real - 1) < 1e-10
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
