@@ -170,9 +170,14 @@ def _sector_eigh(hamiltonian: LinearOp):
     phase, sectors = _sector_blocks(hamiltonian)
     out = []
     for idx, blocks in sectors:
-        # written as "not <=" so that a NaN entry is rejected too
-        if not np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) <= HERMITICITY_TOL:
+        # one temporary the size of the group, freed before eigh: conj()
+        # returns real blocks themselves, and the modulus overwrites the
+        # difference.  Written as "not <=" so that a NaN entry is rejected too
+        asym = blocks - blocks.conj().transpose(0, 2, 1)
+        np.abs(asym, out=asym)
+        if not np.max(asym.real) <= HERMITICITY_TOL:
             raise ValueError("evolve requires a Hermitian Hamiltonian")
+        del asym
         w, v = np.linalg.eigh(blocks)
         out.append((idx, w, v))
     return phase, out

@@ -4,9 +4,9 @@
 {gg, ge, eg, ee} of ``TWO_TARGETS``, the layout (tgt_l, tgt_r) of the two
 target particles.  The two-qubit measures take a ``DensityOp`` with dims
 (2, 2), whatever its labels, or a 4x4 array, which is validated once as a
-``DensityOp`` on ``TWO_TARGETS``.  Pauli convention: sigma_3 |g> = +|g>
-(ground state is spin-up); concurrence and the criterion value M are
-invariant under this choice.
+``DensityOp`` on ``TWO_TARGETS``; ``concurrence`` also takes a stack of
+them.  Pauli convention: sigma_3 |g> = +|g> (ground state is spin-up);
+concurrence and the criterion value M are invariant under this choice.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityOp, PureState, TwoLevel, compose_layout
+from .hilbert import DensityOp, PureState, TwoLevel, _density_eigh, compose_layout
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
+_YY = np.kron(SIGMA_2, SIGMA_2)
 
 #: The two targets (tgt_l, tgt_r); its row-major basis is {gg, ge, eg, ee}.
 TWO_TARGETS = compose_layout([("tgt_l", TwoLevel), ("tgt_r", TwoLevel)])
@@ -74,7 +75,7 @@ def fidelity(rho, ideal) -> float:
     return float(min(1.0, max(0.0, val.real)))
 
 
-def concurrence(rho) -> float:
+def concurrence(rho):
     """Wootters concurrence of a two-qubit density matrix.
 
     max(0, l1 - l2 - l3 - l4) over the descending square roots of the
@@ -82,13 +83,23 @@ def concurrence(rho) -> float:
     {gg, ge, eg, ee} basis.  Factoring rho = A A^dag turns the l_i into the
     singular values of A^T (s2 x s2) A, which stays accurate when the
     spectrum touches zero (sqrt of eigvals of the product does not).
+
+    ``rho`` may also be an (m, 4, 4) stack of arrays: it is validated by
+    ``DensityOp``'s check in one pass, whose ``eigh`` is the one the measure
+    needs, and the m concurrences come back as an array.
     """
-    m = _two_target_matrix(rho)
-    w, v = np.linalg.eigh(m)
-    a = v * np.sqrt(np.clip(w, 0.0, None))
-    yy = np.kron(SIGMA_2, SIGMA_2)
-    lam = np.linalg.svd(a.T @ yy @ a, compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    if isinstance(rho, DensityOp):
+        w, v = np.linalg.eigh(_two_target_matrix(rho))
+    else:
+        m = np.asarray(rho, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+            raise ValueError(f"density matrix shape {m.shape} does not match layout dimension 4")
+        w, v = _density_eigh(m)
+    a = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    lam = np.linalg.svd(np.swapaxes(a, -1, -2) @ _YY @ a, compute_uv=False)
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    c = np.where(c > 0.0, c, 0.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def target_pair_density(gamma: float) -> DensityOp:

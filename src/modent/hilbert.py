@@ -187,14 +187,28 @@ class DensityOp:
         d = self.layout.dim
         if m.shape != (d, d):
             raise ValueError(f"density matrix shape {m.shape} does not match layout dimension {d}")
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(m)
-        if not abs(tr - 1.0) <= NORM_TOL:
-            raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-        if not np.min(np.linalg.eigvalsh(m)) >= -POSITIVITY_TOL:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        _density_eigh(m)
         object.__setattr__(self, "matrix", _freeze(m))
+
+
+def _density_eigh(m: np.ndarray):
+    """``np.linalg.eigh`` of a (..., d, d) stack of density matrices, run after
+    the checks that every matrix must pass: Hermitian within HERMITICITY_TOL,
+    unit trace within NORM_TOL and, from the eigenvalues, positive
+    semidefinite within POSITIVITY_TOL.  Raises ValueError for the first check
+    that some matrix fails."""
+    # checks are written as "not <=" so that a NaN is rejected too; eigh reads
+    # one triangle only, so Hermiticity is checked before it runs
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = m.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0)
+    if not off.max() <= NORM_TOL:
+        raise ValueError(f"density matrix trace {np.ravel(tr)[np.argmax(off)]!r} deviates from 1")
+    w, v = np.linalg.eigh(m)
+    if not w.min() >= -POSITIVITY_TOL:
+        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+    return w, v
 
 
 @dataclass(frozen=True)

@@ -211,8 +211,12 @@ def rotation_step(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     the target with a fresh ancilla mode in (|0>+|1>)/sqrt(2).  Takes and returns
     plain 2x2 density matrices; exact for the sequential protocol because a used
     ancilla never interacts again."""
-    joint = np.kron(np.asarray(rho, dtype=complex), _ANCILLA_PLUS_RHO)
-    return np.einsum("ikjk->ij", (u @ joint @ u.conj().T).reshape(2, 2, 2, 2))
+    # rho (x) the ancilla's state, and the partial trace over the ancilla,
+    # written out: the same products and sums as np.kron and einsum, without
+    # their per-call overhead
+    joint = (rho[:, None, :, None] * _ANCILLA_PLUS_RHO[None, :, None, :]).reshape(4, 4)
+    r = (u @ joint @ u.conj().T).reshape(2, 2, 2, 2)
+    return r[:, 0, :, 0] + r[:, 1, :, 1]
 
 
 def single_ancilla_rotation(alpha: complex, beta: complex):
@@ -339,37 +343,48 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
 _SHARED_PAIR = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2)
 
 
-def _pair_mixing(n_pairs: int):
-    """Reduced-target map of the pairwise mixing sequence over ``n_pairs`` pairs.
+# bytes of mixed amplitudes per chunk of grid points in ``optimize_angles``
+_CHUNK_BYTES = 2 ** 21
 
-    Builds the initial amplitudes once, as a tensor over (tgt_l, tgt_r, fly_l,
-    fly_r, anc1_l, anc1_r, ..., ancN_l, ancN_r) in the basis contract's
-    row-major order, and returns a function mapping an angle tuple to the 4x4
-    reduced density matrix of (tgt_l, tgt_r).  Pair j's rotation mixes
+
+def _pair_mixing(angles) -> np.ndarray:
+    """Amplitudes after the pairwise mixing sequence, one row per point.
+
+    ``angles`` is (m, n_pairs): one angle per pair for each of m points.  Row i
+    of the (m, 16 * 4^n_pairs) result is the state over (tgt_l, tgt_r, fly_l,
+    fly_r, anc1_l, anc1_r, ..., ancN_l, ancN_r), in the basis contract's
+    row-major order, after point i's rotations.  Pair j's rotation mixes
     (tgt=e, fly=1, anc=0) with (tgt=e, fly=0, anc=1) on each side, applied in
-    place on strided views of a copy of the initial amplitudes.
+    place on strided views with the points on the leading axis.
     """
+    angles = np.asarray(angles, dtype=float)
+    m, n_pairs = angles.shape
     initial = np.zeros((2, 2, 2, 2), dtype=complex)
     initial[1, 0, 1, 0] = initial[0, 1, 0, 1] = 1.0 / math.sqrt(2)
     for _ in range(n_pairs):
         initial = np.multiply.outer(initial, _SHARED_PAIR)
-    initial = initial.ravel()
+    psi = np.empty((m, initial.size), dtype=complex)
+    psi[...] = initial.ravel()
+    for j, thetas in enumerate(angles.T.tolist()):
+        # libm's cos and sin, as a scalar loop takes them: numpy's own SIMD
+        # versions may differ in the last bit on some CPUs
+        c = np.array([math.cos(t) for t in thetas]).reshape(m, 1, 1, 1, 1, 1)
+        s = np.array([math.sin(t) for t in thetas]).reshape(m, 1, 1, 1, 1, 1)
+        # axes: point, tgt_l, tgt_r, fly_l, fly_r, earlier pairs, anc_l, anc_r, later pairs
+        v = psi.reshape(m, 2, 2, 2, 2, 4 ** j, 2, 2, -1)
+        for x1, x2 in ((v[:, 1, :, 1, :, :, 0], v[:, 1, :, 0, :, :, 1]),
+                       (v[:, :, 1, :, 1, :, :, 0], v[:, :, 1, :, 0, :, :, 1])):
+            v1 = x1.copy()
+            x1[...] = c * v1 - s * x2
+            x2[...] = s * v1 + c * x2
+    return psi
 
-    def reduced_targets(angles) -> np.ndarray:
-        psi = initial.copy()
-        for j, theta in enumerate(angles):
-            c, s = math.cos(theta), math.sin(theta)
-            # axes: tgt_l, tgt_r, fly_l, fly_r, earlier pairs, anc_l, anc_r, later pairs
-            v = psi.reshape(2, 2, 2, 2, 4 ** j, 2, 2, -1)
-            for x1, x2 in ((v[1, :, 1, :, :, 0], v[1, :, 0, :, :, 1]),
-                           (v[:, 1, :, 1, :, :, 0], v[:, 1, :, 0, :, :, 1])):
-                v1 = x1.copy()
-                x1[...] = c * v1 - s * x2
-                x2[...] = s * v1 + c * x2
-        x = psi.reshape(4, -1)
-        return x @ x.conj().T
 
-    return reduced_targets
+def _reduced_targets(angles) -> np.ndarray:
+    """(m, 4, 4) reduced density matrices of (tgt_l, tgt_r) after the pairwise
+    mixing sequence at each of the m angle rows of ``angles``."""
+    x = _pair_mixing(angles).reshape(len(angles), 4, -1)
+    return x @ x.conj().transpose(0, 2, 1)
 
 
 def massive_fermion_protocol(params: FermionProtocolParams):
@@ -380,7 +395,7 @@ def massive_fermion_protocol(params: FermionProtocolParams):
     mixing rotation with angle theta_j on the left and right triples (the two
     sides commute).  Returns the reduced two-target state and its concurrence.
     """
-    targets = DensityOp(TWO_TARGETS, _pair_mixing(params.n_pairs)(params.angles))
+    targets = DensityOp(TWO_TARGETS, _reduced_targets([params.angles])[0])
     return targets, concurrence(targets)
 
 
@@ -389,7 +404,9 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
 
     Each refinement round halves the step and scans incumbent +/- two steps
     per axis (clipped to [0, pi]); ties go to the lexicographically smallest
-    angle tuple.
+    angle tuple.  The points of a scan are evaluated as stacks of up to
+    ``_CHUNK_BYTES`` of amplitudes and then compared one by one, in product
+    order.
 
     Returns
     -------
@@ -403,18 +420,20 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
         raise ValueError(f"grid_points must be >= 8, got {grid_points}")
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
-    reduced_targets = _pair_mixing(n_pairs)
+    chunk = max(1, _CHUNK_BYTES // (16 * 16 * 4 ** n_pairs))
     axes = [np.linspace(0.0, math.pi, grid_points)] * n_pairs
     step = math.pi / (grid_points - 1)
     best_c, best_t, grid_rows = -1.0, None, None
     for _ in range(refine_rounds + 1):
         rows = []
-        for combo in itertools.product(*axes):
-            angles = tuple(float(t) for t in combo)
-            c = concurrence(DensityOp(TWO_TARGETS, reduced_targets(angles)))
-            rows.append(angles + (c,))
-            if c > best_c or (c == best_c and angles < best_t):
-                best_c, best_t = c, angles
+        points = itertools.product(*axes)
+        while combos := list(itertools.islice(points, chunk)):
+            batch = np.array(combos, dtype=float)
+            for angles, c in zip(batch.tolist(), concurrence(_reduced_targets(batch)).tolist()):
+                angles = tuple(angles)
+                rows.append(angles + (c,))
+                if c > best_c or (c == best_c and angles < best_t):
+                    best_c, best_t = c, angles
         if grid_rows is None:
             grid_rows = rows
         step /= 2.0

@@ -161,3 +161,40 @@ def pair_protocol_state(n_pairs):
         psi = tensor(psi, superpose([(1.0, basis_state(pair, [1, 0])),
                                      (1.0, basis_state(pair, [0, 1]))]))
     return psi.layout, psi.amplitudes
+
+
+def kron_rotation_step(rho, u):
+    """One ancilla collision by ``np.kron`` and ``einsum``: the direct form of
+    ``protocols.rotation_step`` (target (x) ancilla in (|0>+|1>)/sqrt(2), the
+    collision unitary ``u``, then the ancilla traced out)."""
+    joint = np.kron(np.asarray(rho, dtype=complex), 0.5 * np.ones((2, 2), dtype=complex))
+    return np.einsum("ikjk->ij", (u @ joint @ u.conj().T).reshape(2, 2, 2, 2))
+
+
+def pointwise_optimize_angles(n_pairs, grid_points, refine_rounds):
+    """``protocols.optimize_angles`` one point at a time: each point's reduced
+    targets validated as a ``DensityOp`` and passed to ``concurrence`` alone,
+    then compared with the incumbent in product order."""
+    import itertools
+
+    from modent import DensityOp, concurrence
+    from modent.entanglement import TWO_TARGETS
+    from modent.protocols import _reduced_targets
+
+    axes = [np.linspace(0.0, math.pi, grid_points)] * n_pairs
+    step = math.pi / (grid_points - 1)
+    best_c, best_t, grid_rows = -1.0, None, None
+    for _ in range(refine_rounds + 1):
+        rows = []
+        for combo in itertools.product(*axes):
+            angles = tuple(float(t) for t in combo)
+            c = concurrence(DensityOp(TWO_TARGETS, _reduced_targets([angles])[0]))
+            rows.append(angles + (c,))
+            if c > best_c or (c == best_c and angles < best_t):
+                best_c, best_t = c, angles
+        if grid_rows is None:
+            grid_rows = rows
+        step /= 2.0
+        axes = [sorted({min(math.pi, max(0.0, t + k * step)) for k in range(-2, 3)})
+                for t in best_t]
+    return best_t, best_c, grid_rows

@@ -445,6 +445,25 @@ def test_real_path_refuses_non_hermitian_and_nan(extra):
         evolve(basis_state(layout, ["e", 0]), h, 1.0)
 
 
+def test_hermiticity_check_holds_one_temporary_at_most():
+    # collective n = 10: the blocks and their eigenvectors take 2 x 5.4 MiB;
+    # a check that kept both the difference and its modulus alive added a
+    # full extra group (3.3 MiB) on top of them
+    import tracemalloc
+
+    modes = tuple(f"mode{k}" for k in range(10))
+    layout = compose_layout([("target", TwoLevel)] + [(m, FermionicMode) for m in modes])
+    h = jc_hamiltonian(layout, CouplingSpec("target", modes))
+    groups = [blocks.nbytes for _, blocks in dynamics._sector_blocks(h)[1]]
+    tracemalloc.start()
+    try:
+        dynamics._sector_eigh(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(groups) + 0.5 * max(groups)
+
+
 def test_collision_unitary_is_unitary_and_matches_dense_oracle():
     layout = compose_layout([("target", TwoLevel), ("ancilla", FermionicMode)])
     h = jc_hamiltonian(layout, CouplingSpec("target", ("ancilla",)))

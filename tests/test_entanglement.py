@@ -221,6 +221,38 @@ def test_two_qubit_measures_take_an_array_or_a_density_op(seed):
         concurrence(m + 1e-11 * skew)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_concurrence_of_a_stack_equals_each_member_alone(seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([rand_density_matrix(rng, 4, rank=int(rng.integers(1, 5)))
+                      for _ in range(int(rng.integers(1, 9)))])
+    assert concurrence(stack).tolist() == [concurrence(m) for m in stack]
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.triu(np.ones((4, 4))) / 4, "Hermitian"),
+    (np.eye(4) / 2, "trace"),
+    (np.diag([0.75, 0.75, -0.25, -0.25]), "negative eigenvalue"),
+    (np.full((4, 4), np.nan), "Hermitian"),
+])
+def test_stack_with_one_bad_member_fails_like_density_op(bad, match):
+    with pytest.raises(ValueError, match=match):
+        DensityOp(compose_layout([("a", FermionicMode), ("b", FermionicMode)]), bad)
+    good = target_pair_density(0.5).matrix
+    for position in range(3):
+        stack = np.array([good, good, good])
+        stack[position] = bad
+        with pytest.raises(ValueError, match=match):
+            concurrence(stack)
+
+
+def test_concurrence_rejects_other_shapes():
+    for shape in ((4,), (2, 2), (3, 3), (2, 3, 4, 4)):
+        with pytest.raises(ValueError, match="does not match layout dimension 4"):
+            concurrence(np.zeros(shape))
+
+
 def test_correlation_tensor_validation():
     with pytest.raises(ValueError, match="3x3"):
         CorrelationTensor(np.eye(2))

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_mixing, pair_protocol_state, rand_amplitude_pair
+from conftest import (
+    dense_mixing,
+    kron_rotation_step,
+    pair_protocol_state,
+    pointwise_optimize_angles,
+    rand_amplitude_pair,
+)
 from modent import (
     FermionProtocolParams,
     RotationProtocolParams,
@@ -19,7 +25,8 @@ from modent import (
     single_ancilla_rotation,
     table1_summary,
 )
-from modent.protocols import _collision_unitary, _pair_mixing, rotation_step
+from modent import protocols
+from modent.protocols import _collision_unitary, _pair_mixing, _reduced_targets, rotation_step
 
 SQ2 = math.sqrt(2)
 
@@ -111,6 +118,20 @@ def test_rotation_step_preserves_trace_and_positivity():
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
 
+def test_rotation_step_matches_kron_oracle_bit_for_bit():
+    # every step of N-collision rotations, up to N = 1024
+    rng = np.random.default_rng(410)
+    for n in (1, 2, 3, 7, 16, 64, 384, 1024):
+        alpha, beta = rand_amplitude_pair(rng)
+        psi = np.array([alpha, beta])
+        rho = np.outer(psi, psi.conj())
+        u = _collision_unitary(math.pi / (2 * n))
+        for _ in range(n):
+            step = rotation_step(rho, u)
+            assert np.array_equal(step, kron_rotation_step(rho, u))
+            rho = step
+
+
 def test_rotation_params_validation():
     with pytest.raises(ValueError, match="normalized"):
         RotationProtocolParams(0.9, 0.9, 4)
@@ -200,9 +221,12 @@ def test_pair_mixing_matches_dense_unitaries(thetas):
     for j, th in enumerate(thetas, start=1):
         psi = dense_mixing(layout, "tgt_l", "fly_l", f"anc{j}_l", th) @ psi
         psi = dense_mixing(layout, "tgt_r", "fly_r", f"anc{j}_r", th) @ psi
+    # the amplitudes, not only the reduced matrices, which are the same for
+    # theta and -theta: this pins the direction of each rotation
+    assert np.max(np.abs(_pair_mixing([thetas])[0] - psi)) < 1e-13
     x = psi.reshape(4, -1)
     oracle = x @ x.conj().T
-    assert np.max(np.abs(_pair_mixing(len(thetas))(thetas) - oracle)) < 1e-13
+    assert np.max(np.abs(_reduced_targets([thetas])[0] - oracle)) < 1e-13
 
 
 def test_fermion_params_validation():
@@ -249,6 +273,17 @@ def test_optimize_surface_is_symmetric():
     values = {(round(r[0], 12), round(r[1], 12)): r[2] for r in grid}
     for (t1, t2), v in values.items():
         assert abs(values[(t2, t1)] - v) < 1e-10
+
+
+@pytest.mark.parametrize("chunk_bytes", [protocols._CHUNK_BYTES, 7 * 16 * 16 * 4 ** 3])
+@pytest.mark.parametrize("sizes", [(1, 64, 12), (2, 16, 2), (3, 8, 1)])
+def test_chunked_optimizer_equals_the_pointwise_scan(sizes, chunk_bytes, monkeypatch):
+    # the second budget holds 7 points at 3 pairs, so chunks end mid-scan
+    monkeypatch.setattr(protocols, "_CHUNK_BYTES", chunk_bytes)
+    best_t, best_c, grid = optimize_angles(*sizes)
+    ref_t, ref_c, ref_grid = pointwise_optimize_angles(*sizes)
+    assert best_t == ref_t and best_c == ref_c
+    assert grid == ref_grid
 
 
 def test_optimize_parameter_validation():
