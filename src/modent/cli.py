@@ -57,13 +57,17 @@ def _fmt12(x) -> str:
     return format(float(x), ".12g")
 
 
-# Memory guards.  At n = 11 collective-check holds its eigh blocks, C(2n+2, n+1)
-# real entries (21 MiB), with the eigenvector stack eigh returns (21 MiB); evolve
-# adds the complex128 copy numpy makes of one sector size's eigenvectors (up to
-# 19 MiB) and the d = 4096 state (64 KiB).  A fresh run peaks at 96 MiB RSS (30 MiB
-# of it the interpreter and numpy); each step of n multiplies the arrays by
-# nearly 4.  coherent-rotation holds O(cutoff) arrays of 2 (cutoff + 1)
-# amplitudes and 2 cutoff Hamiltonian triplets.
+# Memory guards.  At n = 11 collective-check splits every sector of more than 20
+# states by q parity and scatters only the off-diagonal blocks, C(2n, n - 1)
+# real entries less 22 (4.9 MiB), with their mirrors for the Hermiticity check
+# (4.9 MiB); each group is released once its SVD is taken, which keeps the
+# left singular vectors (4.9 MiB) and the right ones (3.8 MiB), beside the
+# d = 4096 state (64 KiB).  The real singular vectors act on the amplitudes
+# through a float view, with no complex copy.  The check peaks at 13.8 MiB
+# traced (tracemalloc) and a fresh run at 53 MiB RSS (30 MiB of it the
+# interpreter and numpy); each step of n multiplies the arrays by nearly 4.
+# coherent-rotation holds O(cutoff) arrays of 2 (cutoff + 1) amplitudes and
+# 2 cutoff Hamiltonian triplets.
 MAX_COLLECTIVE_N = 11
 MAX_COHERENT_CUTOFF = 2 ** 17 - 1
 MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory

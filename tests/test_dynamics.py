@@ -13,6 +13,7 @@ from conftest import (
     dense_mixing,
     dense_propagator,
     linear_op,
+    rand_amplitude_pair,
     rand_hermitian,
     rand_pure_state,
 )
@@ -182,13 +183,21 @@ def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
     phase, sectors = dynamics._sector_blocks(h)
     assert np.array_equal(phase, _gauge_phase(layout))
     covered = 0
-    for idx, blocks in sectors:
-        # the scatter sums from +0.0, so the oracle's signed zeros are made +0.0
-        expected = gauged.real[idx[:, :, None], idx[:, None, :]] + 0.0
-        assert blocks.dtype == np.float64
-        assert blocks.flags.c_contiguous
-        assert blocks.tobytes() == expected.tobytes()
-        covered += idx.size
+    for group in sectors:
+        if len(group) == 2:
+            idx, blocks = group
+            checks = [(idx, idx, blocks)]
+        else:  # a chiral sector: its (x, y) and (y, x) blocks
+            x, y, upper, lower = group
+            checks = [(x, y, upper), (y, x, lower)]
+            assert x.shape[1] >= y.shape[1]
+        for rows, cols, blocks in checks:
+            # the scatter sums from +0.0, so the oracle's signed zeros are made +0.0
+            expected = gauged.real[rows[:, :, None], cols[:, None, :]] + 0.0
+            assert blocks.dtype == np.float64
+            assert blocks.flags.c_contiguous
+            assert blocks.tobytes() == expected.tobytes()
+        covered += sum(rows.size for rows, _, _ in checks)
     assert covered == layout.dim
 
 
@@ -209,7 +218,7 @@ def test_sum_of_operators_densifies_to_dense_sum():
         h + jc_hamiltonian(other, CouplingSpec("T", ("m0",)))
 
 
-def test_one_cross_sector_triplet_gives_one_block(eigh_calls):
+def test_one_cross_sector_triplet_gives_one_block(solver_calls):
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     jc = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
     assert len(dynamics._sector_blocks(jc)[1]) == 2  # sectors of 1 and 2 states
@@ -223,7 +232,7 @@ def test_one_cross_sector_triplet_gives_one_block(eigh_calls):
     assert blocks[0].tobytes() == dense(h)[idx[0][:, None], idx[0]].tobytes()
     psi = basis_state(layout, ["g", 0])
     out = evolve(psi, h, 1.3)
-    assert eigh_calls == [(layout.dim, np.complex128)]
+    assert solver_calls == [(layout.dim, np.complex128)]
     u = dense_propagator(dense(h), 1.3)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
     assert np.max(np.abs(_evolved_columns(h, 1.3) - u)) < 1e-12
@@ -319,7 +328,7 @@ def test_evolve_matches_dense_oracle(case, seed, t, random_h):
          else jc_hamiltonian(layout, spec))
     # a random complex H has no real gauge; its blocks stay complex
     expected = np.complex128 if random_h else np.float64
-    assert all(b.dtype == expected for _, b in dynamics._sector_blocks(h)[1])
+    assert all(group[-1].dtype == expected for group in dynamics._sector_blocks(h)[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(rng, layout)
@@ -353,7 +362,7 @@ def _gauge_real_hamiltonians(draw):
 @settings(max_examples=60, deadline=None)
 def test_real_path_matches_dense_oracle(case, seed, t):
     layout, h = case
-    assert all(b.dtype == np.float64 for _, b in dynamics._sector_blocks(h)[1])
+    assert all(group[-1].dtype == np.float64 for group in dynamics._sector_blocks(h)[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(np.random.default_rng(seed), layout)
@@ -361,47 +370,52 @@ def test_real_path_matches_dense_oracle(case, seed, t):
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Records (matrix size, dtype) of every eigh call the dynamics module makes."""
+def solver_calls(monkeypatch):
+    """Records (largest side, dtype) of every eigh and svd call the dynamics
+    module makes."""
     calls = []
-    eigh = np.linalg.eigh
 
-    def recording_eigh(a, *args, **kwargs):
-        # np.linalg is shared: skip the calls of the other modules
-        if sys._getframe(1).f_globals["__name__"] == dynamics.__name__:
-            calls.append((np.shape(a)[-1], np.asarray(a).dtype))
-        return eigh(a, *args, **kwargs)
+    def recording(solver):
+        def call(a, *args, **kwargs):
+            # np.linalg is shared: skip the calls of the other modules
+            if sys._getframe(1).f_globals["__name__"] == dynamics.__name__:
+                calls.append((max(np.shape(a)[-2:]), np.asarray(a).dtype))
+            return solver(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(dynamics.np.linalg, "eigh", recording_eigh)
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(dynamics.np.linalg, name, recording(getattr(np.linalg, name)))
     return calls
 
 
-def test_propagation_diagonalizes_sectors_not_the_whole_space(eigh_calls):
+def test_propagation_diagonalizes_sectors_not_the_whole_space(solver_calls):
     simultaneous_coupling_check(9)  # dimension 1024, sectors C(10, k)
-    assert max(size for size, _ in eigh_calls) == 252
-    eigh_calls.clear()
+    # the largest sector, 252 states, splits into 126 + 126 by q parity and
+    # only its 126 x 126 off-diagonal block is decomposed
+    assert max(size for size, _ in solver_calls) == 126
+    solver_calls.clear()
     coherent_field_rotation(1.0, 0.0, 20.0)  # dimension 1162, sectors of 2
-    assert max(size for size, _ in eigh_calls) == 2
+    assert max(size for size, _ in solver_calls) == 2
 
 
-def test_every_production_hamiltonian_reaches_eigh_real(eigh_calls):
+def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
     # fermionic and bosonic jc_hamiltonian over several modes,
     # collective_mode_reference and the massless-absorption sum over two targets
     simultaneous_coupling_check(3)
     coherent_field_rotation(0.6, 0.8, 4.0)
     massless_absorption()
-    assert eigh_calls
-    assert {dtype for _, dtype in eigh_calls} == {np.dtype(np.float64)}
+    assert solver_calls
+    assert {dtype for _, dtype in solver_calls} == {np.dtype(np.float64)}
     # the collision of the sequential rotation is diagonalized at import, out
     # of the fixture's sight, so its eigenvectors are checked instead
     _, sectors = protocols._COLLISION_SPECTRUM
     assert {v.dtype for _, _, v in sectors} == {np.dtype(np.float64)}
 
 
-def test_rotation_protocols_diagonalize_nothing(eigh_calls):
+def test_rotation_protocols_diagonalize_nothing(solver_calls):
     sequential_rotation(RotationProtocolParams(0.8, 0.6, 64))
     single_ancilla_rotation(0.8, 0.6)
-    assert eigh_calls == []
+    assert solver_calls == []
 
 
 def test_evolve_rejects_non_hermitian():
@@ -426,11 +440,11 @@ def test_evolve_rejects_non_hermitian_sector_block(eps):
         evolve(psi, h, 1.0)
 
 
-def test_hermiticity_tolerance_accepts_rounding_asymmetry(eigh_calls):
+def test_hermiticity_tolerance_accepts_rounding_asymmetry(solver_calls):
     psi, h = _jc_with_in_sector_asymmetry(1e-13)
     assert abs(np.linalg.norm(evolve(psi, h, 1.0).amplitudes) - 1) < 1e-12
     # checked and diagonalized block by block
-    assert max(size for size, _ in eigh_calls) == 2
+    assert max(size for size, _ in solver_calls) == 2
 
 
 @pytest.mark.parametrize("extra", [(3, 1, 1e-9j), (3, 3, np.nan)])
@@ -440,28 +454,225 @@ def test_real_path_refuses_non_hermitian_and_nan(extra):
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     row, col, value = extra
     h = jc_hamiltonian(layout, CouplingSpec("T", ("m",))) + LinearOp(layout, [row], [col], [value])
-    assert all(b.dtype == np.float64 for _, b in dynamics._sector_blocks(h)[1])
+    assert all(group[-1].dtype == np.float64 for group in dynamics._sector_blocks(h)[1])
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(basis_state(layout, ["e", 0]), h, 1.0)
 
 
-def test_hermiticity_check_holds_one_temporary_at_most():
-    # collective n = 10: the blocks and their eigenvectors take 2 x 5.4 MiB;
-    # a check that kept both the difference and its modulus alive added a
-    # full extra group (3.3 MiB) on top of them
+def _collective_jc(n_modes):
+    modes = tuple(f"mode{k}" for k in range(n_modes))
+    layout = compose_layout([("target", TwoLevel)] + [(m, FermionicMode) for m in modes])
+    return layout, jc_hamiltonian(layout, CouplingSpec("target", modes))
+
+
+def _traced_peak(f):
     import tracemalloc
 
-    modes = tuple(f"mode{k}" for k in range(10))
-    layout = compose_layout([("target", TwoLevel)] + [(m, FermionicMode) for m in modes])
-    h = jc_hamiltonian(layout, CouplingSpec("target", modes))
-    groups = [blocks.nbytes for _, blocks in dynamics._sector_blocks(h)[1]]
     tracemalloc.start()
     try:
-        dynamics._sector_eigh(h)
-        peak = tracemalloc.get_traced_memory()[1]
+        f()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_hermiticity_check_holds_one_temporary_at_most(monkeypatch):
+    # collective n = 10 on whole blocks: the blocks and their eigenvectors take
+    # 2 x 5.4 MiB; a check that kept both the difference and its modulus alive
+    # added a full extra group (3.3 MiB) on top of them
+    _, h = _collective_jc(10)
+    monkeypatch.setattr(dynamics, "_CHIRAL_CROSSOVER", math.inf)
+    groups = [blocks.nbytes for _, blocks in dynamics._sector_blocks(h)[1]]
+    peak = _traced_peak(lambda: dynamics._sector_eigh(h))
     assert peak < 2 * sum(groups) + 0.5 * max(groups)
+
+
+def test_chiral_path_peaks_below_the_whole_blocks(monkeypatch):
+    # collective n = 10: the off-diagonal blocks and their mirrors, the check's
+    # temporary and the singular vectors (4.1 MiB traced) take less than the
+    # whole blocks alone (5.4 MiB), which the whole-block path holds twice
+    _, h = _collective_jc(10)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_CHIRAL_CROSSOVER", math.inf)
+        groups = [blocks.nbytes for _, blocks in dynamics._sector_blocks(h)[1]]
+    assert _traced_peak(lambda: dynamics._sector_eigh(h)) < sum(groups)
+
+
+def test_chiral_path_releases_each_group_once_decomposed():
+    # collective n = 10: A and its mirror (2 x 1.3 MiB) and the singular
+    # vectors (2.2 MiB) are never all alive at once; keeping the groups to
+    # the end held all three (4.8 MiB) beside the last group's temporaries
+    _, h = _collective_jc(10)
+    blocks = sum(a.nbytes + lower.nbytes for _, _, a, lower in _chiral_groups(h))
+    spectrum = []
+    peak = _traced_peak(lambda: spectrum.append(dynamics._sector_eigh(h)))
+    held = sum(array.nbytes for group in spectrum[0][1] for array in group)
+    assert peak < blocks + held
+
+
+# ---------------------------------------------------------------------------
+# chiral sectors: H' = [[0, A], [A^T, 0]] between the two q parities
+# ---------------------------------------------------------------------------
+
+def _chiral_groups(h):
+    """The (x, y, upper, lower) groups ``_sector_eigh`` splits H into."""
+    return [g for g in dynamics._sector_blocks(h)[1] if len(g) == 4]
+
+
+@st.composite
+def _bipartite_hamiltonians(draw):
+    """H = D S D^dag for a random real symmetric S that joins only states of
+    opposite q parity, over seven two-level or fermionic subsystems (d = 128,
+    sectors of up to 35 states).  S either keeps to the excitation sectors or
+    joins them all into one block; entries are dropped at random and some
+    states are left uncoupled, so the off-diagonal blocks come in p != r
+    shapes and are often rank deficient."""
+    n_qubits = draw(st.integers(1, 4))
+    subs = ([(f"T{j}", TwoLevel()) for j in range(n_qubits)]
+            + [(f"m{k}", FermionicMode()) for k in range(7 - n_qubits)])
+    layout = compose_layout(draw(st.permutations(subs)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = np.unravel_index(np.arange(layout.dim), layout.dims)
+    qubits = [i for i, (_, kind) in enumerate(layout.subsystems) if isinstance(kind, TwoLevel)]
+    parity = sum(levels[i] for i in qubits) % 2
+    density = draw(st.floats(0.05, 1.0))
+    keep = (parity[:, None] != parity) & (rng.random((layout.dim, layout.dim)) < density)
+    if draw(st.booleans()):
+        sector = sum(levels)
+        keep &= sector[:, None] == sector
+    s = np.where(keep, rng.normal(size=keep.shape), 0.0)
+    s = s + s.T
+    dark = rng.random(layout.dim) < draw(st.floats(0.0, 0.5))
+    s[dark] = 0.0
+    s[:, dark] = 0.0
+    return layout, linear_op(layout, _gauged(layout, s).conj())
+
+
+@given(_bipartite_hamiltonians(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
+@settings(max_examples=40, deadline=None)
+def test_chiral_path_matches_dense_oracle(case, seed, t):
+    layout, h = case
+    assert _chiral_groups(h)
+    u = dense_propagator(dense(h), t)
+    spectrum = dynamics._sector_eigh(h)
+    columns = np.column_stack([dynamics._propagate(spectrum, e, t)
+                               for e in np.eye(layout.dim, dtype=complex)])
+    assert np.max(np.abs(columns - u)) < 1e-12
+    psi = rand_pure_state(np.random.default_rng(seed), layout)
+    assert np.max(np.abs(evolve(psi, h, t).amplitudes - u @ psi.amplitudes)) < 1e-12
+
+
+def _rank_deficient_jc():
+    # one qubit and six fermionic modes, coupled inside the sectors through
+    # S + S^T with S = F G^T of rank 2: sector k holds C(6, k) even and
+    # C(6, k - 1) odd states, so the 35-state sector is a 20 x 15 block of
+    # rank 4
+    layout = compose_layout([("T", TwoLevel)] + [(f"m{k}", FermionicMode) for k in range(6)])
+    levels = np.unravel_index(np.arange(layout.dim), layout.dims)
+    sector = sum(levels)
+    rng = np.random.default_rng(7)
+    f, g = rng.normal(size=(2, layout.dim, 2))
+    s = np.where((levels[0][:, None] != levels[0]) & (sector[:, None] == sector), f @ g.T, 0.0)
+    return linear_op(layout, _gauged(layout, s + s.T).conj())
+
+
+def test_chiral_path_on_rank_deficient_unbalanced_blocks():
+    h = _rank_deficient_jc()
+    shapes = {g[2].shape[1:] for g in _chiral_groups(h)}
+    assert (20, 15) in shapes
+    _, spectrum = dynamics._sector_eigh(h)
+    s = next(group[3] for group in spectrum if len(group) == 5 and group[2].shape[1:] == (20, 15))
+    assert np.sum(s < 1e-12 * s.max()) >= 11
+    for t in (0.0, 0.4, 3.1):
+        assert np.max(np.abs(_evolved_columns(h, t) - dense_propagator(dense(h), t))) < 1e-12
+
+
+@pytest.mark.parametrize("t", [50.0, 200.0, 1000.0])
+def test_chiral_path_stays_unitary_at_long_times(t):
+    # the null vectors of a rank-deficient A have singular values of order
+    # eps, not exactly 0; the step turns them by an angle t s, which keeps the
+    # norm for any t (a Gram-matrix step lost 5e-8 of it at t = 1000 here)
+    layout, h = _collective_jc(9)
+    psi = rand_pure_state(np.random.default_rng(9), layout)
+    out = evolve(psi, h, t)
+    assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-13
+    assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), t) @ psi.amplitudes)) < 1e-12
+    h = _rank_deficient_jc()
+    u = _evolved_columns(h, t)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(h.layout.dim))) < 1e-13
+    # both propagators are exact for H within a few eps ||H|| of the input,
+    # so they drift apart by about t eps ||H|| (4e-12 at t = 1000 here)
+    bound = 1e-12 + 8 * t * np.finfo(float).eps * np.linalg.norm(dense(h), 2)
+    assert np.max(np.abs(u - dense_propagator(dense(h), t))) < bound
+
+
+@pytest.mark.parametrize("n_modes", [6, 7, 8, 9, 10])
+def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes, monkeypatch):
+    alpha, beta = rand_amplitude_pair(np.random.default_rng(n_modes))
+    duration = math.pi / (4.0 * math.sqrt(n_modes))
+    layout, h = _collective_jc(n_modes)
+    assert _chiral_groups(h)
+    amps = np.array([alpha, beta])
+    for _ in range(n_modes):
+        amps = np.kron(amps, np.array([1.0, 1.0]) / math.sqrt(2))
+    psi = PureState(layout, amps)
+    chiral = evolve(psi, h, duration)
+    reference = protocols.collective_mode_reference(n_modes, alpha, beta, duration)
+    assert np.max(np.abs(reduced_density(chiral, ["target"]).matrix - reference.matrix)) < 1e-12
+    result = simultaneous_coupling_check(n_modes, alpha, beta)
+    assert result.scalars["trace_distance"] < 1e-12
+    assert abs(result.scalars["fidelity_gain"]) < 1e-12
+    # the same amplitudes through whole blocks
+    monkeypatch.setattr(dynamics, "_CHIRAL_CROSSOVER", math.inf)
+    whole = evolve(psi, h, duration)
+    assert np.max(np.abs(chiral.amplitudes - whole.amplitudes)) < 1e-13
+
+
+def _big_sector_pair(layout):
+    # |e,1,1,0,0,0,0> and |g,1,1,1,0,0,0>: joined by the coupling, of opposite
+    # q parity, in the 35-state sector of three excitations
+    return (int(np.ravel_multi_index((1, 1, 1, 0, 0, 0, 0), layout.dims)),
+            int(np.ravel_multi_index((0, 1, 1, 1, 0, 0, 0), layout.dims)))
+
+
+@pytest.mark.parametrize("value", [1e-9j, complex(0.0, np.nan)])
+def test_chiral_path_refuses_non_hermitian_and_nan(value):
+    # an imaginary entry between opposite parities gauges real and keeps H
+    # bipartite, so the check runs on the 15 x 20 lower block and its mirror
+    layout, h = _collective_jc(6)
+    row, col = _big_sector_pair(layout)
+    h = h + LinearOp(layout, [row], [col], [value])
+    assert any(row in y and col in x for x, y, *_ in _chiral_groups(h))
+    with pytest.raises(ValueError, match="evolve requires a Hermitian Hamiltonian"):
+        evolve(basis_state(layout, ["g"] + [0] * 6), h, 1.0)
+
+
+def test_chiral_path_accepts_rounding_asymmetry():
+    layout, h = _collective_jc(6)
+    row, col = _big_sector_pair(layout)
+    h = h + LinearOp(layout, [row], [col], [1e-13j])
+    assert _chiral_groups(h)
+    assert abs(np.linalg.norm(evolve(basis_state(layout, ["e"] + [1, 1, 0, 0, 0, 0]), h,
+                                     1.0).amplitudes) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "complex gauge"])
+def test_non_bipartite_or_complex_gauge_h_takes_whole_blocks(kind, solver_calls):
+    # a diagonal entry joins a state to its own parity; a real entry between
+    # states whose q differs by one leaves no real gauge
+    layout, h = _collective_jc(6)
+    row, col = _big_sector_pair(layout)
+    if kind == "diagonal":
+        h = h + LinearOp(layout, [row], [row], [0.3])
+    else:
+        h = h + LinearOp(layout, [row, col], [col, row], [0.25, 0.25])
+    assert _chiral_groups(h) == []
+    psi = rand_pure_state(np.random.default_rng(3), layout)
+    out = evolve(psi, h, 0.9)
+    expected = np.float64 if kind == "diagonal" else np.complex128
+    assert (35, expected) in solver_calls
+    u = dense_propagator(dense(h), 0.9)
+    assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
 
 
 def test_collision_unitary_is_unitary_and_matches_dense_oracle():
