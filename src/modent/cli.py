@@ -57,15 +57,13 @@ def _fmt12(x) -> str:
     return format(float(x), ".12g")
 
 
-# Memory guards.  At n = 11 collective-check splits every sector of more than 20
-# states by q parity and scatters only the off-diagonal blocks, C(2n, n - 1)
-# real entries less 22 (4.9 MiB), with their mirrors for the Hermiticity check
-# (4.9 MiB); each group is released once its SVD is taken, which keeps the
-# left singular vectors (4.9 MiB) and the right ones (3.8 MiB), beside the
-# d = 4096 state (64 KiB).  The real singular vectors act on the amplitudes
-# through a float view, with no complex copy.  The check peaks at 13.8 MiB
-# traced (tracemalloc) and a fresh run at 53 MiB RSS (30 MiB of it the
-# interpreter and numpy); each step of n multiplies the arrays by nearly 4.
+# Memory guards.  At n = 11 (d = 4096) collective-check propagates by Krylov
+# substeps: the n d / 2 = 22,528 Hamiltonian triplets (0.7 MiB) are sorted
+# into row order once, with about 1.7 MiB of temporaries while they are
+# coalesced and checked for Hermiticity, and the substeps keep a basis of at
+# most 30 complex vectors of length d (1.9 MiB) beside the 64 KiB state.  The
+# check peaks at 4.9 MiB traced (tracemalloc) and a fresh run at 36 MiB RSS
+# (31 MiB of it the interpreter and numpy); each step of n doubles the arrays.
 # coherent-rotation holds O(cutoff) arrays of 2 (cutoff + 1) amplitudes and
 # 2 cutoff Hamiltonian triplets.
 MAX_COLLECTIVE_N = 11

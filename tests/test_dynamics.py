@@ -98,6 +98,9 @@ def test_collective_single_mode_reduces_to_jc():
     terms = (jc_hamiltonian(layout, CouplingSpec("T", ("m0",)))
              + jc_hamiltonian(layout, CouplingSpec("T", ("m1",))))
     assert np.array_equal(dense(both), dense(terms))
+    # the same triplets in the same order as the sum of the one-mode terms
+    for name in ("rows", "cols", "values"):
+        assert np.array_equal(getattr(both, name), getattr(terms, name))
 
 
 def test_collective_two_modes_spreads_excitation_evenly():
@@ -168,6 +171,13 @@ def _gauged(layout, h):
     return phase.conj()[:, None] * h * phase
 
 
+def _whole_blocks(h):
+    """``_sector_blocks`` with no sector left to the Krylov step, however large."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
+        return dynamics._sector_blocks(h)
+
+
 @given(_mixed_layouts())
 @settings(max_examples=80, deadline=None)
 def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
@@ -180,24 +190,16 @@ def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
         oracle = dense_collective_jc(layout, spec)
     gauged = _gauged(layout, oracle)
     assert np.all(gauged.imag == 0)
-    phase, sectors = dynamics._sector_blocks(h)
+    phase, sectors = _whole_blocks(h)
     assert np.array_equal(phase, _gauge_phase(layout))
     covered = 0
-    for group in sectors:
-        if len(group) == 2:
-            idx, blocks = group
-            checks = [(idx, idx, blocks)]
-        else:  # a chiral sector: its (x, y) and (y, x) blocks
-            x, y, upper, lower = group
-            checks = [(x, y, upper), (y, x, lower)]
-            assert x.shape[1] >= y.shape[1]
-        for rows, cols, blocks in checks:
-            # the scatter sums from +0.0, so the oracle's signed zeros are made +0.0
-            expected = gauged.real[rows[:, :, None], cols[:, None, :]] + 0.0
-            assert blocks.dtype == np.float64
-            assert blocks.flags.c_contiguous
-            assert blocks.tobytes() == expected.tobytes()
-        covered += sum(rows.size for rows, _, _ in checks)
+    for idx, blocks in sectors:
+        # the scatter sums from +0.0, so the oracle's signed zeros are made +0.0
+        expected = gauged.real[idx[:, :, None], idx[:, None, :]] + 0.0
+        assert blocks.dtype == np.float64
+        assert blocks.flags.c_contiguous
+        assert blocks.tobytes() == expected.tobytes()
+        covered += idx.size
     assert covered == layout.dim
 
 
@@ -328,7 +330,7 @@ def test_evolve_matches_dense_oracle(case, seed, t, random_h):
          else jc_hamiltonian(layout, spec))
     # a random complex H has no real gauge; its blocks stay complex
     expected = np.complex128 if random_h else np.float64
-    assert all(group[-1].dtype == expected for group in dynamics._sector_blocks(h)[1])
+    assert all(blocks.dtype == expected for _, blocks in _whole_blocks(h)[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(rng, layout)
@@ -362,7 +364,7 @@ def _gauge_real_hamiltonians(draw):
 @settings(max_examples=60, deadline=None)
 def test_real_path_matches_dense_oracle(case, seed, t):
     layout, h = case
-    assert all(group[-1].dtype == np.float64 for group in dynamics._sector_blocks(h)[1])
+    assert all(blocks.dtype == np.float64 for _, blocks in _whole_blocks(h)[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(np.random.default_rng(seed), layout)
@@ -371,28 +373,27 @@ def test_real_path_matches_dense_oracle(case, seed, t):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Records (largest side, dtype) of every eigh and svd call the dynamics
-    module makes."""
+    """Records (side, dtype) of every eigh call the dynamics module makes: a
+    sector block, or the tridiagonal of one Krylov substep."""
     calls = []
+    eigh = np.linalg.eigh
 
-    def recording(solver):
-        def call(a, *args, **kwargs):
-            # np.linalg is shared: skip the calls of the other modules
-            if sys._getframe(1).f_globals["__name__"] == dynamics.__name__:
-                calls.append((max(np.shape(a)[-2:]), np.asarray(a).dtype))
-            return solver(a, *args, **kwargs)
-        return call
+    def recording(a, *args, **kwargs):
+        # np.linalg is shared: skip the calls of the other modules
+        if sys._getframe(1).f_globals["__name__"] == dynamics.__name__:
+            calls.append((np.shape(a)[-1], np.asarray(a).dtype))
+        return eigh(a, *args, **kwargs)
 
-    for name in ("eigh", "svd"):
-        monkeypatch.setattr(dynamics.np.linalg, name, recording(getattr(np.linalg, name)))
+    monkeypatch.setattr(dynamics.np.linalg, "eigh", recording)
     return calls
 
 
 def test_propagation_diagonalizes_sectors_not_the_whole_space(solver_calls):
     simultaneous_coupling_check(9)  # dimension 1024, sectors C(10, k)
-    # the largest sector, 252 states, splits into 126 + 126 by q parity and
-    # only its 126 x 126 off-diagonal block is decomposed
-    assert max(size for size, _ in solver_calls) == 126
+    # sectors of up to 252 states take the Krylov step, which decomposes only
+    # its tridiagonal: one substep, since the initial state stays in the 20
+    # states symmetric in the modes (the collective reference's blocks are 2)
+    assert max(size for size, _ in solver_calls) <= 2 * (9 + 1)
     solver_calls.clear()
     coherent_field_rotation(1.0, 0.0, 20.0)  # dimension 1162, sectors of 2
     assert max(size for size, _ in solver_calls) == 2
@@ -481,43 +482,28 @@ def test_hermiticity_check_holds_one_temporary_at_most(monkeypatch):
     # 2 x 5.4 MiB; a check that kept both the difference and its modulus alive
     # added a full extra group (3.3 MiB) on top of them
     _, h = _collective_jc(10)
-    monkeypatch.setattr(dynamics, "_CHIRAL_CROSSOVER", math.inf)
+    monkeypatch.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
     groups = [blocks.nbytes for _, blocks in dynamics._sector_blocks(h)[1]]
     peak = _traced_peak(lambda: dynamics._sector_eigh(h))
     assert peak < 2 * sum(groups) + 0.5 * max(groups)
 
 
 def test_chiral_path_peaks_below_the_whole_blocks(monkeypatch):
-    # collective n = 10: the off-diagonal blocks and their mirrors, the check's
-    # temporary and the singular vectors (4.1 MiB traced) take less than the
-    # whole blocks alone (5.4 MiB), which the whole-block path holds twice
-    _, h = _collective_jc(10)
+    # collective n = 10: the Krylov step holds the sorted triplets, the basis
+    # (30 x 2048 complex, 0.9 MiB) and a few work vectors, less than half the
+    # whole blocks (5.4 MiB), which the whole-block path holds twice
+    layout, h = _collective_jc(10)
+    psi = rand_pure_state(np.random.default_rng(10), layout)
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_CHIRAL_CROSSOVER", math.inf)
+        m.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
         groups = [blocks.nbytes for _, blocks in dynamics._sector_blocks(h)[1]]
-    assert _traced_peak(lambda: dynamics._sector_eigh(h)) < sum(groups)
-
-
-def test_chiral_path_releases_each_group_once_decomposed():
-    # collective n = 10: A and its mirror (2 x 1.3 MiB) and the singular
-    # vectors (2.2 MiB) are never all alive at once; keeping the groups to
-    # the end held all three (4.8 MiB) beside the last group's temporaries
-    _, h = _collective_jc(10)
-    blocks = sum(a.nbytes + lower.nbytes for _, _, a, lower in _chiral_groups(h))
-    spectrum = []
-    peak = _traced_peak(lambda: spectrum.append(dynamics._sector_eigh(h)))
-    held = sum(array.nbytes for group in spectrum[0][1] for array in group)
-    assert peak < blocks + held
+    assert _traced_peak(lambda: evolve(psi, h, 1.0)) < 0.5 * sum(groups)
 
 
 # ---------------------------------------------------------------------------
-# chiral sectors: H' = [[0, A], [A^T, 0]] between the two q parities
+# large sectors: the Krylov step.  The test_chiral_* names are those of the
+# sector solver this step replaced; they pin the same properties on it.
 # ---------------------------------------------------------------------------
-
-def _chiral_groups(h):
-    """The (x, y, upper, lower) groups ``_sector_eigh`` splits H into."""
-    return [g for g in dynamics._sector_blocks(h)[1] if len(g) == 4]
-
 
 @st.composite
 def _bipartite_hamiltonians(draw):
@@ -525,8 +511,8 @@ def _bipartite_hamiltonians(draw):
     opposite q parity, over seven two-level or fermionic subsystems (d = 128,
     sectors of up to 35 states).  S either keeps to the excitation sectors or
     joins them all into one block; entries are dropped at random and some
-    states are left uncoupled, so the off-diagonal blocks come in p != r
-    shapes and are often rank deficient."""
+    states are left uncoupled, so H is often degenerate and a Krylov basis
+    may break down early."""
     n_qubits = draw(st.integers(1, 4))
     subs = ([(f"T{j}", TwoLevel()) for j in range(n_qubits)]
             + [(f"m{k}", FermionicMode()) for k in range(7 - n_qubits)])
@@ -552,21 +538,23 @@ def _bipartite_hamiltonians(draw):
 @settings(max_examples=40, deadline=None)
 def test_chiral_path_matches_dense_oracle(case, seed, t):
     layout, h = case
-    assert _chiral_groups(h)
+    assert dynamics._sector_blocks(h) is None
     u = dense_propagator(dense(h), t)
-    spectrum = dynamics._sector_eigh(h)
-    columns = np.column_stack([dynamics._propagate(spectrum, e, t)
-                               for e in np.eye(layout.dim, dtype=complex)])
-    assert np.max(np.abs(columns - u)) < 1e-12
-    psi = rand_pure_state(np.random.default_rng(seed), layout)
+    rng = np.random.default_rng(seed)
+    # each state is propagated on its own: a sample of the basis states
+    # stands for the columns of exp(-i H t)
+    for k in rng.choice(layout.dim, 8, replace=False):
+        column = evolve(PureState(layout, np.eye(layout.dim)[k]), h, t).amplitudes
+        assert np.max(np.abs(column - u[:, k])) < 1e-12
+    psi = rand_pure_state(rng, layout)
     assert np.max(np.abs(evolve(psi, h, t).amplitudes - u @ psi.amplitudes)) < 1e-12
 
 
 def _rank_deficient_jc():
     # one qubit and six fermionic modes, coupled inside the sectors through
     # S + S^T with S = F G^T of rank 2: sector k holds C(6, k) even and
-    # C(6, k - 1) odd states, so the 35-state sector is a 20 x 15 block of
-    # rank 4
+    # C(6, k - 1) odd states, so the 35-state sector couples its 20 x 15
+    # parity blocks at rank 4
     layout = compose_layout([("T", TwoLevel)] + [(f"m{k}", FermionicMode) for k in range(6)])
     levels = np.unravel_index(np.arange(layout.dim), layout.dims)
     sector = sum(levels)
@@ -576,56 +564,59 @@ def _rank_deficient_jc():
     return linear_op(layout, _gauged(layout, s + s.T).conj())
 
 
-def test_chiral_path_on_rank_deficient_unbalanced_blocks():
+def test_chiral_path_on_rank_deficient_unbalanced_blocks(solver_calls):
+    # H is mostly null space: each basis state lies in a small invariant
+    # subspace, so its Krylov basis breaks down early, short of _KRYLOV_DIM
     h = _rank_deficient_jc()
-    shapes = {g[2].shape[1:] for g in _chiral_groups(h)}
-    assert (20, 15) in shapes
-    _, spectrum = dynamics._sector_eigh(h)
-    s = next(group[3] for group in spectrum if len(group) == 5 and group[2].shape[1:] == (20, 15))
-    assert np.sum(s < 1e-12 * s.max()) >= 11
+    assert dynamics._sector_blocks(h) is None
+    assert np.linalg.matrix_rank(dense(h)) < h.layout.dim // 2
     for t in (0.0, 0.4, 3.1):
         assert np.max(np.abs(_evolved_columns(h, t) - dense_propagator(dense(h), t))) < 1e-12
+    assert max(size for size, _ in solver_calls) < dynamics._KRYLOV_DIM
 
 
 @pytest.mark.parametrize("t", [50.0, 200.0, 1000.0])
-def test_chiral_path_stays_unitary_at_long_times(t):
-    # the null vectors of a rank-deficient A have singular values of order
-    # eps, not exactly 0; the step turns them by an angle t s, which keeps the
-    # norm for any t (a Gram-matrix step lost 5e-8 of it at t = 1000 here)
+def test_chiral_path_stays_unitary_at_long_times(t, solver_calls):
+    # a generic state needs many substeps this long; each keeps the norm to
+    # rounding, and both the Krylov step and the dense oracle are exact for
+    # H within a few eps ||H|| of the input, so they drift apart by about
+    # t eps ||H|| (1e-12 at t = 1000 for the rank-deficient H)
     layout, h = _collective_jc(9)
     psi = rand_pure_state(np.random.default_rng(9), layout)
     out = evolve(psi, h, t)
+    assert len(solver_calls) > 1
     assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-13
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), t) @ psi.amplitudes)) < 1e-12
     h = _rank_deficient_jc()
-    u = _evolved_columns(h, t)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(h.layout.dim))) < 1e-13
-    # both propagators are exact for H within a few eps ||H|| of the input,
-    # so they drift apart by about t eps ||H|| (4e-12 at t = 1000 here)
+    psi = rand_pure_state(np.random.default_rng(1), h.layout)
+    solver_calls.clear()
+    out = evolve(psi, h, t)
+    assert len(solver_calls) > 1
+    assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
     bound = 1e-12 + 8 * t * np.finfo(float).eps * np.linalg.norm(dense(h), 2)
-    assert np.max(np.abs(u - dense_propagator(dense(h), t))) < bound
+    assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), t) @ psi.amplitudes)) < bound
 
 
-@pytest.mark.parametrize("n_modes", [6, 7, 8, 9, 10])
+@pytest.mark.parametrize("n_modes", [6, 7, 8, 9, 10, 11, 12])
 def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes, monkeypatch):
     alpha, beta = rand_amplitude_pair(np.random.default_rng(n_modes))
     duration = math.pi / (4.0 * math.sqrt(n_modes))
     layout, h = _collective_jc(n_modes)
-    assert _chiral_groups(h)
+    assert dynamics._sector_blocks(h) is None
     amps = np.array([alpha, beta])
     for _ in range(n_modes):
         amps = np.kron(amps, np.array([1.0, 1.0]) / math.sqrt(2))
     psi = PureState(layout, amps)
-    chiral = evolve(psi, h, duration)
+    krylov = evolve(psi, h, duration)
     reference = protocols.collective_mode_reference(n_modes, alpha, beta, duration)
-    assert np.max(np.abs(reduced_density(chiral, ["target"]).matrix - reference.matrix)) < 1e-12
+    assert np.max(np.abs(reduced_density(krylov, ["target"]).matrix - reference.matrix)) < 1e-12
     result = simultaneous_coupling_check(n_modes, alpha, beta)
     assert result.scalars["trace_distance"] < 1e-12
     assert abs(result.scalars["fidelity_gain"]) < 1e-12
-    # the same amplitudes through whole blocks
-    monkeypatch.setattr(dynamics, "_CHIRAL_CROSSOVER", math.inf)
-    whole = evolve(psi, h, duration)
-    assert np.max(np.abs(chiral.amplitudes - whole.amplitudes)) < 1e-13
+    if n_modes <= 10:  # whole blocks take seconds and hundreds of MB beyond
+        monkeypatch.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
+        whole = evolve(psi, h, duration)
+        assert np.max(np.abs(krylov.amplitudes - whole.amplitudes)) < 1e-13
 
 
 def _big_sector_pair(layout):
@@ -637,12 +628,12 @@ def _big_sector_pair(layout):
 
 @pytest.mark.parametrize("value", [1e-9j, complex(0.0, np.nan)])
 def test_chiral_path_refuses_non_hermitian_and_nan(value):
-    # an imaginary entry between opposite parities gauges real and keeps H
-    # bipartite, so the check runs on the 15 x 20 lower block and its mirror
+    # an entry without a matching mirror in the 35-state sector: the Krylov
+    # step checks the coalesced triplets against their conjugate transpose
     layout, h = _collective_jc(6)
     row, col = _big_sector_pair(layout)
     h = h + LinearOp(layout, [row], [col], [value])
-    assert any(row in y and col in x for x, y, *_ in _chiral_groups(h))
+    assert dynamics._sector_blocks(h) is None
     with pytest.raises(ValueError, match="evolve requires a Hermitian Hamiltonian"):
         evolve(basis_state(layout, ["g"] + [0] * 6), h, 1.0)
 
@@ -651,26 +642,65 @@ def test_chiral_path_accepts_rounding_asymmetry():
     layout, h = _collective_jc(6)
     row, col = _big_sector_pair(layout)
     h = h + LinearOp(layout, [row], [col], [1e-13j])
-    assert _chiral_groups(h)
+    assert dynamics._sector_blocks(h) is None
     assert abs(np.linalg.norm(evolve(basis_state(layout, ["e"] + [1, 1, 0, 0, 0, 0]), h,
                                      1.0).amplitudes) - 1) < 1e-12
 
 
+def test_krylov_step_adds_up_repeated_triplets():
+    # (row, col) arrives as two triplets that add up to the conjugate of its
+    # mirror, so H is Hermitian although neither triplet matches the mirror
+    layout, h = _collective_jc(6)
+    row, col = _big_sector_pair(layout)
+    h = h + LinearOp(layout, [row, row, col], [col, col, row], [0.25j, 0.5j, -0.75j])
+    assert dynamics._sector_blocks(h) is None
+    psi = rand_pure_state(np.random.default_rng(4), layout)
+    out = evolve(psi, h, 0.9)
+    assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), 0.9) @ psi.amplitudes)) < 1e-12
+
+
+def test_krylov_step_ends_on_a_lucky_breakdown(solver_calls):
+    # the vacuum is a null vector of H: the first Lanczos coefficient is
+    # exactly zero, and one 1 x 1 substep covers any time
+    layout, h = _collective_jc(9)
+    vacuum = basis_state(layout, ["g"] + [0] * 9)
+    assert np.max(np.abs(evolve(vacuum, h, 1000.0).amplitudes - vacuum.amplitudes)) < 1e-15
+    assert solver_calls == [(1, np.float64)]
+    # a state symmetric in the modes stays in 2 (9 + 1) states: one substep
+    solver_calls.clear()
+    amps = np.array([0.6, 0.8j])
+    for _ in range(9):
+        amps = np.kron(amps, np.array([1.0, 1.0]) / math.sqrt(2))
+    psi = PureState(layout, amps)
+    out = evolve(psi, h, 2.0)
+    assert len(solver_calls) == 1 and solver_calls[0][0] <= 2 * (9 + 1)
+    assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), 2.0) @ amps)) < 1e-12
+
+
+def test_krylov_step_on_an_empty_hamiltonian(solver_calls):
+    layout, _ = _collective_jc(6)
+    h = LinearOp(layout, [], [], [])
+    assert dynamics._sector_blocks(h) is None   # sectors of up to 35 states
+    psi = rand_pure_state(np.random.default_rng(6), layout)
+    assert np.max(np.abs(evolve(psi, h, 3.0).amplitudes - psi.amplitudes)) < 1e-15
+    assert solver_calls == [(1, np.float64)]
+
+
 @pytest.mark.parametrize("kind", ["diagonal", "complex gauge"])
-def test_non_bipartite_or_complex_gauge_h_takes_whole_blocks(kind, solver_calls):
+def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_calls):
     # a diagonal entry joins a state to its own parity; a real entry between
-    # states whose q differs by one leaves no real gauge
+    # states whose q differs by one leaves no real gauge.  The Krylov step
+    # needs neither: it works on the complex triplets as given
     layout, h = _collective_jc(6)
     row, col = _big_sector_pair(layout)
     if kind == "diagonal":
         h = h + LinearOp(layout, [row], [row], [0.3])
     else:
         h = h + LinearOp(layout, [row, col], [col, row], [0.25, 0.25])
-    assert _chiral_groups(h) == []
+    assert dynamics._sector_blocks(h) is None
     psi = rand_pure_state(np.random.default_rng(3), layout)
     out = evolve(psi, h, 0.9)
-    expected = np.float64 if kind == "diagonal" else np.complex128
-    assert (35, expected) in solver_calls
+    assert max(size for size, _ in solver_calls) <= dynamics._KRYLOV_DIM
     u = dense_propagator(dense(h), 0.9)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
 
