@@ -307,13 +307,60 @@ def default_coherent_cutoff(eta: complex) -> int:
     return int(math.ceil(a * a + 8.0 * a + 20.0))
 
 
+_LOG_FACTORIAL_TABLE = np.array([math.lgamma(k + 1) for k in range(32)])
+
+
+def _log_factorials(stop: int) -> np.ndarray:
+    """log k! for k = 0..stop-1: the ``math.lgamma`` table below 32, Stirling's
+    series through x^-7 above it (truncation error below 3e-17 there)."""
+    out = np.empty(stop)
+    out[:32] = _LOG_FACTORIAL_TABLE[:stop]
+    x = np.arange(32, stop, dtype=float)
+    r = 1.0 / x
+    r2 = r * r
+    out[32:] = (x * (np.log(x) - 1.0) + 0.5 * np.log(2.0 * math.pi * x)
+                + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
+    return out
+
+
+def _poisson_tail(lam: float, cutoff: int) -> float:
+    """P(N > cutoff) for N ~ Poisson(lam).
+
+    The terms are summed away from the mean, so each ratio of successive
+    terms is below 1: upward from cutoff + 1 when that is at or above the
+    mean, else downward from the cutoff, giving 1 - P(N <= cutoff).  The
+    first term comes from one ``math.lgamma`` in log space, so neither a
+    large ``lam`` nor a tiny tail overflows or underflows on the way.  Term i
+    is at most exp(-i^2 / (4 lam)) times the first for i <= lam, and halves
+    at each step beyond, so m = 14 sqrt(lam) + 60 terms leave out a share of
+    the sum below 1e-17.  Upward, lam <= cutoff + 1 bounds m; downward, the
+    cutoff bounds the terms; so a huge lam beside a small cutoff allocates
+    nothing large.
+    """
+    if lam == 0.0:  # eta == 0, or |eta|^2 underflowed
+        return 0.0
+    m = int(14.0 * math.sqrt(lam)) + 60
+    upward = cutoff + 1 >= lam
+    if upward:
+        k = cutoff + 1
+        ratios = lam / np.arange(k + 1, k + m)
+    else:
+        k = cutoff
+        ratios = np.arange(k, max(k - m, 0), -1) / lam
+    mass = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)
+                    + math.log1p(np.cumprod(ratios).sum()))
+    return mass if upward else 1.0 - mass
+
+
 def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
     """Truncated coherent state of one bosonic mode.
 
     Amplitudes are proportional to eta^n / sqrt(n!) for n = 0..cutoff and
     renormalized after truncation.  Magnitudes are formed in log space,
-    shifted by their maximum, so large |eta| neither overflows nor
-    underflows.
+    n log|eta| - log(n!) / 2 shifted by its maximum, so large |eta| neither
+    overflows nor underflows.  The weight beyond the cutoff is the tail of
+    Poisson(|eta|^2), also summed in log space; it is exactly 0.0 when
+    |eta|^2 is 0.0.
 
     Returns
     -------
@@ -321,8 +368,6 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
         The state on a single BosonicMode(cutoff) layout, and the weight the
         untruncated expansion carries beyond the cutoff.
     """
-    from scipy import special  # imported here: a cold import costs ~0.3 s
-
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     eta = complex(eta)
@@ -331,14 +376,11 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
         amps[0] = 1.0
     else:
         n = np.arange(cutoff + 1)
-        log_mag = n * math.log(abs(eta)) - 0.5 * special.gammaln(n + 1)
+        log_mag = n * math.log(abs(eta)) - 0.5 * _log_factorials(cutoff + 1)
         amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * n * math.atan2(eta.imag, eta.real))
         amps /= np.linalg.norm(amps)
-    # tail of Poisson(|eta|^2) beyond the cutoff, via the regularized lower
-    # incomplete gamma (exact, no overflow for large |eta|)
-    weight_beyond = float(special.gammainc(cutoff + 1, abs(eta) ** 2))
     layout = compose_layout([(label, BosonicMode(cutoff))])
-    return PureState(layout, amps), weight_beyond
+    return PureState(layout, amps), _poisson_tail(abs(eta) ** 2, cutoff)
 
 
 # ---------------------------------------------------------------------------

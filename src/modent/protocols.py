@@ -28,6 +28,7 @@ from .hilbert import (
     DensityOp,
     FermionicMode,
     LinearOp,
+    NORM_TOL,
     PureState,
     TwoLevel,
     basis_state,
@@ -39,13 +40,11 @@ from .hilbert import (
     tensor,
 )
 
-_NORM_TOL = 1e-12
-
 
 def _check_normalized(alpha: complex, beta: complex):
     n2 = abs(alpha) ** 2 + abs(beta) ** 2
     # written as "not <=" so that a NaN is rejected too
-    if not abs(n2 - 1.0) <= _NORM_TOL:
+    if not abs(n2 - 1.0) <= NORM_TOL:
         raise ValueError(f"(alpha, beta) must be normalized; |a|^2+|b|^2 = {n2!r}")
 
 

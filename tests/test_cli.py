@@ -296,18 +296,6 @@ def test_console_entry_point_runs():
     assert "M = 1.25" in proc.stdout
 
 
-def test_collective_check_imports_no_scipy_sparse():
-    # the Krylov step on large sectors is plain numpy; a cold scipy.sparse
-    # import alone would cost more than the whole check
-    code = ("import sys; from modent.cli import main; "
-            "status = main(['collective-check', '--n', '9']); "
-            "sys.exit(status or 'scipy.sparse' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=pathlib.Path(modent.__file__).parents[1])
-    assert proc.returncode == 0, proc.stderr
-    assert "trace_distance" in proc.stdout
-
-
 def test_run_rejects_unvalidated_config():
     cfg = RunConfig("bell", {"gamma": 0.5}, "table", None, None)
     assert run(cfg) == 0

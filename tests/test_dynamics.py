@@ -323,7 +323,8 @@ def test_evolve_composes_in_time(seed, t1, t2):
 @settings(max_examples=60, deadline=None)
 def test_evolve_matches_dense_oracle(case, seed, t, random_h):
     # JC Hamiltonians split into excitation sectors; a random Hermitian H
-    # couples them all and is propagated as one block
+    # couples them all into one block, which takes the Krylov step above 20
+    # states
     layout, spec = case
     rng = np.random.default_rng(seed)
     h = (linear_op(layout, rand_hermitian(rng, layout.dim)) if random_h

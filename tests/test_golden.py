@@ -7,11 +7,15 @@ CHANGES.md.  The only values compared loosely are the three rounding-noise
 scalars, which must stay below 1e-12 in magnitude.
 """
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import modent
 from modent.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -64,3 +68,44 @@ def test_plot_matches_golden(name, tmp_path):
     svg = tmp_path / "plot.svg"
     assert main(PLOTS[name] + ["--out", str(tmp_path / "out.txt"), "--plot", str(svg)]) == 0
     assert svg.read_bytes() == (GOLDEN_DIR / f"{name}.svg").read_bytes()
+
+
+# A child process that refuses every scipy import, then runs each command and
+# prints {key: [exit status, stdout]} as JSON.
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from modent.cli import main
+
+results = {}
+for key, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    results[key] = [status, out.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_commands_run_without_scipy():
+    # numpy is modent's only runtime dependency
+    runs = {f"{name}.{ext}": argv + ["--format", fmt]
+            for name, argv in COMMANDS.items() for fmt, ext in EXTENSIONS.items()}
+    # run from the directory holding the imported package, so the child finds
+    # it also when only pytest's pythonpath setting put it on sys.path
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)],
+                          capture_output=True, text=True,
+                          cwd=Path(modent.__file__).parents[1])
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert sorted(results) == sorted(runs)
+    for key, (status, got) in results.items():
+        assert status == 0, key
+        want = (GOLDEN_DIR / key).read_bytes().decode("utf-8")
+        assert _mask_noise(got) == _mask_noise(want), key

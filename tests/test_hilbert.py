@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 
 from conftest import (
     dense,
@@ -27,6 +29,7 @@ from modent import (
     superpose,
     tensor,
 )
+from modent.hilbert import _log_factorials
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,6 @@ def test_coherent_amplitudes_match_factorial_series():
 
 def test_coherent_large_amplitude_is_truncated_poisson():
     # |eta|^2 = 1e4 is far past where eta^n / sqrt(n!) overflows a float
-    from scipy import stats
     cutoff = default_coherent_cutoff(100.0)
     assert cutoff == 10820
     st_, weight = coherent_mode_state(cutoff, 100.0)
@@ -179,6 +181,50 @@ def test_coherent_truncation_weight_matches_poisson_tail():
     tail = 1.0 - math.exp(-lam) * sum(lam ** n / math.factorial(n) for n in range(cutoff + 1))
     _, weight = coherent_mode_state(cutoff, eta)
     assert abs(weight - tail) < 1e-12
+
+
+def test_log_factorials_within_4_ulp_of_gammaln():
+    want = special.gammaln(np.arange(1_100_001) + 1.0)
+    assert np.all(np.abs(_log_factorials(want.size) - want) <= 4 * np.spacing(want))
+
+
+def _oracle_amplitudes(cutoff, eta):
+    """The amplitude formula on scipy's log-gamma."""
+    n = np.arange(cutoff + 1)
+    log_mag = n * math.log(abs(eta)) - 0.5 * special.gammaln(n + 1)
+    amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * n * cmath.phase(eta))
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.5 * cmath.exp(0.7j), 8.0, 20.0, 100.0, 358.0])
+def test_coherent_state_matches_scipy_oracle(eta):
+    # cutoffs: automatic; far below, below, inside and above the Poisson bulk;
+    # and either side of where the truncation weight crosses the 1e-8 refusal
+    # threshold
+    lam = abs(eta) ** 2
+    spread = math.sqrt(lam)
+    auto = default_coherent_cutoff(eta)
+    c = np.arange(1, auto + 1)
+    first_kept = int(c[np.argmax(special.gammainc(c + 1, lam) <= 1e-8)])
+    cutoffs = {auto, 1, int(lam / 2), int(lam - 3 * spread), round(lam),
+               int(lam + 3 * spread), first_kept - 1, first_kept}
+    rel_tol = 1e-12 if abs(eta) <= 20 else 1e-9
+    for cutoff in sorted(max(1, k) for k in cutoffs):
+        state, weight = coherent_mode_state(cutoff, eta)
+        want = float(special.gammainc(cutoff + 1, lam))
+        assert abs(weight - want) <= rel_tol * want, (cutoff, weight, want)
+        if abs(want / 1e-8 - 1) > 1e-6:
+            assert (weight > 1e-8) == (want > 1e-8), (cutoff, weight, want)
+        if abs(eta) <= 20:
+            assert np.max(np.abs(state.amplitudes - _oracle_amplitudes(cutoff, eta))) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-200, 1e-310])
+def test_coherent_weight_is_zero_when_eta_squared_underflows(eta):
+    for cutoff in (1, 5, default_coherent_cutoff(eta)):
+        state, weight = coherent_mode_state(cutoff, eta)
+        assert weight == 0.0 == special.gammainc(cutoff + 1, abs(eta) ** 2)
+        assert abs(state.amplitudes[0] - 1) < 1e-12
 
 
 def test_coherent_rejects_small_cutoff():
