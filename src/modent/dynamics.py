@@ -3,31 +3,28 @@
 Units: hbar = 1 and the default coupling strength is J = 1, so all times are
 expressed in units of 1/J.  Hamiltonians are ``LinearOp`` triplets built from
 the nonzeros of each coupling; no d x d array is formed.  The excitation
-number of a basis state is the sum of its level indices; every coupling built
-here conserves it, so H is block diagonal over the sectors.  A Hamiltonian
-that couples two sectors is treated as one block.
-
-When no sector holds more than ``_KRYLOV_CROSSOVER`` states, time evolution
-diagonalizes H exactly, one sector at a time: each block is scattered
-straight from the triplets and diagonalized on its own (equal-size blocks in
-one batched ``eigh``).  The blocks are made real where the data allow it.
-Every coupling built here is i J sqrt(n) times a real ladder between states
+number of a basis state is the sum of its level indices.  Every coupling
+built here conserves it and is i J sqrt(n) times a real ladder between states
 whose two-level indices sum to q + 1 and q, so with D = diag(i^q) the gauged
-H' = D^dag H D is real symmetric, and exp(-i H t) = D exp(-i H' t) D^dag.
-The gauge is exact: each entry of H' and each amplitude is turned by a power
-of i, which only swaps and negates its real and imaginary parts.  When some
-entry of H' keeps a nonzero imaginary part, D = 1 and the blocks stay
-complex.  Either way it is one path, and ``eigh`` picks the real or the
-complex solver from the dtype.
+H' = D^dag H D is real symmetric and block diagonal over the sectors, and
+exp(-i H t) = D exp(-i H' t) D^dag.  The gauge is exact: each entry of H' and
+each amplitude is turned by a power of i, which only swaps and negates its
+real and imaginary parts.
 
-A Hamiltonian with a larger sector is never decomposed: the state is
-propagated by Lanczos steps on the triplets (Saad, SIAM J. Numer. Anal. 29,
-209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
-Each substep builds an orthonormal basis V of the Krylov space of the
-current vector w and the tridiagonal T = V^dag H V, and takes
-exp(-i H tau) w = |w| V exp(-i T tau) e_1.  A basis that spans an invariant
-subspace (a lucky breakdown: the next Lanczos coefficient is zero) makes
-that exact; otherwise the substep is shortened until the a-posteriori
+``evolve`` takes one of two paths, by one rule.  When H conserves the
+excitation number, has that real gauge and has no sector of more than
+``_KRYLOV_CROSSOVER`` states, it diagonalizes H exactly, one sector at a
+time: each real symmetric block of H' is scattered straight from the
+triplets and diagonalized on its own (equal-size blocks in one batched
+``eigh``).  Every other H, whatever its sectors or phases, is propagated by
+Lanczos steps on the triplets (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
+Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), which need
+neither sectors nor a gauge and keep the same error bound for any Hermitian
+H.  Each substep builds an orthonormal basis V of the
+Krylov space of the current vector w and the tridiagonal T = V^dag H V, and
+takes exp(-i H tau) w = |w| V exp(-i T tau) e_1.  A basis that spans an
+invariant subspace (a lucky breakdown: the next Lanczos coefficient is zero)
+makes that exact; otherwise the substep is shortened until the a-posteriori
 estimate of its error is within ``_KRYLOV_TOL``.  V has orthonormal columns
 and exp(-i T tau) is unitary, so the norm is kept to rounding at any t.
 """
@@ -124,31 +121,27 @@ _KRYLOV_TOL = 1e-14
 
 
 def _sector_blocks(hamiltonian: LinearOp):
-    """The blocks of H over the excitation sectors it leaves uncoupled, in the
-    gauge that makes them real when one exists.
+    """The real blocks of D^dag H D over the excitation sectors, or None.
 
-    Returns ``(phase, sectors)``, or None when some sector (or the one block,
-    below) holds more than ``_KRYLOV_CROSSOVER`` states.  ``phase`` (d,) is the
-    diagonal of the gauge D: i^q, with q the sum of a basis state's two-level
-    indices, if every entry of D^dag H D has an exactly zero imaginary part,
-    and 1 otherwise.  ``sectors`` holds ``(idx, blocks)`` per sector size:
-    ``idx`` (k, s) the global basis indices of the k sectors of size s, and
-    ``blocks`` (k, s, s) the entries of D^dag H D among them, float64 in the
-    real gauge and complex otherwise, scattered from the triplets (repeated
-    entries add up in triplet order).  If any triplet joins two sectors the
-    whole basis is one block.  The gauge is exact: a power of i only swaps and
-    negates the real and imaginary parts of an entry, so the real blocks hold
-    D^dag H D without rounding.
+    Returns None unless H conserves the excitation number, has the real gauge
+    and has no sector of more than ``_KRYLOV_CROSSOVER`` states; ``evolve``
+    then takes the Krylov step.  Otherwise returns ``(phase, sectors)``:
+    ``phase`` (d,) is the diagonal of the gauge D, i^q with q the sum of a
+    basis state's two-level indices, and ``sectors`` holds ``(idx, blocks)``
+    per sector size: ``idx`` (k, s) the global basis indices of the k sectors
+    of size s, and ``blocks`` (k, s, s) float64, the entries of D^dag H D
+    among them, scattered from the triplets (repeated entries add up in
+    triplet order).  The gauge is exact: a power of i only swaps and negates
+    the real and imaginary parts of an entry, so the blocks hold D^dag H D
+    without rounding.
     """
     layout = hamiltonian.layout
     rows, cols, values = hamiltonian.rows, hamiltonian.cols, hamiltonian.values
     levels = np.indices(layout.dims).reshape(len(layout.dims), -1)
     # excitation number of each basis state: the sum of its level indices
     sector = levels.sum(axis=0)
-    if np.any(sector[rows] != sector[cols]):
-        sector = np.zeros_like(sector)
     sizes = np.bincount(sector)
-    if sizes.max() > _KRYLOV_CROSSOVER:
+    if sizes.max() > _KRYLOV_CROSSOVER or np.any(sector[rows] != sector[cols]):
         return None
     q = levels[[i for i, (_, kind) in enumerate(layout.subsystems)
                 if isinstance(kind, TwoLevel)]].sum(axis=0)
@@ -157,11 +150,10 @@ def _sector_blocks(hamiltonian: LinearOp):
     # Both are exact, even for a non-finite entry.
     turn = (q[cols] - q[rows]) % 4
     odd = turn % 2 == 1
-    if not np.any(np.where(odd, values.real, values.imag)):
-        phase = _POWERS_OF_I[q % 4]
-        values = np.where(odd, values.imag, values.real) * _REAL_SIGN[turn]
-    else:
-        phase = np.ones(layout.dim, dtype=complex)
+    if np.any(np.where(odd, values.real, values.imag)):
+        return None
+    phase = _POWERS_OF_I[q % 4]
+    values = np.where(odd, values.imag, values.real) * _REAL_SIGN[turn]
     order = np.argsort(sector, kind="stable")
     starts = np.cumsum(sizes) - sizes
     # position of each basis state within its sector, and of each sector
@@ -178,12 +170,8 @@ def _sector_blocks(hamiltonian: LinearOp):
         mine = sizes[row_sector] == s
         flat = (rank[row_sector[mine]] * s + within[rows[mine]]) * s + within[cols[mine]]
         size = members.size * s * s
-        # assigned, not returned: bincount gives integer zeros when there is
-        # nothing to add
-        blocks = np.zeros(size, dtype=values.dtype)
-        blocks.real = np.bincount(flat, values.real[mine], size)
-        if np.iscomplexobj(values):
-            blocks.imag = np.bincount(flat, values.imag[mine], size)
+        # astype: bincount gives integer zeros when there is nothing to add
+        blocks = np.bincount(flat, values[mine], size).astype(float, copy=False)
         sectors.append((idx, blocks.reshape(members.size, s, s)))
     return phase, sectors
 
@@ -199,16 +187,17 @@ def _check_hermitian(asym):
 
 
 def _sector_eigh(hamiltonian: LinearOp):
-    """Eigendecomposition of H over the excitation sectors it leaves uncoupled.
+    """Eigendecomposition of H over its excitation sectors, in the real gauge.
 
-    Returns None where ``_sector_blocks`` does, and otherwise ``(phase,
-    sectors)`` with ``phase`` as in ``_sector_blocks`` and ``sectors`` holding
-    ``(idx, w, v)`` per sector size: ``v[j] diag(w[j]) v[j]^dag`` is the block
-    of D^dag H D on ``idx[j]``, real when the blocks are, so ``eigh`` runs the
-    real symmetric solver there.  Hermiticity is checked on the blocks: every
-    entry outside them is zero, and the gauge turns H[r, c] - conj(H[c, r]) by
-    a power of i, which keeps its modulus, so the blocks pass the same
-    tolerance iff H does.
+    Returns None where ``_sector_blocks`` does (H joins two sectors, has no
+    real gauge or has a sector of more than ``_KRYLOV_CROSSOVER`` states),
+    and otherwise ``(phase, sectors)`` with ``phase`` as in ``_sector_blocks``
+    and ``sectors`` holding ``(idx, w, v)`` per sector size: ``v[j]
+    diag(w[j]) v[j]^T`` is the real symmetric block of D^dag H D on
+    ``idx[j]``, so ``eigh`` runs the real solver.  Hermiticity is checked on
+    the blocks: every entry outside them is zero, and the gauge turns
+    H[r, c] - conj(H[c, r]) by a power of i, which keeps its modulus, so the
+    blocks pass the same tolerance iff H does.
     """
     grouped = _sector_blocks(hamiltonian)
     if grouped is None:
@@ -216,8 +205,7 @@ def _sector_eigh(hamiltonian: LinearOp):
     phase, sectors = grouped
     out = []
     for idx, blocks in sectors:
-        # conj() returns real blocks themselves
-        _check_hermitian(blocks - blocks.conj().transpose(0, 2, 1))
+        _check_hermitian(blocks - blocks.transpose(0, 2, 1))
         w, v = np.linalg.eigh(blocks)
         out.append((idx, w, v))
     return phase, out
@@ -312,10 +300,11 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
 
 
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
-    """exp(-i H t) |state>, never forming exp(-i H t): H is diagonalized once,
-    sector by sector, and its spectrum applied, or, when a sector is larger
-    than ``_KRYLOV_CROSSOVER`` states, propagated by Lanczos substeps; norm is
-    preserved to rounding."""
+    """exp(-i H t) |state>, never forming exp(-i H t); norm is preserved to
+    rounding.  An H that conserves the excitation number, has the real gauge
+    and has no sector of more than ``_KRYLOV_CROSSOVER`` states is
+    diagonalized once, sector by sector, and its spectrum applied; every
+    other H is propagated by Lanczos substeps on its triplets."""
     t = _finite_time(t)
     if state.layout.dims != hamiltonian.layout.dims:
         raise ValueError("state and Hamiltonian dimensions do not match")

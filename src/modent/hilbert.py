@@ -8,9 +8,12 @@ as a d x d array: an embedded operator scatters the nonzeros of its local
 matrix to the global index pairs they occupy (``basis_offsets``), never
 through a Kronecker product with an identity.
 
-Fermionic modes are hard-core two-level modes without antisymmetrization
-sign strings; the protocols built on top only ever address modes locally and
-sequentially, so no anticommutation bookkeeping is needed.
+Fermionic modes are hard-core two-level modes: each holds occupation 0 or 1,
+operators on different modes commute, and no Jordan-Wigner sign strings are
+applied.  That is the model, not a consequence of the protocols:
+``simultaneous_coupling_check`` couples the target to all n modes at once,
+and with Jordan-Wigner signs its results for n > 1 would differ.  A coupling
+to a single mode (n = 1) is the same in either model.
 
 All values are immutable after construction and every operation is a pure
 function returning a new value, so they are safe to share across threads.
@@ -360,7 +363,7 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
     n log|eta| - log(n!) / 2 shifted by its maximum, so large |eta| neither
     overflows nor underflows.  The weight beyond the cutoff is the tail of
     Poisson(|eta|^2), also summed in log space; it is exactly 0.0 when
-    |eta|^2 is 0.0.
+    |eta|^2 is 0.0 and exactly 1.0 when |eta|^2 overflows.
 
     Returns
     -------
@@ -379,8 +382,12 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
         log_mag = n * math.log(abs(eta)) - 0.5 * _log_factorials(cutoff + 1)
         amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * n * math.atan2(eta.imag, eta.real))
         amps /= np.linalg.norm(amps)
-    layout = compose_layout([(label, BosonicMode(cutoff))])
-    return PureState(layout, amps), _poisson_tail(abs(eta) ** 2, cutoff)
+    state = PureState(compose_layout([(label, BosonicMode(cutoff))]), amps)
+    try:
+        lam = abs(eta) ** 2
+    except OverflowError:  # |eta|^2 beyond the float range: all weight lies past any cutoff
+        return state, 1.0
+    return state, _poisson_tail(lam, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -234,9 +234,14 @@ def test_coherent_rotation_large_eta_keeps_inverse_square_scaling(capsys):
     assert abs(scaled[30] / scaled[20] - 1) < 0.05
 
 
-def test_computation_failure_exit_code(capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--eta", "4", "--cutoff", "2"], id="eta 4 cutoff 2"),
+    # |eta|^2 overflows the float range: refused by name, not by OverflowError
+    pytest.param(["--eta", "1e200", "--cutoff", "5"], id="eta 1e200 cutoff 5"),
+])
+def test_computation_failure_exit_code(argv, capsys):
     # valid flags, but the cutoff truncates too much of the coherent state
-    assert main(["coherent-rotation", "--eta", "4", "--cutoff", "2"]) == 1
+    assert main(["coherent-rotation"] + argv) == 1
     assert "truncation weight" in capsys.readouterr().err
 
 

@@ -220,26 +220,6 @@ def test_sum_of_operators_densifies_to_dense_sum():
         h + jc_hamiltonian(other, CouplingSpec("T", ("m0",)))
 
 
-def test_one_cross_sector_triplet_gives_one_block(solver_calls):
-    layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
-    jc = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
-    assert len(dynamics._sector_blocks(jc)[1]) == 2  # sectors of 1 and 2 states
-    # |g,0> <-> |e,2> joins excitation sectors 0 and 3; a real entry between
-    # states whose q differs by one has no real gauge, so H stays complex
-    h = jc + LinearOp(layout, [0, 5], [5, 0], [0.25, 0.25])
-    phase, ((idx, blocks),) = dynamics._sector_blocks(h)
-    assert np.array_equal(phase, np.ones(layout.dim))
-    assert idx.shape == (1, layout.dim)
-    assert blocks.dtype == np.complex128
-    assert blocks[0].tobytes() == dense(h)[idx[0][:, None], idx[0]].tobytes()
-    psi = basis_state(layout, ["g", 0])
-    out = evolve(psi, h, 1.3)
-    assert solver_calls == [(layout.dim, np.complex128)]
-    u = dense_propagator(dense(h), 1.3)
-    assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
-    assert np.max(np.abs(_evolved_columns(h, 1.3) - u)) < 1e-12
-
-
 def test_coupling_spec_validation():
     with pytest.raises(ValueError, match="at least one"):
         CouplingSpec("T", ())
@@ -322,16 +302,17 @@ def test_evolve_composes_in_time(seed, t1, t2):
 @given(_coupled_layouts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_evolve_matches_dense_oracle(case, seed, t, random_h):
-    # JC Hamiltonians split into excitation sectors; a random Hermitian H
-    # couples them all into one block, which takes the Krylov step above 20
-    # states
+    # JC Hamiltonians split into real excitation-sector blocks; a random
+    # Hermitian H joins the sectors and has no real gauge, so it takes the
+    # Krylov step at any size
     layout, spec = case
     rng = np.random.default_rng(seed)
     h = (linear_op(layout, rand_hermitian(rng, layout.dim)) if random_h
          else jc_hamiltonian(layout, spec))
-    # a random complex H has no real gauge; its blocks stay complex
-    expected = np.complex128 if random_h else np.float64
-    assert all(blocks.dtype == expected for _, blocks in _whole_blocks(h)[1])
+    if random_h:
+        assert _whole_blocks(h) is None
+    else:
+        assert all(blocks.dtype == np.float64 for _, blocks in _whole_blocks(h)[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(rng, layout)
@@ -340,9 +321,10 @@ def test_evolve_matches_dense_oracle(case, seed, t, random_h):
 
 @st.composite
 def _gauge_real_hamiltonians(draw):
-    """A Hermitian H with a real gauge: either a sum of couplings of 1-2 qubits,
-    each mode coupled to one of them, or D S D^dag for a random real symmetric
-    S that couples every sector."""
+    """A Hermitian H with a real gauge, and whether it joins the excitation
+    sectors: either a sum of couplings of 1-2 qubits, each mode coupled to one
+    of them, or D S D^dag for a random real symmetric S that couples every
+    sector."""
     n_qubits = draw(st.integers(1, 2))
     kinds = draw(st.lists(st.sampled_from([FermionicMode(), BosonicMode(1), BosonicMode(2)]),
                           min_size=n_qubits, max_size=3))
@@ -352,20 +334,24 @@ def _gauge_real_hamiltonians(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         z = rng.normal(size=(layout.dim, layout.dim))
-        return layout, linear_op(layout, _gauged(layout, z + z.T).conj())
+        return layout, linear_op(layout, _gauged(layout, z + z.T).conj()), True
     h = None
     for k, (label, _) in enumerate(modes):
         spec = CouplingSpec(f"T{k % n_qubits}", (label,), draw(st.floats(0.1, 3.0)))
         term = jc_hamiltonian(layout, spec)
         h = term if h is None else h + term
-    return layout, h
+    return layout, h, False
 
 
 @given(_gauge_real_hamiltonians(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_real_path_matches_dense_oracle(case, seed, t):
-    layout, h = case
-    assert all(blocks.dtype == np.float64 for _, blocks in _whole_blocks(h)[1])
+    layout, h, joins_sectors = case
+    # an H that joins the sectors takes the Krylov step, whatever its gauge
+    if joins_sectors:
+        assert _whole_blocks(h) is None
+    else:
+        assert all(blocks.dtype == np.float64 for _, blocks in _whole_blocks(h)[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(np.random.default_rng(seed), layout)
@@ -428,22 +414,25 @@ def test_evolve_rejects_non_hermitian():
 
 
 def _jc_with_in_sector_asymmetry(eps):
-    # |e,0> <- |g,1> lies inside the one-excitation sector, so H stays split
+    # |e,0> <- |g,1> lies inside the one-excitation sector, and i eps there
+    # keeps the real gauge, so H stays on the real sector blocks
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",)))).copy()
-    h[3, 1] += eps
+    h[3, 1] += complex(0.0, eps)
     return basis_state(layout, ["e", 0]), linear_op(layout, h)
 
 
 @pytest.mark.parametrize("eps", [1e-9, np.nan])
 def test_evolve_rejects_non_hermitian_sector_block(eps):
     psi, h = _jc_with_in_sector_asymmetry(eps)
+    assert dynamics._sector_blocks(h) is not None
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(psi, h, 1.0)
 
 
 def test_hermiticity_tolerance_accepts_rounding_asymmetry(solver_calls):
     psi, h = _jc_with_in_sector_asymmetry(1e-13)
+    assert dynamics._sector_blocks(h) is not None
     assert abs(np.linalg.norm(evolve(psi, h, 1.0).amplitudes) - 1) < 1e-12
     # checked and diagonalized block by block
     assert max(size for size, _ in solver_calls) == 2
@@ -687,15 +676,28 @@ def test_krylov_step_on_an_empty_hamiltonian(solver_calls):
     assert solver_calls == [(1, np.float64)]
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "complex gauge"])
+@pytest.mark.parametrize("kind", ["diagonal", "complex gauge", "cross-sector pair",
+                                  "real entry at odd q-difference"])
 def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_calls):
-    # a diagonal entry joins a state to its own parity; a real entry between
-    # states whose q differs by one leaves no real gauge.  The Krylov step
-    # needs neither: it works on the complex triplets as given
-    layout, h = _collective_jc(6)
-    row, col = _big_sector_pair(layout)
+    # whole blocks need an H that conserves the excitation number, has the
+    # real gauge and has no sector above 20 states; the Krylov step needs
+    # none of that and works on the complex triplets as given.  In the
+    # 35-state sector, a diagonal entry joins a state to its own parity and a
+    # real entry between states whose q differs by one leaves no real gauge.
+    # In the d = 6 JC, |g,0> <-> |e,2> joins sectors 0 and 3 (in the real
+    # gauge: the entries are imaginary), and a real entry between |e,0> and
+    # |g,1> leaves no real gauge inside one sector
+    if kind in ("diagonal", "complex gauge"):
+        layout, h = _collective_jc(6)
+        row, col = _big_sector_pair(layout)
+    else:
+        layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
+        h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
+        row, col = (0, 5) if kind == "cross-sector pair" else (3, 1)
     if kind == "diagonal":
         h = h + LinearOp(layout, [row], [row], [0.3])
+    elif kind == "cross-sector pair":
+        h = h + LinearOp(layout, [row, col], [col, row], [0.25j, -0.25j])
     else:
         h = h + LinearOp(layout, [row, col], [col, row], [0.25, 0.25])
     assert dynamics._sector_blocks(h) is None
@@ -704,6 +706,7 @@ def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_cal
     assert max(size for size, _ in solver_calls) <= dynamics._KRYLOV_DIM
     u = dense_propagator(dense(h), 0.9)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
+    assert np.max(np.abs(_evolved_columns(h, 0.9) - u)) < 1e-12
 
 
 def test_collision_unitary_is_unitary_and_matches_dense_oracle():

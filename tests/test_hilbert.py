@@ -227,6 +227,17 @@ def test_coherent_weight_is_zero_when_eta_squared_underflows(eta):
         assert abs(state.amplitudes[0] - 1) < 1e-12
 
 
+@pytest.mark.parametrize("eta", [1e200, 1e200 + 1e200j, 1e308])
+def test_coherent_weight_is_one_when_eta_squared_overflows(eta):
+    # |eta|^2 overflows the float range: all of the weight lies beyond any
+    # cutoff, and the amplitudes stay finite and normalized
+    state, weight = coherent_mode_state(5, eta)
+    assert weight == 1.0
+    assert np.all(np.isfinite(state.amplitudes))
+    assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
+    assert abs(abs(state.amplitudes[-1]) - 1) < 1e-12
+
+
 def test_coherent_rejects_small_cutoff():
     with pytest.raises(ValueError):
         coherent_mode_state(0, 1.0)
