@@ -11,7 +11,8 @@ Numeric output is formatted to 12 significant digits and runs are
 deterministic: identical configs produce byte-identical CSV/JSON.
 Exit codes: 0 success, 2 usage/validation error (including sizes beyond the
 memory guards ``MAX_COLLECTIVE_N``, ``MAX_COHERENT_CUTOFF`` and
-``MAX_SWEEP_ROWS``), 1 computation failure.
+``MAX_SWEEP_ROWS`` and ancilla counts beyond the accuracy bound
+``protocols.MAX_ANCILLAS``), 1 computation failure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .entanglement import chsh_violated, concurrence, horodecki_m, target_pair_d
 from .hilbert import default_coherent_cutoff
 from .plotting import heatmap, line_chart
 from .protocols import (
+    MAX_ANCILLAS,
     RotationProtocolParams,
     coherent_field_rotation,
     massless_absorption,
@@ -118,7 +120,9 @@ def _float_nonneg(key, val):
     return v
 
 
-def _int_list_min(minimum):
+def _int_list(lo, hi):
+    entry = _int_range(lo, hi)
+
     def check(key, val):
         if isinstance(val, str):
             parts = [p for p in val.split(",") if p.strip()]
@@ -128,12 +132,7 @@ def _int_list_min(minimum):
                 raise UsageError(f"{key} must be a comma list of integers, got {val!r}") from None
         if not isinstance(val, list) or not val:
             raise UsageError(f"{key} must be a non-empty list of integers, got {val!r}")
-        out = []
-        for v in val:
-            if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-                raise UsageError(f"{key} entries must be integers >= {minimum}, got {v!r}")
-            out.append(v)
-        return out
+        return [entry(f"each {key} entry", v) for v in val]
     return check
 
 
@@ -257,13 +256,13 @@ def _check_coherent_rotation(p, plot):
 EXPERIMENTS = {
     "table1": Experiment(
         "summary concurrence table for all four particle classes",
-        (Param("n", int, _int_range(1), 1),), _run_table1),
+        (Param("n", int, _int_range(1, MAX_ANCILLAS), 1),), _run_table1),
     "rotate": Experiment(
         "sequential ancilla rotation fidelity",
-        (Param("n", int, _int_range(1), 1), *_amplitudes()), _run_rotate),
+        (Param("n", int, _int_range(1, MAX_ANCILLAS), 1), *_amplitudes()), _run_rotate),
     "rotate-sweep": Experiment(
         "infidelity versus ancilla count",
-        (Param("n_list", None, _int_list_min(1), [4, 8, 16, 32, 64], metavar="N1,N2,..."),
+        (Param("n_list", None, _int_list(1, MAX_ANCILLAS), [4, 8, 16, 32, 64], metavar="N1,N2,..."),
          *_amplitudes(0.8, 0.6)),
         _run_rotate_sweep, plot=_plot_rotate_sweep),
     "collective-check": Experiment(
@@ -369,6 +368,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_numbers(argv) -> list:
+    """``--flag -1e-3`` written as ``--flag=-1e-3``.  argparse reads a token
+    that starts with '-' as an option unless it looks like -N or -N.N, so
+    negative numbers in scientific notation would not reach the validators."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
+                and token.startswith("-") and _is_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 _CONFIG_KEYS = {"experiment", "parameters", "output"}
 _OUTPUT_KEYS = {"format", "path", "plot"}
 
@@ -419,7 +440,7 @@ def parse_config(argv=None, config_text: str | None = None) -> RunConfig:
 
     ns = None
     if argv is not None:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser().parse_args(_attach_negative_numbers(argv))
         if config_text is None and ns.config is not None:
             try:
                 with open(ns.config, "r", encoding="utf-8") as fh:

@@ -21,6 +21,7 @@ function returning a new value, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -374,6 +375,8 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     eta = complex(eta)
+    if not cmath.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
     if eta == 0:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0

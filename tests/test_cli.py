@@ -56,6 +56,16 @@ def test_parse_rejects_zero_amplitudes():
         parse_config(["rotate", "--alpha", "0", "--beta", "0"])
 
 
+def test_negative_numbers_in_scientific_notation_are_values(capsys):
+    # argparse alone reads -1e-1 as an option and exits 2 ("expected one argument")
+    assert main(["rotate", "--alpha=-1e-1", "--beta", "1"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["rotate", "--alpha", "-1e-1", "--beta", "1"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["coherent-rotation", "--eta", "-1e3", "--cutoff", "5"]) == 2
+    assert "eta must be >= 0" in capsys.readouterr().err
+
+
 def test_parse_n_list():
     cfg = parse_config(["rotate-sweep", "--n-list", "4,8,16"])
     assert cfg.parameters["n_list"] == [4, 8, 16]
@@ -382,6 +392,10 @@ def test_normalization_of_subnormal_amplitudes(tiny):
      r"cutoff must be an integer in \[1,131071\], got 131072"),
     (["fermion-sweep", "--pairs", "4", "--grid", "33"], r"grid\*\*pairs must be <= 1048576"),
     (["fermion-sweep", "--pairs", "1000000000"], r"grid\*\*pairs must be <= 1048576"),
+    (["rotate", "--n", "1048577"], r"n must be an integer in \[1,1048576\], got 1048577"),
+    (["rotate-sweep", "--n-list", "4,1048577"],
+     r"each n_list entry must be an integer in \[1,1048576\], got 1048577"),
+    (["table1", "--n", "1048577"], r"n must be an integer in \[1,1048576\], got 1048577"),
 ])
 def test_size_guards_refuse_before_running(argv, message):
     with pytest.raises(UsageError, match=message):
@@ -396,6 +410,9 @@ def test_size_guards_refuse_before_running(argv, message):
     ["fermion-sweep", "--pairs", "2", "--grid", "1024"],
     ["coherent-rotation", "--eta", "100"],
     ["coherent-rotation", "--eta", "41.3"],
+    ["rotate", "--n", "1048576"],
+    ["rotate-sweep", "--n-list", "4,1048576"],
+    ["table1", "--n", "1048576"],
 ])
 def test_size_guards_accept_the_budget_edge(argv):
     parse_config(argv)

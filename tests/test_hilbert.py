@@ -238,6 +238,14 @@ def test_coherent_weight_is_one_when_eta_squared_overflows(eta):
     assert abs(abs(state.amplitudes[-1]) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan, complex(math.inf, 0),
+                                 complex(0, math.nan)])
+def test_coherent_rejects_non_finite_eta(eta):
+    # refused by name before any arithmetic; a RuntimeWarning would fail the test
+    with pytest.raises(ValueError, match="eta must be finite"):
+        coherent_mode_state(5, eta)
+
+
 def test_coherent_rejects_small_cutoff():
     with pytest.raises(ValueError):
         coherent_mode_state(0, 1.0)

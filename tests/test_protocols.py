@@ -26,7 +26,14 @@ from modent import (
     table1_summary,
 )
 from modent import protocols
-from modent.protocols import _collision_unitary, _pair_mixing, _reduced_targets, rotation_step
+from modent.protocols import (
+    MAX_ANCILLAS,
+    _collision_channel,
+    _collision_unitary,
+    _pair_mixing,
+    _reduced_targets,
+    rotation_step,
+)
 
 SQ2 = math.sqrt(2)
 
@@ -76,12 +83,6 @@ def test_single_collision_rejects_unnormalized_input():
 # sequential rotation
 # ---------------------------------------------------------------------------
 
-def test_sequential_quarter_pulse_reproduces_single_collision():
-    # explicit per-step duration pi/4: one step is exactly the closed-form channel
-    res = sequential_rotation(RotationProtocolParams(1.0, 0.0, 1, per_step_duration=math.pi / 4))
-    assert abs(res.scalars["fidelity"] - (2 + SQ2) / 4) < 1e-12
-
-
 def test_sequential_default_single_step_from_ground():
     # from |g> the full half-turn pulse transfers the ancilla particle exactly
     res = sequential_rotation(RotationProtocolParams(1.0, 0.0, 1))
@@ -112,24 +113,37 @@ def test_rotation_step_preserves_trace_and_positivity():
     rho = np.outer(psi, psi.conj())
     n = 12
     u = _collision_unitary(math.pi / (2 * n))
+    rho0 = rho
     for _ in range(n):
         rho = rotation_step(rho, u)
         assert abs(np.trace(rho).real - 1) < 1e-10
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
+    # the channel power at the largest accepted ancilla count
+    s_n = np.linalg.matrix_power(_collision_channel(math.pi / (2 * MAX_ANCILLAS)), MAX_ANCILLAS)
+    rho = (s_n @ rho0.ravel()).reshape(2, 2)
+    assert abs(np.trace(rho) - 1) < 1e-9
+    assert np.min(np.linalg.eigvalsh(rho)) > 0
 
 
 def test_rotation_step_matches_kron_oracle_bit_for_bit():
-    # every step of N-collision rotations, up to N = 1024
+    # every step of N-collision rotations, up to N = 1024; the channel matrix's
+    # columns are the step on the four matrix units, and its N-th power is the
+    # N steps up to rounding
     rng = np.random.default_rng(410)
     for n in (1, 2, 3, 7, 16, 64, 384, 1024):
         alpha, beta = rand_amplitude_pair(rng)
         psi = np.array([alpha, beta])
-        rho = np.outer(psi, psi.conj())
+        rho = rho0 = np.outer(psi, psi.conj())
         u = _collision_unitary(math.pi / (2 * n))
+        channel = _collision_channel(math.pi / (2 * n))
+        for j, unit in enumerate(np.eye(4, dtype=complex)):
+            assert np.array_equal(channel[:, j], kron_rotation_step(unit.reshape(2, 2), u).ravel())
         for _ in range(n):
             step = rotation_step(rho, u)
             assert np.array_equal(step, kron_rotation_step(rho, u))
             rho = step
+        power = (np.linalg.matrix_power(channel, n) @ rho0.ravel()).reshape(2, 2)
+        assert np.max(np.abs(power - rho)) < 1e-13
 
 
 def test_rotation_params_validation():
@@ -139,14 +153,8 @@ def test_rotation_params_validation():
         RotationProtocolParams(math.nan, 0.0, 4)
     with pytest.raises(ValueError, match="n_ancillas"):
         RotationProtocolParams(1.0, 0.0, 0)
-    with pytest.raises(ValueError, match="per_step_duration must be positive"):
-        RotationProtocolParams(1.0, 0.0, 2, per_step_duration=0.0)
-
-
-@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
-def test_rotation_params_refuse_non_finite_step_duration(dt):
-    with pytest.raises(ValueError, match="per_step_duration must be positive and finite"):
-        RotationProtocolParams(1.0, 0.0, 2, per_step_duration=dt)
+    with pytest.raises(ValueError, match=r"n_ancillas must be in \[1,1048576\], got 1048577"):
+        RotationProtocolParams(1.0, 0.0, MAX_ANCILLAS + 1)
 
 
 # ---------------------------------------------------------------------------
