@@ -377,13 +377,16 @@ def _is_number(token: str) -> bool:
 
 
 def _attach_negative_numbers(argv) -> list:
-    """``--flag -1e-3`` written as ``--flag=-1e-3``.  argparse reads a token
-    that starts with '-' as an option unless it looks like -N or -N.N, so
-    negative numbers in scientific notation would not reach the validators."""
+    """``--flag -1e-3`` written as ``--flag=-1e-3``, and ``--flag -4,8`` as
+    ``--flag=-4,8``.  argparse reads a token that starts with '-' as an option
+    unless it looks like -N or -N.N, so negative numbers in scientific
+    notation, and comma lists that start with a negative number, would not
+    reach the validators.  A token is attached when each of its comma parts
+    is a number."""
     out = []
     for token in argv:
         if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
-                and token.startswith("-") and _is_number(token)):
+                and token.startswith("-") and all(map(_is_number, token.split(",")))):
             out[-1] += "=" + token
         else:
             out.append(token)

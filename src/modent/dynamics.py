@@ -27,6 +27,11 @@ invariant subspace (a lucky breakdown: the next Lanczos coefficient is zero)
 makes that exact; otherwise the substep is shortened until the a-posteriori
 estimate of its error is within ``_KRYLOV_TOL``.  V has orthonormal columns
 and exp(-i T tau) is unitary, so the norm is kept to rounding at any t.
+The products with the basis (the Gram-Schmidt coefficients V^dag p, the
+correction V c and the recombination V y) run in numpy's ``vecdot`` and
+``vecmat`` loops, one dot product per row on one core: as BLAS
+matrix-vector products on a basis of at most 30 x d they were split across
+threads that only waited on each other at these sizes.
 """
 
 from __future__ import annotations
@@ -277,8 +282,8 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
             p = np.zeros(d, dtype=complex)
             p[filled] = np.add.reduceat(values * basis[m - 1, cols], starts)
             for _ in range(2):
-                c = (basis[:m] @ p.conj()).conj()
-                p -= c @ basis[:m]
+                c = np.vecdot(basis[:m], p)
+                p -= np.vecmat(c.conj(), basis[:m])
                 tridiagonal[m - 1, m - 1] += c[-1].real
             beta = np.linalg.norm(p)
             lucky = beta * remaining <= _KRYLOV_TOL
@@ -294,7 +299,7 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
             if tau * beta * abs(turns @ q[-1]) <= _KRYLOV_TOL:
                 break
             tau *= 0.5 ** 0.25
-        w = norm * ((q @ turns) @ basis[:m])
+        w = norm * np.vecmat((q @ turns).conj(), basis[:m])
         remaining -= tau
     return w
 

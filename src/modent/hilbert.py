@@ -5,7 +5,7 @@ global basis index runs row-major over the subsystem list, with the
 first-listed subsystem varying slowest (so ``tensor`` is a plain Kronecker
 product).  Operators are held as COO triplets (rows, cols, values) and never
 as a d x d array: an embedded operator scatters the nonzeros of its local
-matrix to the global index pairs they occupy (``basis_offsets``), never
+matrix to the global index pairs they occupy (``embed_triplets``), never
 through a Kronecker product with an identity.
 
 Fermionic modes are hard-core two-level modes: each holds occupation 0 or 1,
@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -89,7 +90,9 @@ class SystemLayout:
 
     The basis ordering is part of the contract: index = sum_i n_i * stride_i
     with stride_i = prod of the dimensions of all later subsystems (first
-    subsystem slowest).
+    subsystem slowest).  The shape (``labels``, ``dims``, ``dim``,
+    ``strides()``) is computed once per layout; the cached values are not
+    fields, so equality and hashing still see ``subsystems`` alone.
     """
 
     subsystems: tuple
@@ -110,15 +113,15 @@ class SystemLayout:
             raise ValueError(f"duplicate subsystem labels in {labels}")
         object.__setattr__(self, "subsystems", subs)
 
-    @property
+    @cached_property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.subsystems)
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
         return tuple(kind.dim for _, kind in self.subsystems)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return math.prod(self.dims)
 
@@ -132,6 +135,10 @@ class SystemLayout:
         return self.subsystems[self.position(label)][1]
 
     def strides(self) -> tuple:
+        return self._strides
+
+    @cached_property
+    def _strides(self) -> tuple:
         dims = self.dims
         return tuple(math.prod(dims[i + 1:]) for i in range(len(dims)))
 
@@ -406,20 +413,6 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
 
 
-def basis_offsets(layout: SystemLayout, positions: Sequence[int]) -> np.ndarray:
-    """Global index offset of every joint level of the subsystems at ``positions``.
-
-    Row-major over ``positions`` in the order given (first slowest); an empty
-    list gives the single offset 0.  A basis state's global index is the sum
-    of its offsets over any partition of the subsystems.
-    """
-    dims, strides = layout.dims, layout.strides()
-    out = np.zeros(1, dtype=np.int64)
-    for p in positions:
-        out = (out[:, None] + np.arange(dims[p]) * strides[p]).ravel()
-    return out
-
-
 def embed_triplets(layout: SystemLayout, rows, cols, values,
                    targets: Sequence[str]) -> LinearOp:
     """Embed the local operator with nonzeros ``values`` at (``rows``, ``cols``)
@@ -427,15 +420,21 @@ def embed_triplets(layout: SystemLayout, rows, cols, values,
 
     Each local triplet is scattered to the global index pairs it occupies for
     every level of the other subsystems.  Local indices run row-major over
-    ``targets`` as given.
+    ``targets`` as given.  Both sets of offsets are slices of the global
+    index grid, its axes put in the order of ``targets`` and then of the
+    other subsystems: the targets' with the others at level 0, and the
+    others' with the targets at level 0.  A global index is the sum of the
+    two.
     """
     if not targets:
         raise ValueError("an embedded operator needs at least one target")
     positions = [layout.position(lab) for lab in targets]
     if len(set(positions)) != len(positions):
         raise ValueError("target labels must be distinct")
-    target_off = basis_offsets(layout, positions)
-    rest_off = basis_offsets(layout, [i for i in range(len(layout.dims)) if i not in positions])
+    rest = [i for i in range(len(layout.dims)) if i not in positions]
+    grid = np.arange(layout.dim, dtype=np.int64).reshape(layout.dims).transpose(positions + rest)
+    target_off = grid[(...,) + (0,) * len(rest)].ravel()
+    rest_off = grid[(0,) * len(positions)].ravel()
     return LinearOp(layout, (target_off[rows, None] + rest_off).ravel(),
                     (target_off[cols, None] + rest_off).ravel(),
                     np.repeat(values, rest_off.size))

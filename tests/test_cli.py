@@ -66,6 +66,14 @@ def test_negative_numbers_in_scientific_notation_are_values(capsys):
     assert "eta must be >= 0" in capsys.readouterr().err
 
 
+def test_negative_first_entry_of_a_comma_list_reaches_the_validator(capsys):
+    # argparse alone reads -4,8 as an option and exits 2 ("expected one argument")
+    assert main(["rotate-sweep", "--n-list", "-4,8"]) == 2
+    assert "each n_list entry must be an integer in [1,1048576], got -4" in capsys.readouterr().err
+    with pytest.raises(UsageError, match=r"got -4\b"):
+        parse_config(["rotate-sweep", "--n-list", "8,-4"])
+
+
 def test_parse_n_list():
     cfg = parse_config(["rotate-sweep", "--n-list", "4,8,16"])
     assert cfg.parameters["n_list"] == [4, 8, 16]

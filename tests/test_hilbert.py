@@ -12,6 +12,7 @@ from conftest import (
     dense_partial_trace,
     embed_local,
     linear_op,
+    offsets_embed_triplets,
     rand_pure_state,
 )
 from modent import (
@@ -29,7 +30,7 @@ from modent import (
     superpose,
     tensor,
 )
-from modent.hilbert import _log_factorials
+from modent.hilbert import _log_factorials, embed_triplets
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +362,37 @@ def test_embed_matches_kron_oracle(data):
     local[rng.random((d, d)) < data.draw(st.floats(0.0, 1.0))] = 0.0
     embedded = dense(embed_local(layout, local, targets))
     assert np.array_equal(embedded, dense_embed(layout, local, targets))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_embed_triplets_match_offset_oracle(data):
+    # the same global triplets, bit for bit and in the same order, as the
+    # loop over basis_offsets the grid slices replaced
+    kinds = data.draw(st.lists(_KINDS, min_size=1, max_size=5))
+    layout = compose_layout([(f"s{i}", kind) for i, kind in enumerate(kinds)])
+    order = data.draw(st.permutations(layout.labels))
+    targets = order[:data.draw(st.integers(1, len(order)))]
+    d = int(np.prod([layout.kind_of(lab).dim for lab in targets]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    size = data.draw(st.integers(0, 2 * d))
+    rows, cols = rng.integers(0, d, size), rng.integers(0, d, size)
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    op = embed_triplets(layout, rows, cols, values, targets)
+    for got, want in zip((op.rows, op.cols, op.values),
+                         offsets_embed_triplets(layout, rows, cols, values, targets)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_layout_shape_is_cached_without_changing_equality():
+    subsystems = [("T", TwoLevel), ("m", BosonicMode(2)), ("f", FermionicMode)]
+    layout, fresh = compose_layout(subsystems), compose_layout(subsystems)
+    before = hash(layout)
+    shape = (layout.labels, layout.dims, layout.dim, layout.strides())
+    assert shape == (("T", "m", "f"), (2, 3, 2), 12, (6, 2, 1))
+    assert layout.dims is layout.dims and layout.strides() is layout.strides()
+    assert layout == fresh and hash(layout) == hash(fresh) == before
+    assert {layout: 1}[fresh] == 1
 
 
 def test_embed_errors():
