@@ -478,7 +478,7 @@ def test_hermiticity_check_holds_one_temporary_at_most(monkeypatch):
     assert peak < 2 * sum(groups) + 0.5 * max(groups)
 
 
-def test_krylov_path_peaks_below_the_whole_blocks(monkeypatch):
+def test_chiral_path_peaks_below_the_whole_blocks(monkeypatch):
     # collective n = 10: the Krylov step holds the sorted triplets, the basis
     # (30 x 2048 complex, 0.9 MiB) and a few work vectors, less than half the
     # whole blocks (5.4 MiB), which the whole-block path holds twice
@@ -491,7 +491,8 @@ def test_krylov_path_peaks_below_the_whole_blocks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# large sectors: the Krylov step
+# large sectors: the Krylov step.  The test_chiral_* names are those of the
+# sector solver this step replaced; they pin the same properties on it.
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -525,7 +526,7 @@ def _bipartite_hamiltonians(draw):
 
 @given(_bipartite_hamiltonians(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
 @settings(max_examples=40, deadline=None)
-def test_krylov_path_matches_dense_oracle(case, seed, t):
+def test_chiral_path_matches_dense_oracle(case, seed, t):
     layout, h = case
     assert dynamics._sector_blocks(h) is None
     u = dense_propagator(dense(h), t)
@@ -553,7 +554,7 @@ def _rank_deficient_jc():
     return linear_op(layout, _gauged(layout, s + s.T).conj())
 
 
-def test_krylov_path_on_rank_deficient_unbalanced_blocks(solver_calls):
+def test_chiral_path_on_rank_deficient_unbalanced_blocks(solver_calls):
     # H is mostly null space: each basis state lies in a small invariant
     # subspace, so its Krylov basis breaks down early, short of _KRYLOV_DIM
     h = _rank_deficient_jc()
@@ -565,7 +566,7 @@ def test_krylov_path_on_rank_deficient_unbalanced_blocks(solver_calls):
 
 
 @pytest.mark.parametrize("t", [50.0, 200.0, 1000.0])
-def test_krylov_path_stays_unitary_at_long_times(t, solver_calls):
+def test_chiral_path_stays_unitary_at_long_times(t, solver_calls):
     # a generic state needs many substeps this long; each keeps the norm to
     # rounding, and both the Krylov step and the dense oracle are exact for
     # H within a few eps ||H|| of the input, so they drift apart by about
@@ -587,7 +588,7 @@ def test_krylov_path_stays_unitary_at_long_times(t, solver_calls):
 
 
 @pytest.mark.parametrize("n_modes", [6, 7, 8, 9, 10, 11, 12])
-def test_krylov_collective_check_matches_reference_and_eigh_path(n_modes, monkeypatch):
+def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes, monkeypatch):
     alpha, beta = rand_amplitude_pair(np.random.default_rng(n_modes))
     duration = math.pi / (4.0 * math.sqrt(n_modes))
     layout, h = _collective_jc(n_modes)
@@ -616,7 +617,7 @@ def _big_sector_pair(layout):
 
 
 @pytest.mark.parametrize("value", [1e-9j, complex(0.0, np.nan)])
-def test_krylov_path_refuses_non_hermitian_and_nan(value):
+def test_chiral_path_refuses_non_hermitian_and_nan(value):
     # an entry without a matching mirror in the 35-state sector: the Krylov
     # step checks the coalesced triplets against their conjugate transpose
     layout, h = _collective_jc(6)
@@ -627,7 +628,7 @@ def test_krylov_path_refuses_non_hermitian_and_nan(value):
         evolve(basis_state(layout, ["g"] + [0] * 6), h, 1.0)
 
 
-def test_krylov_path_accepts_rounding_asymmetry():
+def test_chiral_path_accepts_rounding_asymmetry():
     layout, h = _collective_jc(6)
     row, col = _big_sector_pair(layout)
     h = h + LinearOp(layout, [row], [col], [1e-13j])
