@@ -17,7 +17,6 @@ from .hilbert import (
     tensor,
 )
 from .dynamics import (
-    CouplingSpec,
     evolve,
     jc_hamiltonian,
 )
@@ -34,8 +33,6 @@ from .entanglement import (
 )
 from .protocols import (
     ExperimentResult,
-    FermionProtocolParams,
-    RotationProtocolParams,
     Table1Row,
     coherent_field_rotation,
     massive_fermion_protocol,

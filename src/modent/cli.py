@@ -32,7 +32,6 @@ from .hilbert import default_coherent_cutoff
 from .plotting import heatmap, line_chart
 from .protocols import (
     MAX_ANCILLAS,
-    RotationProtocolParams,
     coherent_field_rotation,
     massless_absorption,
     optimize_angles,
@@ -178,14 +177,14 @@ def _run_table1(p, payload):
 
 
 def _run_rotate(p, payload):
-    res = sequential_rotation(RotationProtocolParams(p["alpha"], p["beta"], p["n"]))
+    res = sequential_rotation(p["alpha"], p["beta"], p["n"])
     payload["scalars"] = dict(res.scalars)
 
 
 def _run_rotate_sweep(p, payload):
     series = []
     for n in p["n_list"]:
-        res = sequential_rotation(RotationProtocolParams(p["alpha"], p["beta"], n))
+        res = sequential_rotation(p["alpha"], p["beta"], n)
         series.append((float(n), res.scalars["infidelity"]))
     payload["series"] = series
     payload["series_columns"] = ["n_ancillas", "infidelity"]

@@ -1,10 +1,10 @@
 """Excitation-exchange Hamiltonians and their exact time evolution.
 
-Units: hbar = 1 and the default coupling strength is J = 1, so all times are
+Units: hbar = 1 and the coupling strength is J = 1, so all times are
 expressed in units of 1/J.  Hamiltonians are ``LinearOp`` triplets built from
 the nonzeros of each coupling; no d x d array is formed.  The excitation
 number of a basis state is the sum of its level indices.  Every coupling
-built here conserves it and is i J sqrt(n) times a real ladder between states
+built here conserves it and is i sqrt(n) times a real ladder between states
 whose two-level indices sum to q + 1 and q, so with D = diag(i^q) the gauged
 H' = D^dag H D is real symmetric and block diagonal over the sectors, and
 exp(-i H t) = D exp(-i H' t) D^dag.  The gauge is exact: each entry of H' and
@@ -37,7 +37,6 @@ threads that only waited on each other at these sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,53 +52,36 @@ from .hilbert import (
 )
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
-    """A two-level particle exchanging excitations with one or more field modes."""
+def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
+    """sum_k (i s+ a_k - i s- a_k^dag) over ``modes``, coupling the two-level
+    subsystem ``qubit`` to each mode, embedded in the layout.
 
-    qubit_label: str
-    mode_labels: tuple
-    strength_J: float = 1.0
-
-    def __post_init__(self):
-        modes = tuple(str(m) for m in self.mode_labels)
-        if not modes:
-            raise ValueError("coupling needs at least one mode")
-        labels = (self.qubit_label,) + modes
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"coupling labels must be distinct, got {labels}")
-        if not self.strength_J > 0:
-            raise ValueError(f"coupling strength must be positive, got {self.strength_J}")
-        object.__setattr__(self, "mode_labels", modes)
-
-
-def _check_coupling_kinds(layout: SystemLayout, spec: CouplingSpec):
-    if not isinstance(layout.kind_of(spec.qubit_label), TwoLevel):
-        raise ValueError(f"subsystem {spec.qubit_label!r} must be TwoLevel")
-    for m in spec.mode_labels:
+    In units with J = 1.  Hermitian by construction; conserves the total
+    excitation number (qubit excitation plus mode occupations).  With
+    s+|g> = |e>, each mode contributes the ladder's nonzeros only: i sqrt(n)
+    at row (e, n-1), column (g, n) of the local (qubit, mode) basis, plus the
+    conjugate transpose.
+    """
+    modes = tuple(modes)
+    if not modes:
+        raise ValueError("coupling needs at least one mode")
+    labels = (qubit,) + modes
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"coupling labels must be distinct, got {labels}")
+    if not isinstance(layout.kind_of(qubit), TwoLevel):
+        raise ValueError(f"subsystem {qubit!r} must be TwoLevel")
+    for m in modes:
         if not isinstance(layout.kind_of(m), (BosonicMode, FermionicMode)):
             raise ValueError(f"subsystem {m!r} must be a bosonic or fermionic mode")
-
-
-def jc_hamiltonian(layout: SystemLayout, spec: CouplingSpec) -> LinearOp:
-    """J * sum_k (i s+ a_k - i s- a_k^dag) over the spec's modes, embedded in the layout.
-
-    Hermitian by construction; conserves the total excitation number
-    (qubit excitation plus mode occupations).  With s+|g> = |e>, each mode
-    contributes the ladder's nonzeros only: i J sqrt(n) at row (e, n-1),
-    column (g, n) of the local (qubit, mode) basis, plus the conjugate
-    transpose.
-    """
-    _check_coupling_kinds(layout, spec)
     terms = []
-    for m in spec.mode_labels:
+    for m in modes:
         # <n-1| a |n> = sqrt(n) for n = 1 .. n_max; a hard-core fermion has n_max = 1
         n = np.arange(1, layout.kind_of(m).dim)
-        values = 1j * (spec.strength_J * np.sqrt(n))
+        values = 1j * np.sqrt(n)
         excited = n.size + n   # (e, n-1): the qubit's stride is n_max + 1
         terms.append(embed_triplets(layout, np.concatenate([excited, n]),
                                     np.concatenate([n, excited]),
-                                    np.concatenate([values, values.conj()]), [spec.qubit_label, m]))
+                                    np.concatenate([values, values.conj()]), [qubit, m]))
     if len(terms) == 1:
         return terms[0]
     # one concatenation in mode order: the triplets of the sum of the terms

@@ -3,18 +3,20 @@ the entangled-pair mixing protocol, angle optimization, and the summary table.
 
 Conventions: J = 1 (times in units of 1/J), flying/ancilla occupations use
 hard-core modes, target qubits use the (g, e) basis.  Every protocol is
-deterministic and single-threaded; independent runs share no mutable state.
+deterministic, and independent runs share no mutable state (numpy's BLAS
+may still split one run's products across threads).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CouplingSpec, _finite_time, _propagate, _sector_eigh, evolve, jc_hamiltonian
+from .dynamics import _finite_time, _propagate, _sector_eigh, evolve, jc_hamiltonian
 from .entanglement import (
     TWO_TARGETS,
     concurrence,
@@ -92,41 +94,6 @@ MAX_ANCILLAS = 2 ** 20
 
 
 @dataclass(frozen=True)
-class RotationProtocolParams:
-    """Sequential ancilla-rotation parameters: N collisions of duration
-    pi/(2 J N) each, which compose to the full half-turn target rotation."""
-
-    alpha: complex
-    beta: complex
-    n_ancillas: int
-
-    def __post_init__(self):
-        _check_normalized(self.alpha, self.beta)
-        if not 1 <= self.n_ancillas <= MAX_ANCILLAS:
-            raise ValueError(f"n_ancillas must be in [1,{MAX_ANCILLAS}], got {self.n_ancillas}")
-
-
-@dataclass(frozen=True)
-class FermionProtocolParams:
-    """Entangled-pair mixing parameters: one angle per pair, same on both sides."""
-
-    n_pairs: int
-    angles: tuple
-
-    def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        angles = tuple(float(a) for a in self.angles)
-        if len(angles) != self.n_pairs:
-            raise ValueError(f"need {self.n_pairs} angles, got {len(angles)}")
-        for a in angles:
-            # written as "not <=" so that a NaN angle is rejected too
-            if not 0.0 <= a <= math.pi:
-                raise ValueError(f"mixing angle must lie in [0, pi], got {a}")
-        object.__setattr__(self, "angles", angles)
-
-
-@dataclass(frozen=True)
 class Table1Row:
     particle_type: str
     concurrence: float | None
@@ -152,8 +119,7 @@ def massless_absorption():
         (1.0, basis_state(layout, [1, 0, "g", "g"])),
         (1.0, basis_state(layout, [0, 1, "g", "g"])),
     ])
-    h = (jc_hamiltonian(layout, CouplingSpec("tgt_l", ("fly_l",)))
-         + jc_hamiltonian(layout, CouplingSpec("tgt_r", ("fly_r",))))
+    h = jc_hamiltonian(layout, "tgt_l", ("fly_l",)) + jc_hamiltonian(layout, "tgt_r", ("fly_r",))
     final = evolve(psi0, h, math.pi / 2)
 
     transferred = superpose([
@@ -189,7 +155,7 @@ _ANCILLA_PLUS_RHO = 0.5 * np.ones((2, 2), dtype=complex)
 
 # the fixed target-ancilla collision Hamiltonian, diagonalized once
 _COLLISION_SPECTRUM = _sector_eigh(jc_hamiltonian(compose_layout(
-    [("target", TwoLevel), ("ancilla", FermionicMode)]), CouplingSpec("target", ("ancilla",))))
+    [("target", TwoLevel), ("ancilla", FermionicMode)]), "target", ("ancilla",)))
 
 
 def _collision_unitary(duration: float) -> np.ndarray:
@@ -222,10 +188,11 @@ def _collision_channel(duration: float) -> np.ndarray:
 
 
 def single_ancilla_rotation(alpha: complex, beta: complex):
-    """One ancilla collision at Jt = pi/4, compared against its closed form.
+    """One ancilla collision at Jt = pi/4; ``single_step_analytic_density`` is
+    its closed form.
 
-    Returns (simulated reduced state, closed-form state, fidelity against the
-    ideal rotated target).
+    Returns (simulated reduced state, fidelity against the ideal rotated
+    target).
     """
     _check_normalized(alpha, beta)
     # (alpha, beta) is normalized only to 1e-12; dividing by the norm keeps
@@ -236,32 +203,33 @@ def single_ancilla_rotation(alpha: complex, beta: complex):
     layout = compose_layout([("target", TwoLevel)])
     u = _collision_unitary(math.pi / 4)
     simulated = DensityOp(layout, rotation_step(np.outer(psi, psi.conj()), u))
-    analytic = DensityOp(layout, single_step_analytic_density(alpha, beta))
-    fid = fidelity(simulated, rotated_target_state(alpha, beta))
-    return simulated, analytic, fid
+    return simulated, fidelity(simulated, rotated_target_state(alpha, beta))
 
 
-def sequential_rotation(params: RotationProtocolParams) -> ExperimentResult:
-    """Rotate the target through N collisions with fresh ancilla modes.
+def sequential_rotation(alpha: complex, beta: complex, n_ancillas: int) -> ExperimentResult:
+    """Rotate the target through N = ``n_ancillas`` collisions with fresh ancilla modes.
 
     Each collision couples the target to a new ancilla in (|0>+|1>)/sqrt(2)
-    for pi/(2 J N) and traces the ancilla out, so the N collisions are N
-    applications of one linear map on vec(rho): the 4x4 ``_collision_channel``
-    S.  The run applies S^N, a matrix power taken by repeated squaring in
-    O(log N) 4x4 products; ``MAX_ANCILLAS`` bounds N where float64 keeps the
-    fidelity to 2e-10.  Reports the fidelity against the ideal rotated target.
+    for pi/(2 J N), so that the N collisions compose to the full half-turn,
+    and traces the ancilla out; the N collisions are thus N applications of
+    one linear map on vec(rho), the 4x4 ``_collision_channel`` S.  The run
+    applies S^N, a matrix power taken by repeated squaring in O(log N) 4x4
+    products; ``MAX_ANCILLAS`` bounds N where float64 keeps the fidelity to
+    2e-10.  Reports the fidelity against the ideal rotated target.
     """
-    psi = np.array([params.alpha, params.beta], dtype=complex)
-    dt = math.pi / (2.0 * params.n_ancillas)
-    s_n = np.linalg.matrix_power(_collision_channel(dt), params.n_ancillas)
+    _check_normalized(alpha, beta)
+    if isinstance(n_ancillas, bool) or not isinstance(n_ancillas, numbers.Integral):
+        raise TypeError(f"n_ancillas must be an integer, got {n_ancillas!r}")
+    if not 1 <= n_ancillas <= MAX_ANCILLAS:
+        raise ValueError(f"n_ancillas must be in [1,{MAX_ANCILLAS}], got {n_ancillas}")
+    psi = np.array([alpha, beta], dtype=complex)
+    dt = math.pi / (2.0 * n_ancillas)
+    s_n = np.linalg.matrix_power(_collision_channel(dt), n_ancillas)
     rho = (s_n @ np.outer(psi, psi.conj()).ravel()).reshape(2, 2)
-    fid = fidelity(rho, rotated_target_state(params.alpha, params.beta))
+    fid = fidelity(rho, rotated_target_state(alpha, beta))
     return ExperimentResult(
         name="sequential_rotation",
-        params={
-            "alpha": params.alpha, "beta": params.beta,
-            "n_ancillas": params.n_ancillas, "per_step_duration": dt,
-        },
+        params={"alpha": alpha, "beta": beta, "n_ancillas": n_ancillas, "per_step_duration": dt},
         scalars={"fidelity": fid, "infidelity": 1.0 - fid},
     )
 
@@ -304,7 +272,8 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    _check_normalized(alpha, beta)
+    # one collision's fidelity; this also checks (alpha, beta) before the coupled run
+    f_single = single_ancilla_rotation(alpha, beta)[1]
     duration = math.pi / (4.0 * math.sqrt(n_modes))
 
     subsystems = [("target", TwoLevel)] + [(f"mode{k}", FermionicMode) for k in range(n_modes)]
@@ -314,7 +283,7 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
     for _ in range(n_modes):
         amps = np.kron(amps, plus)
     psi0 = PureState(layout, amps)
-    h = jc_hamiltonian(layout, CouplingSpec("target", tuple(f"mode{k}" for k in range(n_modes))))
+    h = jc_hamiltonian(layout, "target", layout.labels[1:])
     final = evolve(psi0, h, duration)
     simultaneous = reduced_density(final, ["target"])
 
@@ -323,7 +292,6 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
     ideal = rotated_target_state(alpha, beta)
     f_sim = fidelity(simultaneous, ideal)
     f_coll = fidelity(collective, ideal)
-    f_single = single_ancilla_rotation(alpha, beta)[2]
     return ExperimentResult(
         name="simultaneous_coupling_check",
         params={"n_modes": n_modes, "alpha": alpha, "beta": beta, "duration": duration},
@@ -390,15 +358,23 @@ def _reduced_targets(angles) -> np.ndarray:
     return x @ x.conj().transpose(0, 2, 1)
 
 
-def massive_fermion_protocol(params: FermionProtocolParams):
+def massive_fermion_protocol(angles):
     """Run the pairwise mixing sequence and reduce to the two targets.
 
-    Starts from (|10>|eg> + |01>|ge>)/sqrt(2) with N ancilla pairs each
-    sharing one delocalized particle; pair j is consumed by applying the
-    mixing rotation with angle theta_j on the left and right triples (the two
-    sides commute).  Returns the reduced two-target state and its concurrence.
+    Starts from (|10>|eg> + |01>|ge>)/sqrt(2) with N = len(angles) ancilla
+    pairs each sharing one delocalized particle; pair j is consumed by
+    applying the mixing rotation with angle theta_j = angles[j] in [0, pi] on
+    the left and right triples (the two sides commute).  Returns the reduced
+    two-target state and its concurrence.
     """
-    targets = DensityOp(TWO_TARGETS, _reduced_targets([params.angles])[0])
+    angles = tuple(float(a) for a in angles)
+    if not angles:
+        raise ValueError("n_pairs must be >= 1, got 0")
+    for a in angles:
+        # written as "not <=" so that a NaN angle is rejected too
+        if not 0.0 <= a <= math.pi:
+            raise ValueError(f"mixing angle must lie in [0, pi], got {a}")
+    targets = DensityOp(TWO_TARGETS, _reduced_targets([angles])[0])
     return targets, concurrence(targets)
 
 
@@ -469,7 +445,7 @@ def coherent_field_rotation(alpha: complex, beta: complex, eta: complex,
     target = superpose([(alpha, basis_state(target_layout, ["g"])),
                         (beta, basis_state(target_layout, ["e"]))])
     psi0 = tensor(target, mode)
-    h = jc_hamiltonian(psi0.layout, CouplingSpec("target", mode.layout.labels))
+    h = jc_hamiltonian(psi0.layout, "target", mode.layout.labels)
     reduced = reduced_density(evolve(psi0, h, duration), ["target"])
     fid = fidelity(reduced, rotated_target_state(alpha, beta))
     return ExperimentResult(
@@ -495,6 +471,8 @@ def table1_summary(n_ancilla: int):
     """
     if n_ancilla < 1:
         raise ValueError(f"n_ancilla must be >= 1, got {n_ancilla}")
+    # first: it also refuses a non-integer N before any other row runs
+    seq = sequential_rotation(0.8, 0.6, n_ancilla)
 
     _, absorption = massless_absorption()
     row_boson_massless = Table1Row(
@@ -506,7 +484,6 @@ def table1_summary(n_ancilla: int):
         "massive bosons", concurrence(target_pair_density(gamma)), "inf",
         details={"gamma": gamma})
 
-    seq = sequential_rotation(RotationProtocolParams(0.8, 0.6, n_ancilla))
     row_fermion_massless = Table1Row(
         "massless fermions", None, "inf",
         details={"asymptotic_concurrence": 1.0,

@@ -140,13 +140,13 @@ def annihilation(kind):
     raise ValueError(f"no annihilation operator for subsystem kind {kind!r}")
 
 
-def dense_collective_jc(layout, spec):
-    """J * sum_k (i s+ a_k - i s- a_k^dag) as a sum of dense products."""
-    sp = dense_embed(layout, SIGMA_PLUS, [spec.qubit_label])
+def dense_collective_jc(layout, qubit, modes):
+    """sum_k (i s+ a_k - i s- a_k^dag), J = 1, as a sum of dense products."""
+    sp = dense_embed(layout, SIGMA_PLUS, [qubit])
     h = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for m in spec.mode_labels:
+    for m in modes:
         h += 1j * (sp @ dense_embed(layout, annihilation(layout.kind_of(m)), [m]))
-    return spec.strength_J * (h + h.conj().T)
+    return h + h.conj().T
 
 
 def dense_partial_trace(psi, keep):

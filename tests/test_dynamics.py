@@ -19,7 +19,6 @@ from conftest import (
 )
 from modent import (
     BosonicMode,
-    CouplingSpec,
     FermionicMode,
     LinearOp,
     PureState,
@@ -34,7 +33,6 @@ from modent import (
 )
 from modent import dynamics, protocols
 from modent.protocols import (
-    RotationProtocolParams,
     coherent_field_rotation,
     massless_absorption,
     sequential_rotation,
@@ -47,13 +45,18 @@ def _qubit_mode_layout(kind=FermionicMode):
     return compose_layout([("T", TwoLevel), ("m", kind)])
 
 
+def _scaled(h, strength):
+    """H with every triplet value times ``strength``: the coupling at J = strength."""
+    return LinearOp(h.layout, h.rows, h.cols, strength * h.values)
+
+
 # ---------------------------------------------------------------------------
 # exchange Hamiltonian
 # ---------------------------------------------------------------------------
 
 def test_jc_block_on_single_excitation_subspace():
     layout = _qubit_mode_layout()
-    h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",))))
+    h = dense(jc_hamiltonian(layout, "T", ("m",)))
     # ordered basis {|g>|1>, |e>|0>}: indices 1 and 2 (T slowest)
     block = h[np.ix_([1, 2], [1, 2])]
     assert np.allclose(block, [[0, -1j], [1j, 0]], atol=1e-15)
@@ -61,7 +64,7 @@ def test_jc_block_on_single_excitation_subspace():
 
 def test_jc_vacuum_is_dark():
     layout = _qubit_mode_layout()
-    h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",))))
+    h = dense(jc_hamiltonian(layout, "T", ("m",)))
     assert np.all(h[0, :] == 0)
     assert np.all(h[:, 0] == 0)
 
@@ -69,22 +72,22 @@ def test_jc_vacuum_is_dark():
 def test_jc_exactly_hermitian():
     for kind in (FermionicMode, BosonicMode(3)):
         layout = _qubit_mode_layout(kind)
-        h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",), strength_J=2.5)))
+        h = dense(_scaled(jc_hamiltonian(layout, "T", ("m",)), 2.5))
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
 def test_jc_kind_validation():
     layout = compose_layout([("T", TwoLevel), ("m", FermionicMode)])
     with pytest.raises(ValueError, match="TwoLevel"):
-        jc_hamiltonian(layout, CouplingSpec("m", ("T",)))
+        jc_hamiltonian(layout, "m", ("T",))
     with pytest.raises(KeyError):
-        jc_hamiltonian(layout, CouplingSpec("T", ("absent",)))
+        jc_hamiltonian(layout, "T", ("absent",))
 
 
 def test_jc_commutes_with_excitation_number():
     for kind in (FermionicMode, BosonicMode(3)):
         layout = _qubit_mode_layout(kind)
-        h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",))))
+        h = dense(jc_hamiltonian(layout, "T", ("m",)))
         excite = dense_embed(layout, np.diag([0.0, 1.0]), ["T"])
         a = annihilation(layout.kind_of("m"))
         occupy = dense_embed(layout, a.conj().T @ a, ["m"])
@@ -94,9 +97,8 @@ def test_jc_commutes_with_excitation_number():
 
 def test_collective_single_mode_reduces_to_jc():
     layout = compose_layout([("T", TwoLevel), ("m0", BosonicMode(2)), ("m1", FermionicMode)])
-    both = jc_hamiltonian(layout, CouplingSpec("T", ("m0", "m1")))
-    terms = (jc_hamiltonian(layout, CouplingSpec("T", ("m0",)))
-             + jc_hamiltonian(layout, CouplingSpec("T", ("m1",))))
+    both = jc_hamiltonian(layout, "T", ("m0", "m1"))
+    terms = jc_hamiltonian(layout, "T", ("m0",)) + jc_hamiltonian(layout, "T", ("m1",))
     assert np.array_equal(dense(both), dense(terms))
     # the same triplets in the same order as the sum of the one-mode terms
     for name in ("rows", "cols", "values"):
@@ -105,7 +107,7 @@ def test_collective_single_mode_reduces_to_jc():
 
 def test_collective_two_modes_spreads_excitation_evenly():
     layout = compose_layout([("T", TwoLevel), ("m0", FermionicMode), ("m1", FermionicMode)])
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m0", "m1")))
+    h = jc_hamiltonian(layout, "T", ("m0", "m1"))
     assert np.max(np.abs(dense(h) - dense(h).conj().T)) == 0.0
     excited_empty = basis_state(layout, ["e", 0, 0])
     image = dense(h) @ excited_empty.amplitudes
@@ -121,30 +123,31 @@ def test_collective_two_modes_spreads_excitation_evenly():
 
 @st.composite
 def _coupled_layouts(draw):
-    """A qubit and 1-4 fermionic or bosonic modes in random order, coupled to
-    a random non-empty subset of the modes (the rest are spectators)."""
+    """A qubit and 1-4 fermionic or bosonic modes in random order, the
+    coupled modes (a random non-empty subset; the rest are spectators) and a
+    coupling strength."""
     kinds = draw(st.lists(st.sampled_from([FermionicMode(), BosonicMode(1), BosonicMode(2)]),
                           min_size=1, max_size=4))
     modes = [f"m{k}" for k in range(len(kinds))]
     layout = compose_layout(draw(st.permutations([("T", TwoLevel())] + list(zip(modes, kinds)))))
     coupled = draw(st.lists(st.sampled_from(modes), min_size=1, unique=True))
-    strength = draw(st.floats(0.1, 3.0))
-    return layout, CouplingSpec("T", tuple(coupled), strength)
+    return layout, tuple(coupled), draw(st.floats(0.1, 3.0))
 
 
 @given(_coupled_layouts())
 @settings(max_examples=60, deadline=None)
 def test_collective_matches_dense_sum_oracle(case):
-    layout, spec = case
-    assert np.array_equal(dense(jc_hamiltonian(layout, spec)),
-                          dense_collective_jc(layout, spec))
+    layout, coupled, strength = case
+    assert np.array_equal(dense(_scaled(jc_hamiltonian(layout, "T", coupled), strength)),
+                          strength * dense_collective_jc(layout, "T", coupled))
 
 
 @st.composite
 def _mixed_layouts(draw):
     """1-4 subsystems drawn from TwoLevel, FermionicMode and BosonicMode(1..3),
-    plus the coupled qubit at a random position; every mode is coupled and
-    the extra two-level particles are spectators."""
+    plus the coupled qubit at a random position, the modes and a coupling
+    strength; every mode is coupled and the extra two-level particles are
+    spectators."""
     kinds = draw(st.lists(st.sampled_from([TwoLevel(), FermionicMode(), BosonicMode(1),
                                            BosonicMode(2), BosonicMode(3)]),
                           min_size=1, max_size=4))
@@ -153,8 +156,8 @@ def _mixed_layouts(draw):
     modes = tuple(lab for lab, kind in subs if not isinstance(kind, TwoLevel))
     layout = compose_layout(subs)
     if not modes:
-        return layout, None
-    return layout, CouplingSpec("T", modes, draw(st.floats(0.1, 3.0)))
+        return layout, modes, None
+    return layout, modes, draw(st.floats(0.1, 3.0))
 
 
 def _gauge_phase(layout):
@@ -181,13 +184,13 @@ def _whole_blocks(h):
 @given(_mixed_layouts())
 @settings(max_examples=80, deadline=None)
 def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
-    layout, spec = case
-    if spec is None:  # no mode to couple: H = 0, still split into sectors
+    layout, modes, strength = case
+    if not modes:  # no mode to couple: H = 0, still split into sectors
         h = LinearOp(layout, [], [], [])
         oracle = np.zeros((layout.dim, layout.dim), dtype=complex)
     else:
-        h = jc_hamiltonian(layout, spec)
-        oracle = dense_collective_jc(layout, spec)
+        h = _scaled(jc_hamiltonian(layout, "T", modes), strength)
+        oracle = strength * dense_collective_jc(layout, "T", modes)
     gauged = _gauged(layout, oracle)
     assert np.all(gauged.imag == 0)
     phase, sectors = _whole_blocks(h)
@@ -205,7 +208,7 @@ def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
 
 def test_sum_of_operators_densifies_to_dense_sum():
     layout = compose_layout([("T", TwoLevel), ("m0", BosonicMode(2)), ("m1", FermionicMode)])
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m0", "m1"), 0.7))
+    h = _scaled(jc_hamiltonian(layout, "T", ("m0", "m1")), 0.7)
     assert np.array_equal(dense(h + h), dense(h) + dense(h))
     # repeated triplets add up when the blocks are gathered, in the same gauge
     phase2, sectors2 = dynamics._sector_blocks(h + h)
@@ -217,16 +220,19 @@ def test_sum_of_operators_densifies_to_dense_sum():
         assert np.array_equal(twice, once + once)
     other = compose_layout([("T", TwoLevel), ("m1", FermionicMode), ("m0", BosonicMode(2))])
     with pytest.raises(ValueError, match="different layouts"):
-        h + jc_hamiltonian(other, CouplingSpec("T", ("m0",)))
+        h + jc_hamiltonian(other, "T", ("m0",))
 
 
 def test_coupling_spec_validation():
+    layout = _qubit_mode_layout()
     with pytest.raises(ValueError, match="at least one"):
-        CouplingSpec("T", ())
+        jc_hamiltonian(layout, "T", ())
     with pytest.raises(ValueError, match="distinct"):
-        CouplingSpec("T", ("T",))
-    with pytest.raises(ValueError, match="positive"):
-        CouplingSpec("T", ("m",), strength_J=0.0)
+        jc_hamiltonian(layout, "T", ("T",))
+    with pytest.raises(ValueError, match="distinct"):
+        jc_hamiltonian(layout, "T", ("m", "m"))
+    with pytest.raises(ValueError, match="bosonic or fermionic"):
+        jc_hamiltonian(compose_layout([("T", TwoLevel), ("m", TwoLevel)]), "T", ("m",))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,7 @@ def _evolved_columns(h, t):
 
 def test_evolve_zero_time_is_identity():
     layout = _qubit_mode_layout()
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
+    h = jc_hamiltonian(layout, "T", ("m",))
     psi = superpose([(1, basis_state(layout, ["g", 1])), (2, basis_state(layout, ["e", 0]))])
     out = evolve(psi, h, 0.0)
     assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-14
@@ -250,7 +256,7 @@ def test_evolve_zero_time_is_identity():
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_non_finite_time_is_refused(t):
     layout = _qubit_mode_layout()
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
+    h = jc_hamiltonian(layout, "T", ("m",))
     with pytest.raises(ValueError, match="evolution time"):
         evolve(basis_state(layout, ["e", 0]), h, t)
     with pytest.raises(ValueError, match=r"evolution time .* is not finite"):
@@ -259,7 +265,7 @@ def test_non_finite_time_is_refused(t):
 
 def test_evolve_full_absorption():
     layout = compose_layout([("m", FermionicMode), ("T", TwoLevel)])
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
+    h = jc_hamiltonian(layout, "T", ("m",))
     occupied_ground = basis_state(layout, [1, "g"])
     out = evolve(occupied_ground, h, math.pi / 2)
     empty_excited = basis_state(layout, [0, "e"])
@@ -268,7 +274,7 @@ def test_evolve_full_absorption():
 
 def test_evolve_half_absorption_is_balanced():
     layout = compose_layout([("m", FermionicMode), ("T", TwoLevel)])
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
+    h = jc_hamiltonian(layout, "T", ("m",))
     out = evolve(basis_state(layout, [1, "g"]), h, math.pi / 4)
     a_start = out.overlap(basis_state(layout, [1, "g"]))
     a_flip = out.overlap(basis_state(layout, [0, "e"]))
@@ -305,10 +311,10 @@ def test_evolve_matches_dense_oracle(case, seed, t, random_h):
     # JC Hamiltonians split into real excitation-sector blocks; a random
     # Hermitian H joins the sectors and has no real gauge, so it takes the
     # Krylov step at any size
-    layout, spec = case
+    layout, coupled, strength = case
     rng = np.random.default_rng(seed)
     h = (linear_op(layout, rand_hermitian(rng, layout.dim)) if random_h
-         else jc_hamiltonian(layout, spec))
+         else _scaled(jc_hamiltonian(layout, "T", coupled), strength))
     if random_h:
         assert _whole_blocks(h) is None
     else:
@@ -337,8 +343,8 @@ def _gauge_real_hamiltonians(draw):
         return layout, linear_op(layout, _gauged(layout, z + z.T).conj()), True
     h = None
     for k, (label, _) in enumerate(modes):
-        spec = CouplingSpec(f"T{k % n_qubits}", (label,), draw(st.floats(0.1, 3.0)))
-        term = jc_hamiltonian(layout, spec)
+        term = _scaled(jc_hamiltonian(layout, f"T{k % n_qubits}", (label,)),
+                       draw(st.floats(0.1, 3.0)))
         h = term if h is None else h + term
     return layout, h, False
 
@@ -401,7 +407,7 @@ def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
 
 
 def test_rotation_protocols_diagonalize_nothing(solver_calls):
-    sequential_rotation(RotationProtocolParams(0.8, 0.6, 64))
+    sequential_rotation(0.8, 0.6, 64)
     single_ancilla_rotation(0.8, 0.6)
     assert solver_calls == []
 
@@ -417,7 +423,7 @@ def _jc_with_in_sector_asymmetry(eps):
     # |e,0> <- |g,1> lies inside the one-excitation sector, and i eps there
     # keeps the real gauge, so H stays on the real sector blocks
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
-    h = dense(jc_hamiltonian(layout, CouplingSpec("T", ("m",)))).copy()
+    h = dense(jc_hamiltonian(layout, "T", ("m",))).copy()
     h[3, 1] += complex(0.0, eps)
     return basis_state(layout, ["e", 0]), linear_op(layout, h)
 
@@ -444,7 +450,7 @@ def test_real_path_refuses_non_hermitian_and_nan(extra):
     # the blocks are float64 and the check runs on them
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     row, col, value = extra
-    h = jc_hamiltonian(layout, CouplingSpec("T", ("m",))) + LinearOp(layout, [row], [col], [value])
+    h = jc_hamiltonian(layout, "T", ("m",)) + LinearOp(layout, [row], [col], [value])
     assert all(group[-1].dtype == np.float64 for group in dynamics._sector_blocks(h)[1])
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(basis_state(layout, ["e", 0]), h, 1.0)
@@ -453,7 +459,7 @@ def test_real_path_refuses_non_hermitian_and_nan(extra):
 def _collective_jc(n_modes):
     modes = tuple(f"mode{k}" for k in range(n_modes))
     layout = compose_layout([("target", TwoLevel)] + [(m, FermionicMode) for m in modes])
-    return layout, jc_hamiltonian(layout, CouplingSpec("target", modes))
+    return layout, jc_hamiltonian(layout, "target", modes)
 
 
 def _traced_peak(f):
@@ -692,7 +698,7 @@ def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_cal
         row, col = _big_sector_pair(layout)
     else:
         layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
-        h = jc_hamiltonian(layout, CouplingSpec("T", ("m",)))
+        h = jc_hamiltonian(layout, "T", ("m",))
         row, col = (0, 5) if kind == "cross-sector pair" else (3, 1)
     if kind == "diagonal":
         h = h + LinearOp(layout, [row], [row], [0.3])
@@ -711,7 +717,7 @@ def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_cal
 
 def test_collision_unitary_is_unitary_and_matches_dense_oracle():
     layout = compose_layout([("target", TwoLevel), ("ancilla", FermionicMode)])
-    h = jc_hamiltonian(layout, CouplingSpec("target", ("ancilla",)))
+    h = jc_hamiltonian(layout, "target", ("ancilla",))
     u = protocols._collision_unitary(2.7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(layout.dim))) < 1e-12
     assert np.max(np.abs(u - dense_propagator(dense(h), 2.7))) < 1e-12
@@ -720,7 +726,7 @@ def test_collision_unitary_is_unitary_and_matches_dense_oracle():
 @pytest.mark.parametrize("t", [math.pi / 4, math.pi / 2, math.pi / 32, math.pi / 2048, 2.7])
 def test_collision_unitary_is_bit_identical_to_evolve(t):
     layout = compose_layout([("target", TwoLevel), ("ancilla", FermionicMode)])
-    h = jc_hamiltonian(layout, CouplingSpec("target", ("ancilla",)))
+    h = jc_hamiltonian(layout, "target", ("ancilla",))
     columns = [evolve(basis_state(layout, levels), h, t).amplitudes
                for levels in np.ndindex(2, 2)]
     assert np.array_equal(protocols._collision_unitary(t), np.column_stack(columns))
@@ -782,13 +788,12 @@ def test_mixing_unitary_and_identity_outside_subspace():
 def test_mixing_angle_range():
     # the closed range [0, pi] is accepted at both ends and the pair mixing runs
     for theta, expected in ((0.0, 0.0), (math.pi, 0.0)):
-        params = protocols.FermionProtocolParams(1, (theta,))
-        _, c = protocols.massive_fermion_protocol(params)
+        _, c = protocols.massive_fermion_protocol((theta,))
         assert abs(c - expected) < 1e-12
     # just outside the range, the angle is refused before any mixing is done
     for bad in (-0.1, math.pi + 0.1, 4.0):
         with pytest.raises(ValueError):
-            protocols.FermionProtocolParams(1, (bad,))
+            protocols.massive_fermion_protocol((bad,))
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +828,7 @@ def test_collective_equivalence(n_modes, t):
     for k in range(n_modes):
         mode = compose_layout([(f"m{k}", FermionicMode)])
         psi = tensor(psi, superpose([(1, basis_state(mode, [0])), (1, basis_state(mode, [1]))]))
-    h = jc_hamiltonian(layout, CouplingSpec("T", tuple(f"m{k}" for k in range(n_modes))))
+    h = jc_hamiltonian(layout, "T", tuple(f"m{k}" for k in range(n_modes)))
     final = evolve(psi, h, t)
     reduced = reduced_density(final, ["T"]).matrix
     oracle = _dicke_oracle(n_modes, alpha, beta, math.sqrt(n_modes), t)

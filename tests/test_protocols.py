@@ -13,8 +13,6 @@ from conftest import (
     rand_amplitude_pair,
 )
 from modent import (
-    FermionProtocolParams,
-    RotationProtocolParams,
     coherent_field_rotation,
     massive_fermion_protocol,
     massless_absorption,
@@ -33,6 +31,7 @@ from modent.protocols import (
     _pair_mixing,
     _reduced_targets,
     rotation_step,
+    single_step_analytic_density,
 )
 
 SQ2 = math.sqrt(2)
@@ -56,22 +55,24 @@ def test_absorption_produces_symmetric_bell_pair():
 # ---------------------------------------------------------------------------
 
 def test_single_collision_closed_form_ground_input():
-    _, analytic, fid = single_ancilla_rotation(1.0, 0.0)
-    assert np.allclose(analytic.matrix, np.array([[3, SQ2], [SQ2, 1]]) / 4, atol=1e-14)
+    _, fid = single_ancilla_rotation(1.0, 0.0)
+    analytic = single_step_analytic_density(1.0, 0.0)
+    assert np.allclose(analytic, np.array([[3, SQ2], [SQ2, 1]]) / 4, atol=1e-14)
     assert abs(fid - (2 + SQ2) / 4) < 1e-12
 
 
 def test_single_collision_closed_form_excited_input():
-    _, analytic, _ = single_ancilla_rotation(0.0, 1.0)
-    assert np.allclose(analytic.matrix, np.array([[1, -SQ2], [-SQ2, 3]]) / 4, atol=1e-14)
+    analytic = single_step_analytic_density(0.0, 1.0)
+    assert np.allclose(analytic, np.array([[1, -SQ2], [-SQ2, 3]]) / 4, atol=1e-14)
 
 
 def test_single_collision_simulation_matches_closed_form():
     rng = np.random.default_rng(100)
     for _ in range(50):
         alpha, beta = rand_amplitude_pair(rng)
-        simulated, analytic, _ = single_ancilla_rotation(alpha, beta)
-        assert np.max(np.abs(simulated.matrix - analytic.matrix)) < 1e-10
+        simulated, _ = single_ancilla_rotation(alpha, beta)
+        analytic = single_step_analytic_density(alpha, beta)
+        assert np.max(np.abs(simulated.matrix - analytic)) < 1e-10
 
 
 def test_single_collision_rejects_unnormalized_input():
@@ -85,7 +86,7 @@ def test_single_collision_rejects_unnormalized_input():
 
 def test_sequential_default_single_step_from_ground():
     # from |g> the full half-turn pulse transfers the ancilla particle exactly
-    res = sequential_rotation(RotationProtocolParams(1.0, 0.0, 1))
+    res = sequential_rotation(1.0, 0.0, 1)
     assert abs(res.scalars["fidelity"] - 1.0) < 1e-12
 
 
@@ -93,8 +94,8 @@ def test_sequential_error_halves_when_ancilla_count_doubles():
     rng = np.random.default_rng(200)
     for _ in range(10):
         alpha, beta = rand_amplitude_pair(rng)
-        e16 = sequential_rotation(RotationProtocolParams(alpha, beta, 16)).scalars["infidelity"]
-        e32 = sequential_rotation(RotationProtocolParams(alpha, beta, 32)).scalars["infidelity"]
+        e16 = sequential_rotation(alpha, beta, 16).scalars["infidelity"]
+        e32 = sequential_rotation(alpha, beta, 32).scalars["infidelity"]
         assert abs(e16 / (2 * e32) - 1) < 0.1
 
 
@@ -102,7 +103,7 @@ def test_sequential_many_ancillas_high_fidelity():
     rng = np.random.default_rng(300)
     for _ in range(20):
         alpha, beta = rand_amplitude_pair(rng)
-        res = sequential_rotation(RotationProtocolParams(alpha, beta, 64))
+        res = sequential_rotation(alpha, beta, 64)
         assert res.scalars["fidelity"] > 0.99
 
 
@@ -148,13 +149,21 @@ def test_rotation_step_matches_kron_oracle_bit_for_bit():
 
 def test_rotation_params_validation():
     with pytest.raises(ValueError, match="normalized"):
-        RotationProtocolParams(0.9, 0.9, 4)
+        sequential_rotation(0.9, 0.9, 4)
     with pytest.raises(ValueError, match="normalized"):
-        RotationProtocolParams(math.nan, 0.0, 4)
+        sequential_rotation(math.nan, 0.0, 4)
     with pytest.raises(ValueError, match="n_ancillas"):
-        RotationProtocolParams(1.0, 0.0, 0)
+        sequential_rotation(1.0, 0.0, 0)
     with pytest.raises(ValueError, match=r"n_ancillas must be in \[1,1048576\], got 1048577"):
-        RotationProtocolParams(1.0, 0.0, MAX_ANCILLAS + 1)
+        sequential_rotation(1.0, 0.0, MAX_ANCILLAS + 1)
+    # refused by name, not by matrix_power's "exponent must be an integer";
+    # True is not read as N = 1
+    for bad in (4.5, True, 4.0):
+        with pytest.raises(TypeError, match=f"n_ancillas must be an integer, got {bad!r}"):
+            sequential_rotation(0.8, 0.6, bad)
+    with pytest.raises(TypeError, match="n_ancillas must be an integer, got 2.5"):
+        table1_summary(2.5)
+    assert sequential_rotation(0.8, 0.6, np.int64(4)) == sequential_rotation(0.8, 0.6, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +197,7 @@ def test_simultaneous_with_superposed_target():
 # ---------------------------------------------------------------------------
 
 def test_pair_protocol_half_turn_gives_half_concurrence():
-    targets, c = massive_fermion_protocol(FermionProtocolParams(1, (math.pi / 2,)))
+    targets, c = massive_fermion_protocol((math.pi / 2,))
     assert abs(c - 0.5) < 1e-12
     # reduced state is the gamma = 1/2 two-target state
     expected = np.zeros((4, 4))
@@ -198,20 +207,20 @@ def test_pair_protocol_half_turn_gives_half_concurrence():
 
 
 def test_pair_protocol_zero_angle_leaves_no_entanglement():
-    _, c = massive_fermion_protocol(FermionProtocolParams(1, (0.0,)))
+    _, c = massive_fermion_protocol((0.0,))
     assert c <= 1e-12
 
 
 def test_pair_protocol_two_pairs_uses_one():
-    _, c = massive_fermion_protocol(FermionProtocolParams(2, (0.0, math.pi / 2)))
+    _, c = massive_fermion_protocol((0.0, math.pi / 2))
     assert abs(c - 0.5) < 1e-12
-    _, c2 = massive_fermion_protocol(FermionProtocolParams(2, (math.pi / 2, 0.0)))
+    _, c2 = massive_fermion_protocol((math.pi / 2, 0.0))
     assert abs(c2 - 0.5) < 1e-12
 
 
 def test_pair_protocol_all_zero_angles_is_separable():
     for n in (1, 2, 3):
-        _, c = massive_fermion_protocol(FermionProtocolParams(n, (0.0,) * n))
+        _, c = massive_fermion_protocol((0.0,) * n)
         assert c <= 1e-12
 
 
@@ -238,13 +247,11 @@ def test_pair_mixing_matches_dense_unitaries(thetas):
 
 
 def test_fermion_params_validation():
-    with pytest.raises(ValueError, match="angles"):
-        FermionProtocolParams(2, (0.1,))
     for bad in (-0.1, math.pi + 0.1, 4.0, math.nan):
         with pytest.raises(ValueError, match=r"mixing angle must lie in \[0, pi\]"):
-            FermionProtocolParams(1, (bad,))
-    with pytest.raises(ValueError, match="n_pairs"):
-        FermionProtocolParams(0, ())
+            massive_fermion_protocol((0.5, bad))
+    with pytest.raises(ValueError, match="n_pairs must be >= 1, got 0"):
+        massive_fermion_protocol(())
 
 
 # ---------------------------------------------------------------------------
