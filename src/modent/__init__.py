@@ -21,7 +21,6 @@ from .dynamics import (
     jc_hamiltonian,
 )
 from .entanglement import (
-    CorrelationTensor,
     chsh_violated,
     concurrence,
     correlation_tensor,
@@ -32,7 +31,6 @@ from .entanglement import (
     trace_distance,
 )
 from .protocols import (
-    ExperimentResult,
     Table1Row,
     coherent_field_rotation,
     massive_fermion_protocol,

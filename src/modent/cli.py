@@ -177,16 +177,12 @@ def _run_table1(p, payload):
 
 
 def _run_rotate(p, payload):
-    res = sequential_rotation(p["alpha"], p["beta"], p["n"])
-    payload["scalars"] = dict(res.scalars)
+    payload["scalars"] = sequential_rotation(p["alpha"], p["beta"], p["n"])
 
 
 def _run_rotate_sweep(p, payload):
-    series = []
-    for n in p["n_list"]:
-        res = sequential_rotation(p["alpha"], p["beta"], n)
-        series.append((float(n), res.scalars["infidelity"]))
-    payload["series"] = series
+    payload["series"] = [(float(n), sequential_rotation(p["alpha"], p["beta"], n)["infidelity"])
+                         for n in p["n_list"]]
     payload["series_columns"] = ["n_ancillas", "infidelity"]
 
 
@@ -196,8 +192,7 @@ def _plot_rotate_sweep(payload):
 
 
 def _run_collective_check(p, payload):
-    res = simultaneous_coupling_check(p["n"], p["alpha"], p["beta"])
-    payload["scalars"] = dict(res.scalars)
+    payload["scalars"] = simultaneous_coupling_check(p["n"], p["alpha"], p["beta"])
 
 
 def _run_fermion_sweep(p, payload):
@@ -233,14 +228,13 @@ def _run_bell(p, payload):
 
 
 def _run_absorption(p, payload):
-    _, res = massless_absorption()
-    payload["scalars"] = dict(res.scalars)
+    payload["scalars"] = massless_absorption()[1]
 
 
 def _run_coherent_rotation(p, payload):
-    res = coherent_field_rotation(p["alpha"], p["beta"], p["eta"], p["cutoff"])
-    payload["scalars"] = dict(res.scalars)
-    payload["params"]["cutoff"] = res.params["cutoff"]
+    cutoff = p["cutoff"] if p["cutoff"] is not None else default_coherent_cutoff(p["eta"])
+    payload["scalars"] = coherent_field_rotation(p["alpha"], p["beta"], p["eta"], cutoff)
+    payload["params"]["cutoff"] = cutoff
 
 
 def _check_coherent_rotation(p, plot):

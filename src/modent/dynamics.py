@@ -62,6 +62,8 @@ def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     at row (e, n-1), column (g, n) of the local (qubit, mode) basis, plus the
     conjugate transpose.
     """
+    if isinstance(modes, str):
+        raise TypeError(f"modes must be a sequence of labels, not the string {modes!r}")
     modes = tuple(modes)
     if not modes:
         raise ValueError("coupling needs at least one mode")

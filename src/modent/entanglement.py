@@ -11,8 +11,6 @@ concurrence and the criterion value M are invariant under this choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hilbert import DensityOp, PureState, TwoLevel, _density_eigh, compose_layout
@@ -25,24 +23,6 @@ _YY = np.kron(SIGMA_2, SIGMA_2)
 
 #: The two targets (tgt_l, tgt_r); its row-major basis is {gg, ge, eg, ee}.
 TWO_TARGETS = compose_layout([("tgt_l", TwoLevel), ("tgt_r", TwoLevel)])
-
-
-@dataclass(frozen=True)
-class CorrelationTensor:
-    """3x3 matrix of Pauli-Pauli correlations T_ij = Tr[rho (s_i x s_j)]."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"correlation tensor must be 3x3, got {m.shape}")
-        # written as "not <=" so that a NaN entry is rejected too
-        if not np.max(np.abs(m)) <= 1.0 + 1e-9:
-            raise ValueError("correlation tensor entries must lie in [-1, 1]")
-        m = np.clip(m, -1.0, 1.0)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -116,15 +96,19 @@ def target_pair_density(gamma: float) -> DensityOp:
     return DensityOp(TWO_TARGETS, m)
 
 
-def correlation_tensor(rho) -> CorrelationTensor:
-    """Pauli correlation matrix T_ij = Tr[rho (s_i^L x s_j^R)]."""
+def correlation_tensor(rho) -> np.ndarray:
+    """Pauli correlation matrix T_ij = Tr[rho (s_i^L x s_j^R)], a float 3x3
+    array clipped to [-1, 1]."""
     m = _two_target_matrix(rho)
     t = np.empty((3, 3), dtype=float)
     for i, si in enumerate(PAULIS):
         for j, sj in enumerate(PAULIS):
             val = np.trace(m @ np.kron(si, sj))
             t[i, j] = val.real
-    return CorrelationTensor(t)
+    # written as "not <=" so that a NaN entry is rejected too
+    if not np.max(np.abs(t)) <= 1.0 + 1e-9:
+        raise ValueError("correlation tensor entries must lie in [-1, 1]")
+    return np.clip(t, -1.0, 1.0)
 
 
 def horodecki_m(rho) -> float:
@@ -133,7 +117,7 @@ def horodecki_m(rho) -> float:
     The CHSH inequality is violated by some measurement setting iff this
     exceeds 1.
     """
-    t = correlation_tensor(rho).matrix
+    t = correlation_tensor(rho)
     prod = t.T @ t
     # symmetrize so the spectrum is real non-negative at rounding
     ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -35,6 +36,11 @@ NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 #: Density-operator eigenvalues may undershoot zero by at most this much.
 POSITIVITY_TOL = 1e-10
+
+
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer (Python's or numpy's) and not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +63,9 @@ class BosonicMode:
     cutoff: int
 
     def __post_init__(self):
-        if not isinstance(self.cutoff, int) or self.cutoff < 1:
+        if not _is_count(self.cutoff) or self.cutoff < 1:
             raise ValueError(f"bosonic cutoff must be an integer >= 1, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", int(self.cutoff))
 
     @property
     def dim(self) -> int:
@@ -379,8 +386,8 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
         The state on a single BosonicMode(cutoff) layout, and the weight the
         untruncated expansion carries beyond the cutoff.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    kind = BosonicMode(cutoff)
+    cutoff = kind.cutoff
     eta = complex(eta)
     if not cmath.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
@@ -392,7 +399,7 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
         log_mag = n * math.log(abs(eta)) - 0.5 * _log_factorials(cutoff + 1)
         amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * n * math.atan2(eta.imag, eta.real))
         amps /= np.linalg.norm(amps)
-    state = PureState(compose_layout([(label, BosonicMode(cutoff))]), amps)
+    state = PureState(compose_layout([(label, kind)]), amps)
     try:
         lam = abs(eta) ** 2
     except OverflowError:  # |eta|^2 beyond the float range: all weight lies past any cutoff

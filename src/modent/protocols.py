@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ from .hilbert import (
     NORM_TOL,
     PureState,
     TwoLevel,
+    _is_count,
     basis_state,
     coherent_mode_state,
     compose_layout,
@@ -67,22 +67,17 @@ def single_step_analytic_density(alpha: complex, beta: complex) -> np.ndarray:
     return m / 4.0
 
 
-# ---------------------------------------------------------------------------
-# result containers
-# ---------------------------------------------------------------------------
+def _check_count(name: str, value):
+    if not _is_count(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Labeled scalar outputs with the parameters that produced them."""
 
-    name: str
-    params: dict
-    scalars: dict
-
-    def __post_init__(self):
-        for key, val in self.scalars.items():
-            if not math.isfinite(float(val)):
-                raise ValueError(f"scalar {key!r} is not finite: {val!r}")
+def _finite(scalars: dict) -> dict:
+    """``scalars``, after refusing a value that is not finite."""
+    for key, val in scalars.items():
+        if not math.isfinite(float(val)):
+            raise ValueError(f"scalar {key!r} is not finite: {val!r}")
+    return scalars
 
 
 # Largest ancilla count of the sequential rotation.  Each collision lasts
@@ -111,7 +106,8 @@ def massless_absorption():
     Evolves (|10> + |01>)/sqrt(2) x |gg> under the exchange coupling on each
     side for Jt = pi/2 (full transfer), verifies the flying modes end empty
     with the excitation moved coherently onto the targets, and returns the
-    reduced two-target state.
+    reduced two-target state and the scalars ``concurrence``,
+    ``transfer_overlap`` and ``flying_occupation``.
     """
     layout = compose_layout([("fly_l", BosonicMode(1)), ("fly_r", BosonicMode(1)),
                              *TWO_TARGETS.subsystems])
@@ -135,16 +131,11 @@ def massless_absorption():
     occupation = float(np.sum(np.abs(final.amplitudes) ** 2 * n_fly.sum(axis=0).ravel()))
 
     targets = reduced_density(final, TWO_TARGETS.labels)
-    result = ExperimentResult(
-        name="massless_absorption",
-        params={"duration": math.pi / 2},
-        scalars={
-            "concurrence": concurrence(targets),
-            "transfer_overlap": overlap,
-            "flying_occupation": occupation,
-        },
-    )
-    return targets, result
+    return targets, _finite({
+        "concurrence": concurrence(targets),
+        "transfer_overlap": overlap,
+        "flying_occupation": occupation,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +197,7 @@ def single_ancilla_rotation(alpha: complex, beta: complex):
     return simulated, fidelity(simulated, rotated_target_state(alpha, beta))
 
 
-def sequential_rotation(alpha: complex, beta: complex, n_ancillas: int) -> ExperimentResult:
+def sequential_rotation(alpha: complex, beta: complex, n_ancillas: int) -> dict:
     """Rotate the target through N = ``n_ancillas`` collisions with fresh ancilla modes.
 
     Each collision couples the target to a new ancilla in (|0>+|1>)/sqrt(2)
@@ -215,11 +206,11 @@ def sequential_rotation(alpha: complex, beta: complex, n_ancillas: int) -> Exper
     one linear map on vec(rho), the 4x4 ``_collision_channel`` S.  The run
     applies S^N, a matrix power taken by repeated squaring in O(log N) 4x4
     products; ``MAX_ANCILLAS`` bounds N where float64 keeps the fidelity to
-    2e-10.  Reports the fidelity against the ideal rotated target.
+    2e-10.  Returns the scalars ``fidelity`` against the ideal rotated target
+    and ``infidelity``.
     """
     _check_normalized(alpha, beta)
-    if isinstance(n_ancillas, bool) or not isinstance(n_ancillas, numbers.Integral):
-        raise TypeError(f"n_ancillas must be an integer, got {n_ancillas!r}")
+    _check_count("n_ancillas", n_ancillas)
     if not 1 <= n_ancillas <= MAX_ANCILLAS:
         raise ValueError(f"n_ancillas must be in [1,{MAX_ANCILLAS}], got {n_ancillas}")
     psi = np.array([alpha, beta], dtype=complex)
@@ -227,11 +218,7 @@ def sequential_rotation(alpha: complex, beta: complex, n_ancillas: int) -> Exper
     s_n = np.linalg.matrix_power(_collision_channel(dt), n_ancillas)
     rho = (s_n @ np.outer(psi, psi.conj()).ravel()).reshape(2, 2)
     fid = fidelity(rho, rotated_target_state(alpha, beta))
-    return ExperimentResult(
-        name="sequential_rotation",
-        params={"alpha": alpha, "beta": beta, "n_ancillas": n_ancillas, "per_step_duration": dt},
-        scalars={"fidelity": fid, "infidelity": 1.0 - fid},
-    )
+    return _finite({"fidelity": fid, "infidelity": 1.0 - fid})
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +247,7 @@ def collective_mode_reference(n_modes: int, alpha: complex, beta: complex,
 
 
 def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
-                                beta: complex = 0.0) -> ExperimentResult:
+                                beta: complex = 0.0) -> dict:
     """Couple the target to all N ancilla modes at once and compare with the
     single collective mode they form.
 
@@ -270,6 +257,7 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
     the "gain" from simultaneous coupling, zero to rounding), and the fidelity
     a literal one-fermionic-ancilla collision would give.
     """
+    _check_count("n_modes", n_modes)
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     # one collision's fidelity; this also checks (alpha, beta) before the coupled run
@@ -292,18 +280,14 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
     ideal = rotated_target_state(alpha, beta)
     f_sim = fidelity(simultaneous, ideal)
     f_coll = fidelity(collective, ideal)
-    return ExperimentResult(
-        name="simultaneous_coupling_check",
-        params={"n_modes": n_modes, "alpha": alpha, "beta": beta, "duration": duration},
-        scalars={
-            "trace_distance": trace_distance(simultaneous, collective),
-            "overlap": state_overlap(simultaneous, collective),
-            "fidelity_simultaneous": f_sim,
-            "fidelity_collective": f_coll,
-            "fidelity_gain": f_sim - f_coll,
-            "fidelity_one_fermionic_ancilla": f_single,
-        },
-    )
+    return _finite({
+        "trace_distance": trace_distance(simultaneous, collective),
+        "overlap": state_overlap(simultaneous, collective),
+        "fidelity_simultaneous": f_sim,
+        "fidelity_collective": f_coll,
+        "fidelity_gain": f_sim - f_coll,
+        "fidelity_one_fermionic_ancilla": f_single,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +377,9 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
         ``grid`` holds the full initial grid as rows (theta_1, ..., concurrence)
         for export.
     """
+    _check_count("n_pairs", n_pairs)
+    _check_count("grid_points", grid_points)
+    _check_count("refine_rounds", refine_rounds)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if grid_points < 8:
@@ -426,12 +413,13 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
 # ---------------------------------------------------------------------------
 
 def coherent_field_rotation(alpha: complex, beta: complex, eta: complex,
-                            cutoff: int | None = None) -> ExperimentResult:
+                            cutoff: int | None = None) -> dict:
     """Rotate the target with a truncated coherent mode for Jt = pi/(4 |eta|).
 
     At eta = 0 the coupling time is zero (vacuum ancilla, no rotation); as
     |eta| grows the mode approaches a classical drive and the fidelity against
-    the ideal rotated target improves.
+    the ideal rotated target improves.  Returns the scalars ``fidelity``,
+    ``infidelity`` and the mode's ``truncation_weight``.
     """
     _check_normalized(alpha, beta)
     if cutoff is None:
@@ -448,12 +436,7 @@ def coherent_field_rotation(alpha: complex, beta: complex, eta: complex,
     h = jc_hamiltonian(psi0.layout, "target", mode.layout.labels)
     reduced = reduced_density(evolve(psi0, h, duration), ["target"])
     fid = fidelity(reduced, rotated_target_state(alpha, beta))
-    return ExperimentResult(
-        name="coherent_field_rotation",
-        params={"alpha": alpha, "beta": beta, "eta": eta, "cutoff": cutoff,
-                "duration": duration},
-        scalars={"fidelity": fid, "infidelity": 1.0 - fid, "truncation_weight": weight},
-    )
+    return _finite({"fidelity": fid, "infidelity": 1.0 - fid, "truncation_weight": weight})
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +459,8 @@ def table1_summary(n_ancilla: int):
 
     _, absorption = massless_absorption()
     row_boson_massless = Table1Row(
-        "massless bosons", absorption.scalars["concurrence"], "inf",
-        details={"transfer_overlap": absorption.scalars["transfer_overlap"]})
+        "massless bosons", absorption["concurrence"], "inf",
+        details={"transfer_overlap": absorption["transfer_overlap"]})
 
     gamma = 1.0 - 1.0 / (2.0 * n_ancilla)
     row_boson_massive = Table1Row(
@@ -487,7 +470,7 @@ def table1_summary(n_ancilla: int):
     row_fermion_massless = Table1Row(
         "massless fermions", None, "inf",
         details={"asymptotic_concurrence": 1.0,
-                 "sequential_fidelity": seq.scalars["fidelity"]})
+                 "sequential_fidelity": seq["fidelity"]})
 
     best_t, best_c, _ = optimize_angles(1, 64, 12)
     row_fermion_massive = Table1Row(

@@ -68,7 +68,7 @@ def test_criterion_1_horodecki_identity():
 def test_criterion_2_summary_table_concurrences():
     with criterion(2, "summary-table concurrence column", 30.0):
         _, absorption = massless_absorption()
-        assert abs(absorption.scalars["concurrence"] - 1.0) < 1e-10
+        assert abs(absorption["concurrence"] - 1.0) < 1e-10
         for n in (1, 5, 50):
             expected = 1.0 - 1.0 / (2.0 * n)
             assert abs(concurrence(target_pair_density(expected)) - expected) < 1e-10
@@ -94,7 +94,7 @@ def test_criterion_4_inverse_n_error_scaling():
         rng = np.random.default_rng(2029)
         for _ in range(20):
             alpha, beta = rand_amplitude_pair(rng)
-            err = {n: sequential_rotation(alpha, beta, n).scalars["infidelity"]
+            err = {n: sequential_rotation(alpha, beta, n)["infidelity"]
                    for n in (4, 8, 16, 32, 64)}
             products = [err[n] * n for n in (16, 32, 64)]
             assert (max(products) - min(products)) / max(products) < 0.15
@@ -105,8 +105,8 @@ def test_criterion_5_collective_mode_equivalence():
     with criterion(5, "simultaneous coupling = collective mode", 10.0):
         for n in (2, 3, 4):
             res = simultaneous_coupling_check(n)
-            assert res.scalars["trace_distance"] < 1e-10
-            assert abs(res.scalars["fidelity_gain"]) < 1e-10
+            assert res["trace_distance"] < 1e-10
+            assert abs(res["fidelity_gain"]) < 1e-10
 
 
 def test_criterion_6_angle_optimization():

@@ -233,6 +233,10 @@ def test_coupling_spec_validation():
         jc_hamiltonian(layout, "T", ("m", "m"))
     with pytest.raises(ValueError, match="bosonic or fermionic"):
         jc_hamiltonian(compose_layout([("T", TwoLevel), ("m", TwoLevel)]), "T", ("m",))
+    # a bare string is one label, not the sequence of its characters
+    one_letter = compose_layout([("T", TwoLevel), ("m", FermionicMode), ("0", FermionicMode)])
+    with pytest.raises(TypeError, match="not the string 'm0'"):
+        jc_hamiltonian(one_letter, "T", "m0")
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +611,8 @@ def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes, monkey
     reference = protocols.collective_mode_reference(n_modes, alpha, beta, duration)
     assert np.max(np.abs(reduced_density(krylov, ["target"]).matrix - reference.matrix)) < 1e-12
     result = simultaneous_coupling_check(n_modes, alpha, beta)
-    assert result.scalars["trace_distance"] < 1e-12
-    assert abs(result.scalars["fidelity_gain"]) < 1e-12
+    assert result["trace_distance"] < 1e-12
+    assert abs(result["fidelity_gain"]) < 1e-12
     if n_modes <= 10:  # whole blocks take seconds and hundreds of MB beyond
         monkeypatch.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
         whole = evolve(psi, h, duration)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import rand_density_matrix, rand_pure_vector, rand_unitary
 from modent import (
     BosonicMode,
-    CorrelationTensor,
     DensityOp,
     FermionicMode,
     chsh_violated,
@@ -139,7 +138,7 @@ def test_target_pair_density_range_check():
 
 def test_correlation_tensor_of_target_pair_density():
     for g in (0.0, 0.3, 1.0):
-        t = correlation_tensor(target_pair_density(g)).matrix
+        t = correlation_tensor(target_pair_density(g))
         assert np.allclose(t, np.diag([g, g, -1.0]), atol=1e-12)
 
 
@@ -149,7 +148,7 @@ def test_correlation_tensor_factorizes_for_products():
     for _ in range(10):
         ra = rand_density_matrix(rng, 2)
         rb = rand_density_matrix(rng, 2)
-        t = correlation_tensor(np.kron(ra, rb)).matrix
+        t = correlation_tensor(np.kron(ra, rb))
         sa = np.array([np.trace(ra @ p).real for p in PAULIS])
         sb = np.array([np.trace(rb @ p).real for p in PAULIS])
         assert np.allclose(t, np.outer(sa, sb), atol=1e-12)
@@ -157,7 +156,7 @@ def test_correlation_tensor_factorizes_for_products():
 
 
 def test_correlation_tensor_of_maximally_mixed():
-    t = correlation_tensor(np.eye(4) / 4).matrix
+    t = correlation_tensor(np.eye(4) / 4)
     assert np.allclose(t, 0.0, atol=1e-14)
 
 
@@ -206,7 +205,7 @@ def test_two_qubit_measures_take_an_array_or_a_density_op(seed):
     rho = DensityOp(fermion_pair, m)
     assert concurrence(m) == concurrence(rho)
     assert horodecki_m(m) == horodecki_m(rho)
-    assert np.array_equal(correlation_tensor(m).matrix, correlation_tensor(rho).matrix)
+    assert np.array_equal(correlation_tensor(m), correlation_tensor(rho))
 
     ququart = DensityOp(compose_layout([("q", BosonicMode(3))]), m)
     for measure in (concurrence, horodecki_m, correlation_tensor):
@@ -254,12 +253,16 @@ def test_concurrence_rejects_other_shapes():
 
 
 def test_correlation_tensor_validation():
-    with pytest.raises(ValueError, match="3x3"):
-        CorrelationTensor(np.eye(2))
-    with pytest.raises(ValueError, match="lie in"):
-        CorrelationTensor(np.eye(3) * 1.5)
-    with pytest.raises(ValueError, match="lie in"):
-        CorrelationTensor(np.full((3, 3), np.nan))
+    # the input is a two-qubit density; a 3x3 array, a NaN matrix and a
+    # non-positive 4x4 matrix are refused before any correlation is taken
+    with pytest.raises(ValueError, match="does not match layout dimension 4"):
+        correlation_tensor(np.eye(3) / 3)
+    with pytest.raises(ValueError, match="Hermitian"):
+        correlation_tensor(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        correlation_tensor(np.diag([0.75, 0.75, -0.25, -0.25]))
+    t = correlation_tensor(target_pair_density(1.0))
+    assert t.dtype == float and t.shape == (3, 3)
 
 
 def test_trace_distance():

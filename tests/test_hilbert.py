@@ -56,6 +56,12 @@ def test_compose_layout_rejects_empty():
 def test_bosonic_cutoff_must_be_positive():
     with pytest.raises(ValueError):
         BosonicMode(0)
+    for bad in (True, 2.0, 2.5):
+        with pytest.raises(ValueError, match=f"cutoff must be an integer >= 1, got {bad!r}"):
+            BosonicMode(bad)
+    # a numpy integer is a cutoff, stored as a Python int
+    assert BosonicMode(np.int64(3)) == BosonicMode(3)
+    assert type(BosonicMode(np.int64(3)).cutoff) is int
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +256,12 @@ def test_coherent_rejects_non_finite_eta(eta):
 def test_coherent_rejects_small_cutoff():
     with pytest.raises(ValueError):
         coherent_mode_state(0, 1.0)
+    with pytest.raises(ValueError, match="got True"):
+        coherent_mode_state(True, 1.0)
+    state, weight = coherent_mode_state(np.int64(5), 1.0)
+    reference, ref_weight = coherent_mode_state(5, 1.0)
+    assert state.layout == reference.layout and weight == ref_weight
+    assert np.array_equal(state.amplitudes, reference.amplitudes)
 
 
 def test_coherent_convergence_at_default_cutoff():

@@ -14,6 +14,7 @@ from conftest import (
 )
 from modent import (
     coherent_field_rotation,
+    default_coherent_cutoff,
     massive_fermion_protocol,
     massless_absorption,
     optimize_angles,
@@ -45,9 +46,9 @@ def test_absorption_produces_symmetric_bell_pair():
     targets, result = massless_absorption()
     bell = np.array([0, 1, 1, 0]) / SQ2  # (|ge> + |eg>)/sqrt(2) in {gg, ge, eg, ee}
     assert np.allclose(targets.matrix, np.outer(bell, bell), atol=1e-12)
-    assert abs(result.scalars["concurrence"] - 1.0) < 1e-10
-    assert result.scalars["flying_occupation"] < 1e-12
-    assert abs(result.scalars["transfer_overlap"] - 1.0) < 1e-10
+    assert abs(result["concurrence"] - 1.0) < 1e-10
+    assert result["flying_occupation"] < 1e-12
+    assert abs(result["transfer_overlap"] - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +88,15 @@ def test_single_collision_rejects_unnormalized_input():
 def test_sequential_default_single_step_from_ground():
     # from |g> the full half-turn pulse transfers the ancilla particle exactly
     res = sequential_rotation(1.0, 0.0, 1)
-    assert abs(res.scalars["fidelity"] - 1.0) < 1e-12
+    assert abs(res["fidelity"] - 1.0) < 1e-12
 
 
 def test_sequential_error_halves_when_ancilla_count_doubles():
     rng = np.random.default_rng(200)
     for _ in range(10):
         alpha, beta = rand_amplitude_pair(rng)
-        e16 = sequential_rotation(alpha, beta, 16).scalars["infidelity"]
-        e32 = sequential_rotation(alpha, beta, 32).scalars["infidelity"]
+        e16 = sequential_rotation(alpha, beta, 16)["infidelity"]
+        e32 = sequential_rotation(alpha, beta, 32)["infidelity"]
         assert abs(e16 / (2 * e32) - 1) < 0.1
 
 
@@ -104,7 +105,7 @@ def test_sequential_many_ancillas_high_fidelity():
     for _ in range(20):
         alpha, beta = rand_amplitude_pair(rng)
         res = sequential_rotation(alpha, beta, 64)
-        assert res.scalars["fidelity"] > 0.99
+        assert res["fidelity"] > 0.99
 
 
 def test_rotation_step_preserves_trace_and_positivity():
@@ -164,6 +165,17 @@ def test_rotation_params_validation():
     with pytest.raises(TypeError, match="n_ancillas must be an integer, got 2.5"):
         table1_summary(2.5)
     assert sequential_rotation(0.8, 0.6, np.int64(4)) == sequential_rotation(0.8, 0.6, 4)
+    # numpy's integers are counts for every protocol; a bool is not
+    assert (coherent_field_rotation(1.0, 0.0, 2.0, cutoff=np.int64(60))
+            == coherent_field_rotation(1.0, 0.0, 2.0, cutoff=60))
+    with pytest.raises(ValueError, match="bosonic cutoff must be an integer >= 1, got True"):
+        coherent_field_rotation(1.0, 0.0, 0.0, cutoff=True)
+    with pytest.raises(ValueError, match="n_modes must be >= 1, got 0"):
+        simultaneous_coupling_check(0)
+    for bad in (True, 2.0, 2.5):
+        with pytest.raises(TypeError, match=f"n_modes must be an integer, got {bad!r}"):
+            simultaneous_coupling_check(bad)
+    assert simultaneous_coupling_check(np.int64(2)) == simultaneous_coupling_check(2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,24 +184,24 @@ def test_rotation_params_validation():
 
 def test_simultaneous_single_mode_is_definitionally_identical():
     res = simultaneous_coupling_check(1)
-    assert res.scalars["trace_distance"] < 1e-12
+    assert res["trace_distance"] < 1e-12
     # one mode: the protocol IS the single-ancilla collision
-    assert abs(res.scalars["fidelity_simultaneous"]
-               - res.scalars["fidelity_one_fermionic_ancilla"]) < 1e-12
+    assert abs(res["fidelity_simultaneous"]
+               - res["fidelity_one_fermionic_ancilla"]) < 1e-12
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 4])
 def test_simultaneous_matches_collective_mode(n_modes):
     res = simultaneous_coupling_check(n_modes)
-    assert res.scalars["trace_distance"] < 1e-10
-    assert abs(res.scalars["overlap"] - 1.0) < 1e-10
-    assert abs(res.scalars["fidelity_gain"]) < 1e-10
+    assert res["trace_distance"] < 1e-10
+    assert abs(res["overlap"] - 1.0) < 1e-10
+    assert abs(res["fidelity_gain"]) < 1e-10
 
 
 def test_simultaneous_with_superposed_target():
     res = simultaneous_coupling_check(3, 0.6, 0.8)
-    assert res.scalars["trace_distance"] < 1e-10
-    assert abs(res.scalars["fidelity_gain"]) < 1e-10
+    assert res["trace_distance"] < 1e-10
+    assert abs(res["fidelity_gain"]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +320,13 @@ def test_optimize_parameter_validation():
         optimize_angles(1, 8, -1)
     with pytest.raises(ValueError, match="n_pairs"):
         optimize_angles(0, 8, 1)
+    # refused by name, not by a TypeError deep inside; True is not read as 1
+    for args, name, bad in (((True, 8, 0), "n_pairs", True), ((2.5, 8, 0), "n_pairs", 2.5),
+                            ((1, 8.5, 0), "grid_points", 8.5),
+                            ((1, 8, 1.5), "refine_rounds", 1.5)):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {bad!r}"):
+            optimize_angles(*args)
+    assert optimize_angles(np.int64(1), np.int64(8), np.int64(1)) == optimize_angles(1, 8, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +339,15 @@ def test_coherent_rotation_vacuum_does_nothing():
     ideal = rotated_target_state(alpha, beta)
     initial = np.array([alpha, beta])
     expected = abs(np.vdot(ideal, initial)) ** 2
-    assert abs(res.scalars["fidelity"] - expected) < 1e-12
+    assert abs(res["fidelity"] - expected) < 1e-12
 
 
 def test_coherent_rotation_improves_with_amplitude():
     rng = np.random.default_rng(500)
     for _ in range(10):
         alpha, beta = rand_amplitude_pair(rng)
-        f4 = coherent_field_rotation(alpha, beta, 4.0).scalars["fidelity"]
-        f8 = coherent_field_rotation(alpha, beta, 8.0).scalars["fidelity"]
+        f4 = coherent_field_rotation(alpha, beta, 4.0)["fidelity"]
+        f8 = coherent_field_rotation(alpha, beta, 8.0)["fidelity"]
         assert 1 - f8 < 1 - f4
         assert f8 > 0.95
 
@@ -368,9 +387,10 @@ def test_table_massive_fermion_row_independent_of_n():
 
 
 def test_experiment_result_requires_finite_scalars():
-    from modent import ExperimentResult
-    with pytest.raises(ValueError, match="finite"):
-        ExperimentResult("x", {}, {"bad": float("nan")})
+    with pytest.raises(ValueError, match="scalar 'bad' is not finite"):
+        protocols._finite({"ok": 1.0, "bad": float("nan")})
+    scalars = {"fidelity": 0.5}
+    assert protocols._finite(scalars) is scalars
 
 
 def test_coherent_rotation_allocates_no_dense_hamiltonian():
@@ -378,9 +398,10 @@ def test_coherent_rotation_allocates_no_dense_hamiltonian():
     coherent_field_rotation(0.8, 0.6, 2.0)  # imports done outside the trace
     tracemalloc.start()
     try:
-        res = coherent_field_rotation(0.8, 0.6, 41.0)
+        coherent_field_rotation(0.8, 0.6, 41.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.params["cutoff"] == 2029
+    # the automatic cutoff the run above used
+    assert default_coherent_cutoff(41.0) == 2029
     assert peak < 16 * 2 ** 20
