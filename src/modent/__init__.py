@@ -31,7 +31,6 @@ from .entanglement import (
     trace_distance,
 )
 from .protocols import (
-    Table1Row,
     coherent_field_rotation,
     massive_fermion_protocol,
     massless_absorption,

@@ -165,15 +165,9 @@ def _amplitudes(alpha=1.0, beta=0.0):
 
 
 def _run_table1(p, payload):
-    rows = table1_summary(p["n"])
-    payload["table"] = {
-        "columns": ["particle_type", "concurrence", "max_repetitions"],
-        "rows": [[r.particle_type, r.concurrence, r.repetitions] for r in rows],
-    }
-    for r in rows:
-        prefix = r.particle_type.replace(" ", "_")
-        for k, v in r.details.items():
-            payload["scalars"][f"{prefix}_{k}"] = float(v)
+    rows, payload["scalars"] = table1_summary(p["n"])
+    payload["table"] = {"columns": ["particle_type", "concurrence", "max_repetitions"],
+                        "rows": rows}
 
 
 def _run_rotate(p, payload):

@@ -208,12 +208,12 @@ def _finite_time(t) -> float:
 
 
 def _propagate(spectrum, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) amplitudes from H's ``_sector_eigh`` spectrum: D v e^{-iwt} v^dag D^dag."""
+    """exp(-i H t) amplitudes from H's ``_sector_eigh`` spectrum: D v e^{-iwt} v^T D^dag."""
     phase, sectors = spectrum
     amps = phase.conj() * amplitudes
     out = np.empty_like(amps)
     for idx, w, v in sectors:
-        coeffs = (v.conj().transpose(0, 2, 1) @ amps[idx][:, :, None])[:, :, 0]
+        coeffs = (v.transpose(0, 2, 1) @ amps[idx][:, :, None])[:, :, 0]
         out[idx] = (v @ (np.exp(-1j * w * t) * coeffs)[:, :, None])[:, :, 0]
     return phase * out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import DensityOp, PureState, TwoLevel, _density_eigh, compose_layout
+from .hilbert import NORM_TOL, DensityOp, PureState, TwoLevel, _density_eigh, compose_layout
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -42,11 +42,19 @@ def _two_target_matrix(rho) -> np.ndarray:
 
 
 def fidelity(rho, ideal) -> float:
-    """Overlap <ideal| rho |ideal> with a pure target state, clamped to [0, 1]."""
+    """Overlap <ideal| rho |ideal> with a pure target state, clamped to [0, 1].
+
+    ``ideal`` must have unit norm within ``NORM_TOL``, as a ``PureState`` does;
+    ``rho`` is not validated, so a raw channel output may be passed.
+    """
     m = _as_matrix(rho)
     psi = ideal.amplitudes if isinstance(ideal, PureState) else np.asarray(ideal, dtype=complex)
     if m.shape != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: rho is {m.shape}, state has length {psi.size}")
+    norm = np.linalg.norm(psi)
+    # written as "not <=" so that a NaN is rejected too
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"ideal state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
     val = complex(psi.conj() @ m @ psi)
     if not np.isfinite(val):
         raise ValueError(f"fidelity came out non-finite ({val})")
@@ -105,9 +113,7 @@ def correlation_tensor(rho) -> np.ndarray:
         for j, sj in enumerate(PAULIS):
             val = np.trace(m @ np.kron(si, sj))
             t[i, j] = val.real
-    # written as "not <=" so that a NaN entry is rejected too
-    if not np.max(np.abs(t)) <= 1.0 + 1e-9:
-        raise ValueError("correlation tensor entries must lie in [-1, 1]")
+    # a valid DensityOp bounds each entry by 1 up to rounding
     return np.clip(t, -1.0, 1.0)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,14 +87,6 @@ def _finite(scalars: dict) -> dict:
 MAX_ANCILLAS = 2 ** 20
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    particle_type: str
-    concurrence: float | None
-    repetitions: str
-    details: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # massless bosons: absorption transfers the mode entanglement to the targets
 # ---------------------------------------------------------------------------
@@ -156,26 +147,23 @@ def _collision_unitary(duration: float) -> np.ndarray:
                             for column in np.eye(4, dtype=complex)])
 
 
-def rotation_step(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One collision, by the collision unitary ``u`` (``_collision_unitary``), of
-    the target with a fresh ancilla mode in (|0>+|1>)/sqrt(2).  Takes and returns
-    plain 2x2 density matrices; exact for the sequential protocol because a used
-    ancilla never interacts again."""
-    # rho (x) the ancilla's state, and the partial trace over the ancilla,
-    # written out: the same products and sums as np.kron and einsum, without
-    # their per-call overhead
-    joint = (rho[:, None, :, None] * _ANCILLA_PLUS_RHO[None, :, None, :]).reshape(4, 4)
-    r = (u @ joint @ u.conj().T).reshape(2, 2, 2, 2)
-    return r[:, 0, :, 0] + r[:, 1, :, 1]
-
-
 def _collision_channel(duration: float) -> np.ndarray:
-    """The 4x4 matrix S of one ``rotation_step`` of that duration on vec(rho):
-    S @ rho.ravel() is rotation_step(rho, u).ravel(); column j is the step
-    applied to the j-th 2x2 matrix unit."""
+    """The 4x4 matrix S of one collision of that duration on vec(rho).
+
+    A collision couples the target, by ``_collision_unitary``, to a fresh
+    ancilla mode in (|0>+|1>)/sqrt(2) and traces the ancilla out: S @
+    rho.ravel() is the collided rho, raveled.  Column j is the collision of
+    the j-th 2x2 matrix unit.  Exact for the sequential protocol because a
+    used ancilla never interacts again.
+    """
     u = _collision_unitary(duration)
-    return np.column_stack([rotation_step(unit.reshape(2, 2), u).ravel()
-                            for unit in np.eye(4, dtype=complex)])
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    # each unit (x) the ancilla's state, and the partial trace over the
+    # ancilla, written out for the four units at once: the same products and
+    # sums as np.kron and einsum, without their per-call overhead
+    joint = (units[:, :, None, :, None] * _ANCILLA_PLUS_RHO[:, None, :]).reshape(4, 4, 4)
+    r = (u @ joint @ u.conj().T).reshape(4, 2, 2, 2, 2)
+    return (r[:, :, 0, :, 0] + r[:, :, 1, :, 1]).reshape(4, 4).T
 
 
 def single_ancilla_rotation(alpha: complex, beta: complex):
@@ -191,9 +179,8 @@ def single_ancilla_rotation(alpha: complex, beta: complex):
     # for about a third of accepted inputs without it
     psi = np.array([alpha, beta], dtype=complex)
     psi = psi / np.linalg.norm(psi)
-    layout = compose_layout([("target", TwoLevel)])
-    u = _collision_unitary(math.pi / 4)
-    simulated = DensityOp(layout, rotation_step(np.outer(psi, psi.conj()), u))
+    rho = _collision_channel(math.pi / 4) @ np.outer(psi, psi.conj()).ravel()
+    simulated = DensityOp(compose_layout([("target", TwoLevel)]), rho.reshape(2, 2))
     return simulated, fidelity(simulated, rotated_target_state(alpha, beta))
 
 
@@ -446,35 +433,30 @@ def coherent_field_rotation(alpha: complex, beta: complex, eta: complex,
 def table1_summary(n_ancilla: int):
     """Concurrence between the targets for one flying particle, per particle class.
 
-    The repetition column is a fixed annotation (unbounded reuse for the first
-    three rows, N for massive fermions), not a simulation.  The massless
-    fermion concurrence is asymptotic in the ancilla count, so the row carries
-    no finite-N value; the sequential-rotation fidelity at the given N is
-    reported as evidence instead.
+    Returns (rows, scalars).  Each row is a ``(particle_type, concurrence,
+    repetitions)`` tuple; the repetition column is a fixed annotation
+    (unbounded reuse for the first three rows, N for massive fermions), not a
+    simulation.  The scalars are the rows' evidence, keyed by particle type
+    and quantity.  The massless fermion concurrence is asymptotic in the
+    ancilla count, so its row carries no finite-N value; the
+    sequential-rotation fidelity at the given N is its evidence instead.
     """
-    if n_ancilla < 1:
-        raise ValueError(f"n_ancilla must be >= 1, got {n_ancilla}")
-    # first: it also refuses a non-integer N before any other row runs
+    # first: it also refuses an N that is not an integer in [1, MAX_ANCILLAS]
+    # before any other row runs
     seq = sequential_rotation(0.8, 0.6, n_ancilla)
-
     _, absorption = massless_absorption()
-    row_boson_massless = Table1Row(
-        "massless bosons", absorption["concurrence"], "inf",
-        details={"transfer_overlap": absorption["transfer_overlap"]})
-
     gamma = 1.0 - 1.0 / (2.0 * n_ancilla)
-    row_boson_massive = Table1Row(
-        "massive bosons", concurrence(target_pair_density(gamma)), "inf",
-        details={"gamma": gamma})
-
-    row_fermion_massless = Table1Row(
-        "massless fermions", None, "inf",
-        details={"asymptotic_concurrence": 1.0,
-                 "sequential_fidelity": seq["fidelity"]})
-
     best_t, best_c, _ = optimize_angles(1, 64, 12)
-    row_fermion_massive = Table1Row(
-        "massive fermions", best_c, str(n_ancilla),
-        details={"optimal_angle": best_t[0]})
-
-    return [row_boson_massless, row_boson_massive, row_fermion_massless, row_fermion_massive]
+    rows = [
+        ("massless bosons", absorption["concurrence"], "inf"),
+        ("massive bosons", concurrence(target_pair_density(gamma)), "inf"),
+        ("massless fermions", None, "inf"),
+        ("massive fermions", best_c, str(n_ancilla)),
+    ]
+    return rows, {
+        "massless_bosons_transfer_overlap": absorption["transfer_overlap"],
+        "massive_bosons_gamma": gamma,
+        "massless_fermions_asymptotic_concurrence": 1.0,
+        "massless_fermions_sequential_fidelity": seq["fidelity"],
+        "massive_fermions_optimal_angle": best_t[0],
+    }

@@ -187,8 +187,9 @@ def pair_protocol_state(n_pairs):
 
 def kron_rotation_step(rho, u):
     """One ancilla collision by ``np.kron`` and ``einsum``: the direct form of
-    ``protocols.rotation_step`` (target (x) ancilla in (|0>+|1>)/sqrt(2), the
-    collision unitary ``u``, then the ancilla traced out)."""
+    one column of ``protocols._collision_channel`` (target (x) ancilla in
+    (|0>+|1>)/sqrt(2), the collision unitary ``u``, then the ancilla traced
+    out), on a whole 2x2 ``rho``."""
     joint = np.kron(np.asarray(rho, dtype=complex), 0.5 * np.ones((2, 2), dtype=complex))
     return np.einsum("ikjk->ij", (u @ joint @ u.conj().T).reshape(2, 2, 2, 2))
 

@@ -74,9 +74,11 @@ def test_criterion_2_summary_table_concurrences():
             assert abs(concurrence(target_pair_density(expected)) - expected) < 1e-10
         _, best_c, _ = optimize_angles(1, 64, 12)
         assert abs(best_c - 0.5) < 1e-9
-        rows = table1_summary(5)
-        assert [r.particle_type for r in rows] == [
+        rows, scalars = table1_summary(5)
+        assert [name for name, _, _ in rows] == [
             "massless bosons", "massive bosons", "massless fermions", "massive fermions"]
+        assert abs(rows[1][1] - 0.9) < 1e-10
+        assert scalars["massive_bosons_gamma"] == 0.9
 
 
 def test_criterion_3_single_collision_closed_form():

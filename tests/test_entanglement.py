@@ -48,6 +48,13 @@ def test_fidelity_single_collision_value():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         fidelity(np.eye(2) / 2, np.zeros(4))
+    # an ideal state off unit norm is refused, not clamped into [0, 1]
+    for rho, bad in ((np.eye(2) / 2, np.array([2.0, 0.0])),
+                     (0.5 * np.ones((2, 2)), np.array([1.0, 1.0])),
+                     (np.eye(2) / 2, np.zeros(2)),
+                     (np.eye(2) / 2, np.array([np.nan, 0.0]))):
+        with pytest.raises(ValueError, match="ideal state norm"):
+            fidelity(rho, bad)
 
 
 def test_nan_is_never_read_as_a_fidelity_or_two_qubit_state():

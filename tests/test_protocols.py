@@ -31,7 +31,6 @@ from modent.protocols import (
     _collision_unitary,
     _pair_mixing,
     _reduced_targets,
-    rotation_step,
     single_step_analytic_density,
 )
 
@@ -114,10 +113,10 @@ def test_rotation_step_preserves_trace_and_positivity():
     psi = np.array([alpha, beta])
     rho = np.outer(psi, psi.conj())
     n = 12
-    u = _collision_unitary(math.pi / (2 * n))
+    channel = _collision_channel(math.pi / (2 * n))
     rho0 = rho
     for _ in range(n):
-        rho = rotation_step(rho, u)
+        rho = (channel @ rho.ravel()).reshape(2, 2)
         assert abs(np.trace(rho).real - 1) < 1e-10
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
     # the channel power at the largest accepted ancilla count
@@ -128,9 +127,9 @@ def test_rotation_step_preserves_trace_and_positivity():
 
 
 def test_rotation_step_matches_kron_oracle_bit_for_bit():
-    # every step of N-collision rotations, up to N = 1024; the channel matrix's
-    # columns are the step on the four matrix units, and its N-th power is the
-    # N steps up to rounding
+    # the channel matrix's columns are the kron oracle's collision of the four
+    # matrix units, bit for bit; its N-th power is the oracle's N collisions,
+    # one by one, up to rounding
     rng = np.random.default_rng(410)
     for n in (1, 2, 3, 7, 16, 64, 384, 1024):
         alpha, beta = rand_amplitude_pair(rng)
@@ -141,11 +140,18 @@ def test_rotation_step_matches_kron_oracle_bit_for_bit():
         for j, unit in enumerate(np.eye(4, dtype=complex)):
             assert np.array_equal(channel[:, j], kron_rotation_step(unit.reshape(2, 2), u).ravel())
         for _ in range(n):
-            step = rotation_step(rho, u)
-            assert np.array_equal(step, kron_rotation_step(rho, u))
-            rho = step
+            rho = kron_rotation_step(rho, u)
         power = (np.linalg.matrix_power(channel, n) @ rho0.ravel()).reshape(2, 2)
         assert np.max(np.abs(power - rho)) < 1e-13
+    # the single collision is the channel at Jt = pi/4 on vec(rho), bit for bit
+    channel = _collision_channel(math.pi / 4)
+    for _ in range(20):
+        alpha, beta = rand_amplitude_pair(rng)
+        psi = np.array([alpha, beta], dtype=complex)
+        psi = psi / np.linalg.norm(psi)
+        simulated, _ = single_ancilla_rotation(alpha, beta)
+        expected = (channel @ np.outer(psi, psi.conj()).ravel()).reshape(2, 2)
+        assert np.array_equal(simulated.matrix, expected)
 
 
 def test_rotation_params_validation():
@@ -362,26 +368,27 @@ def test_coherent_rotation_rejects_small_cutoff():
 # ---------------------------------------------------------------------------
 
 def test_table_for_single_ancilla():
-    rows = table1_summary(1)
-    by_name = {r.particle_type: r for r in rows}
-    assert abs(by_name["massless bosons"].concurrence - 1.0) < 1e-10
-    assert abs(by_name["massive bosons"].concurrence - 0.5) < 1e-10
-    assert by_name["massless fermions"].concurrence is None
-    assert by_name["massless fermions"].details["asymptotic_concurrence"] == 1.0
-    assert "sequential_fidelity" in by_name["massless fermions"].details
-    assert abs(by_name["massive fermions"].concurrence - 0.5) < 1e-9
-    assert [r.repetitions for r in rows] == ["inf", "inf", "inf", "1"]
+    rows, scalars = table1_summary(1)
+    by_name = {name: c for name, c, _ in rows}
+    assert abs(by_name["massless bosons"] - 1.0) < 1e-10
+    assert abs(by_name["massive bosons"] - 0.5) < 1e-10
+    assert by_name["massless fermions"] is None
+    assert scalars["massless_fermions_asymptotic_concurrence"] == 1.0
+    assert "massless_fermions_sequential_fidelity" in scalars
+    assert abs(by_name["massive fermions"] - 0.5) < 1e-9
+    assert [reps for _, _, reps in rows] == ["inf", "inf", "inf", "1"]
 
 
 def test_table_massive_boson_formula():
-    rows = table1_summary(50)
-    by_name = {r.particle_type: r for r in rows}
-    assert abs(by_name["massive bosons"].concurrence - 0.99) < 1e-10
+    rows, scalars = table1_summary(50)
+    by_name = {name: c for name, c, _ in rows}
+    assert abs(by_name["massive bosons"] - 0.99) < 1e-10
+    assert scalars["massive_bosons_gamma"] == 0.99
 
 
 def test_table_massive_fermion_row_independent_of_n():
-    c1 = {r.particle_type: r for r in table1_summary(1)}["massive fermions"].concurrence
-    c7 = {r.particle_type: r for r in table1_summary(7)}["massive fermions"].concurrence
+    c1 = {name: c for name, c, _ in table1_summary(1)[0]}["massive fermions"]
+    c7 = {name: c for name, c, _ in table1_summary(7)[0]}["massive fermions"]
     assert c1 == c7
     assert abs(c1 - 0.5) < 1e-9
 
