@@ -62,9 +62,10 @@ def _fmt12(x) -> str:
 # substeps: the n d / 2 = 22,528 Hamiltonian triplets (0.7 MiB) are sorted
 # into row order once, with about 1.7 MiB of temporaries while they are
 # coalesced and checked for Hermiticity, and the substeps keep a basis of at
-# most 30 complex vectors of length d (1.9 MiB) beside the 64 KiB state.  The
-# check peaks at 4.9 MiB traced (tracemalloc) and a fresh run at 36 MiB RSS
-# (31 MiB of it the interpreter and numpy); each step of n doubles the arrays.
+# most 30 complex vectors of length d (1.9 MiB) beside the 64 KiB state and
+# the layout's cached (n + 1) x d level grid (384 KiB).  The check peaks at
+# 4.8 MiB traced (tracemalloc) and a fresh run at 38 MiB RSS (31 MiB of it
+# the interpreter and numpy); each step of n doubles the arrays.
 # coherent-rotation holds O(cutoff) arrays of 2 (cutoff + 1) amplitudes and
 # 2 cutoff Hamiltonian triplets.
 MAX_COLLECTIVE_N = 11

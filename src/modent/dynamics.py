@@ -48,19 +48,20 @@ from .hilbert import (
     PureState,
     SystemLayout,
     TwoLevel,
-    embed_triplets,
 )
 
 
 def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     """sum_k (i s+ a_k - i s- a_k^dag) over ``modes``, coupling the two-level
-    subsystem ``qubit`` to each mode, embedded in the layout.
+    subsystem ``qubit`` to each mode, read off the layout's level grid.
 
     In units with J = 1.  Hermitian by construction; conserves the total
     excitation number (qubit excitation plus mode occupations).  With
-    s+|g> = |e>, each mode contributes the ladder's nonzeros only: i sqrt(n)
-    at row (e, n-1), column (g, n) of the local (qubit, mode) basis, plus the
-    conjugate transpose.
+    s+|g> = |e>, mode k contributes the ladder's nonzeros only: for each
+    basis state with the qubit at g and n >= 1 quanta in k, i sqrt(n) at the
+    row of the state with the qubit at e and n - 1 quanta in k, then the
+    conjugate transpose of those triplets.  The modes' triplets follow each
+    other in the order given.
     """
     if isinstance(modes, str):
         raise TypeError(f"modes must be a sequence of labels, not the string {modes!r}")
@@ -75,21 +76,19 @@ def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     for m in modes:
         if not isinstance(layout.kind_of(m), (BosonicMode, FermionicMode)):
             raise ValueError(f"subsystem {m!r} must be a bosonic or fermionic mode")
-    terms = []
+    levels, strides = layout.levels, layout.strides()
+    q = layout.position(qubit)
+    rows, cols, values = [], [], []
     for m in modes:
-        # <n-1| a |n> = sqrt(n) for n = 1 .. n_max; a hard-core fermion has n_max = 1
-        n = np.arange(1, layout.kind_of(m).dim)
-        values = 1j * np.sqrt(n)
-        excited = n.size + n   # (e, n-1): the qubit's stride is n_max + 1
-        terms.append(embed_triplets(layout, np.concatenate([excited, n]),
-                                    np.concatenate([n, excited]),
-                                    np.concatenate([values, values.conj()]), [qubit, m]))
-    if len(terms) == 1:
-        return terms[0]
-    # one concatenation in mode order: the triplets of the sum of the terms
-    return LinearOp(layout, np.concatenate([term.rows for term in terms]),
-                    np.concatenate([term.cols for term in terms]),
-                    np.concatenate([term.values for term in terms]))
+        k = layout.position(m)
+        # <n-1| a |n> = sqrt(n) for n >= 1; a hard-core fermion has n <= 1
+        col = np.flatnonzero((levels[q] == 0) & (levels[k] >= 1))
+        row = col + strides[q] - strides[k]
+        value = 1j * np.sqrt(levels[k, col])
+        rows += [row, col]
+        cols += [col, row]
+        values += [value, value.conj()]
+    return LinearOp(layout, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
 
 
 # i^k, and the sign of the real part of i^k (a + ib) taken from a or b, for k = 0 .. 3
@@ -126,7 +125,7 @@ def _sector_blocks(hamiltonian: LinearOp):
     """
     layout = hamiltonian.layout
     rows, cols, values = hamiltonian.rows, hamiltonian.cols, hamiltonian.values
-    levels = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    levels = layout.levels
     # excitation number of each basis state: the sum of its level indices
     sector = levels.sum(axis=0)
     sizes = np.bincount(sector)
@@ -208,14 +207,20 @@ def _finite_time(t) -> float:
 
 
 def _propagate(spectrum, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) amplitudes from H's ``_sector_eigh`` spectrum: D v e^{-iwt} v^T D^dag."""
+    """exp(-i H t) amplitudes from H's ``_sector_eigh`` spectrum: D v e^{-iwt} v^T D^dag.
+
+    ``amplitudes`` is one state (d,) or a stack of m states, the columns of a
+    (d, m) array.  Each state takes its own matrix-vector products, batched
+    over (state, sector), so a column of a stack comes out bit for bit as that
+    state alone; a (s, m) matrix product per sector would round differently.
+    """
     phase, sectors = spectrum
-    amps = phase.conj() * amplitudes
+    amps = phase.conj() * amplitudes.T
     out = np.empty_like(amps)
     for idx, w, v in sectors:
-        coeffs = (v.transpose(0, 2, 1) @ amps[idx][:, :, None])[:, :, 0]
-        out[idx] = (v @ (np.exp(-1j * w * t) * coeffs)[:, :, None])[:, :, 0]
-    return phase * out
+        coeffs = (v.transpose(0, 2, 1) @ amps[..., idx, None])[..., 0]
+        out[..., idx] = (v @ (np.exp(-1j * w * t) * coeffs)[..., None])[..., 0]
+    return (phase * out).T
 
 
 def _coalesce(key, values):

@@ -20,6 +20,8 @@ SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 _YY = np.kron(SIGMA_2, SIGMA_2)
+# s_i^L x s_j^R at [i, j], the products of the correlation tensor
+_PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
 
 #: The two targets (tgt_l, tgt_r); its row-major basis is {gg, ge, eg, ee}.
 TWO_TARGETS = compose_layout([("tgt_l", TwoLevel), ("tgt_r", TwoLevel)])
@@ -109,10 +111,8 @@ def correlation_tensor(rho) -> np.ndarray:
     array clipped to [-1, 1]."""
     m = _two_target_matrix(rho)
     t = np.empty((3, 3), dtype=float)
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            val = np.trace(m @ np.kron(si, sj))
-            t[i, j] = val.real
+    for i, j in np.ndindex(3, 3):
+        t[i, j] = np.trace(m @ _PAULI_PAIRS[i, j]).real
     # a valid DensityOp bounds each entry by 1 up to rounding
     return np.clip(t, -1.0, 1.0)
 
@@ -147,16 +147,17 @@ def state_overlap(a, b) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 between two density matrices.
 
     Evaluated as the squared nuclear norm of A^dag B for factors a = A A^dag,
-    b = B B^dag, which is stable on rank-deficient states.
+    b = B B^dag, which is stable on rank-deficient states.  Both must pass the
+    density-matrix checks (Hermitian, unit trace, positive semidefinite).
     """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError("state overlap requires matching dimensions")
-    # eigh reads one triangle only, so a NaN in the other would go unseen
+    # refused first, under its own message; _density_eigh would call a NaN non-Hermitian
     if not (np.all(np.isfinite(ma)) and np.all(np.isfinite(mb))):
         raise ValueError("state overlap of a non-finite matrix")
-    wa, va = np.linalg.eigh(ma)
-    wb, vb = np.linalg.eigh(mb)
+    wa, va = _density_eigh(ma)
+    wb, vb = _density_eigh(mb)
     # rounding-level weights would inject sqrt(eps) noise through the sqrt
     wa = np.where(wa > 1e-14, wa, 0.0)
     wb = np.where(wb > 1e-14, wb, 0.0)

@@ -4,9 +4,11 @@ States are dense numpy amplitude vectors over a fixed basis contract: the
 global basis index runs row-major over the subsystem list, with the
 first-listed subsystem varying slowest (so ``tensor`` is a plain Kronecker
 product).  Operators are held as COO triplets (rows, cols, values) and never
-as a d x d array: an embedded operator scatters the nonzeros of its local
-matrix to the global index pairs they occupy (``embed_triplets``), never
-through a Kronecker product with an identity.
+as a d x d array.  A layout's ``levels`` grid holds the level of every
+subsystem in every basis state; an operator's triplets are read off it
+directly (the coupling of ``dynamics.jc_hamiltonian`` moves one excitation
+between the basis states whose levels differ by one), never through a
+Kronecker product with an identity.
 
 Fermionic modes are hard-core two-level modes: each holds occupation 0 or 1,
 operators on different modes commute, and no Jordan-Wigner sign strings are
@@ -98,8 +100,8 @@ class SystemLayout:
     The basis ordering is part of the contract: index = sum_i n_i * stride_i
     with stride_i = prod of the dimensions of all later subsystems (first
     subsystem slowest).  The shape (``labels``, ``dims``, ``dim``,
-    ``strides()``) is computed once per layout; the cached values are not
-    fields, so equality and hashing still see ``subsystems`` alone.
+    ``strides()``, ``levels``) is computed once per layout; the cached values
+    are not fields, so equality and hashing still see ``subsystems`` alone.
     """
 
     subsystems: tuple
@@ -148,6 +150,14 @@ class SystemLayout:
     def _strides(self) -> tuple:
         dims = self.dims
         return tuple(math.prod(dims[i + 1:]) for i in range(len(dims)))
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Read-only (len(dims), dim) int array: ``levels[i, j]`` is the level
+        of subsystem i in basis state j."""
+        grid = np.indices(self.dims).reshape(len(self.dims), -1)
+        grid.flags.writeable = False
+        return grid
 
     def restrict(self, labels: Sequence[str]) -> "SystemLayout":
         """Sub-layout containing ``labels`` in the given order."""
@@ -418,33 +428,6 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise ValueError(f"label collision in tensor product: {sorted(clash)}")
     layout = SystemLayout(a.layout.subsystems + b.layout.subsystems)
     return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
-
-
-def embed_triplets(layout: SystemLayout, rows, cols, values,
-                   targets: Sequence[str]) -> LinearOp:
-    """Embed the local operator with nonzeros ``values`` at (``rows``, ``cols``)
-    so it acts on ``targets`` and as identity elsewhere.
-
-    Each local triplet is scattered to the global index pairs it occupies for
-    every level of the other subsystems.  Local indices run row-major over
-    ``targets`` as given.  Both sets of offsets are slices of the global
-    index grid, its axes put in the order of ``targets`` and then of the
-    other subsystems: the targets' with the others at level 0, and the
-    others' with the targets at level 0.  A global index is the sum of the
-    two.
-    """
-    if not targets:
-        raise ValueError("an embedded operator needs at least one target")
-    positions = [layout.position(lab) for lab in targets]
-    if len(set(positions)) != len(positions):
-        raise ValueError("target labels must be distinct")
-    rest = [i for i in range(len(layout.dims)) if i not in positions]
-    grid = np.arange(layout.dim, dtype=np.int64).reshape(layout.dims).transpose(positions + rest)
-    target_off = grid[(...,) + (0,) * len(rest)].ravel()
-    rest_off = grid[(0,) * len(positions)].ravel()
-    return LinearOp(layout, (target_off[rows, None] + rest_off).ravel(),
-                    (target_off[cols, None] + rest_off).ravel(),
-                    np.repeat(values, rest_off.size))
 
 
 def reduced_density(state: PureState, keep: Sequence[str]) -> DensityOp:

@@ -118,8 +118,8 @@ def massless_absorption():
         raise RuntimeError(f"absorption missed the transferred state (overlap {overlap!r})")
 
     # <n_fly_l + n_fly_r>: the flying modes' levels are their occupation numbers
-    n_fly = np.indices(layout.dims)[[layout.position("fly_l"), layout.position("fly_r")]]
-    occupation = float(np.sum(np.abs(final.amplitudes) ** 2 * n_fly.sum(axis=0).ravel()))
+    n_fly = layout.levels[[layout.position("fly_l"), layout.position("fly_r")]].sum(axis=0)
+    occupation = float(np.sum(np.abs(final.amplitudes) ** 2 * n_fly))
 
     targets = reduced_density(final, TWO_TARGETS.labels)
     return targets, _finite({
@@ -142,9 +142,7 @@ _COLLISION_SPECTRUM = _sector_eigh(jc_hamiltonian(compose_layout(
 
 def _collision_unitary(duration: float) -> np.ndarray:
     """exp(-i H t) of one target-ancilla collision; column j is U|j>."""
-    t = _finite_time(duration)
-    return np.column_stack([_propagate(_COLLISION_SPECTRUM, column, t)
-                            for column in np.eye(4, dtype=complex)])
+    return _propagate(_COLLISION_SPECTRUM, np.eye(4, dtype=complex), _finite_time(duration))
 
 
 def _collision_channel(duration: float) -> np.ndarray:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 
 from modent import BosonicMode, FermionicMode, LinearOp, PureState, compose_layout
-from modent.hilbert import embed_triplets
 
 
 def rand_amplitude_pair(rng):
@@ -64,36 +63,6 @@ def linear_op(layout, matrix):
     m = np.asarray(matrix, dtype=complex)
     rows, cols = np.nonzero(m)
     return LinearOp(layout, rows, cols, m[rows, cols])
-
-
-def basis_offsets(layout, positions):
-    """Global index offset of every joint level of the subsystems at
-    ``positions``, row-major over them in the order given (first slowest), by
-    one loop over the positions; an empty list gives the single offset 0."""
-    dims, strides = layout.dims, layout.strides()
-    out = np.zeros(1, dtype=np.int64)
-    for p in positions:
-        out = (out[:, None] + np.arange(dims[p]) * strides[p]).ravel()
-    return out
-
-
-def offsets_embed_triplets(layout, rows, cols, values, targets):
-    """The global triplets of ``embed_triplets`` from ``basis_offsets``: each
-    local triplet at the targets' offset plus every offset of the rest."""
-    positions = [layout.position(lab) for lab in targets]
-    target_off = basis_offsets(layout, positions)
-    rest_off = basis_offsets(layout, [i for i in range(len(layout.dims)) if i not in positions])
-    return ((target_off[rows, None] + rest_off).ravel(),
-            (target_off[cols, None] + rest_off).ravel(),
-            np.repeat(np.asarray(values, dtype=complex), rest_off.size))
-
-
-def embed_local(layout, local, targets):
-    """The library's embedding of a local matrix: its nonzeros fed to
-    ``embed_triplets``, so it acts on ``targets`` and as identity elsewhere."""
-    m = np.asarray(local, dtype=complex)
-    rows, cols = np.nonzero(m)
-    return embed_triplets(layout, rows, cols, m[rows, cols], targets)
 
 
 # ---------------------------------------------------------------------------

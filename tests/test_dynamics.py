@@ -736,6 +736,30 @@ def test_collision_unitary_is_bit_identical_to_evolve(t):
     assert np.array_equal(protocols._collision_unitary(t), np.column_stack(columns))
 
 
+def _stack_layouts():
+    """Collective layouts with n = 1..5 fermionic modes (sectors of 1 to 20
+    states) and a qubit beside a BosonicMode(3)."""
+    for n in range(1, 6):
+        yield compose_layout([("T", TwoLevel)] + [(f"m{k}", FermionicMode) for k in range(n)])
+    yield _qubit_mode_layout(BosonicMode(3))
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_propagate_on_a_stack_matches_each_state_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    sizes = set()
+    for layout in _stack_layouts():
+        spectrum = dynamics._sector_eigh(jc_hamiltonian(layout, "T", layout.labels[1:]))
+        sizes |= {idx.shape[1] for idx, _, _ in spectrum[1]}
+        for t in (0.3, -2.7, math.pi / 4):
+            stack = rng.normal(size=(layout.dim, m)) + 1j * rng.normal(size=(layout.dim, m))
+            columns = [dynamics._propagate(spectrum, stack[:, j], t) for j in range(m)]
+            out = dynamics._propagate(spectrum, stack, t)
+            assert out.shape == (layout.dim, m)
+            assert out.tobytes() == np.column_stack(columns).tobytes()
+    assert sizes == {1, 2, 3, 4, 5, 6, 10, 15, 20}
+
+
 # ---------------------------------------------------------------------------
 # the dense pair-mixing oracle
 # ---------------------------------------------------------------------------

@@ -291,3 +291,11 @@ def test_state_overlap():
     # against a pure state it reduces to <psi|rho|psi>
     pure = np.outer(psi, psi.conj())
     assert abs(state_overlap(rho, pure) - fidelity(rho, psi)) < 1e-12
+    # a matrix that is no density matrix is refused, not clamped into [0, 1]
+    for bad, match in ((np.eye(2), "trace"), (np.diag([3.0, -1.0]), "trace"),
+                       (np.diag([1.5, -0.5]), "negative eigenvalue"),
+                       (np.array([[0.5, 0.9], [0.1, 0.5]]), "Hermitian")):
+        with pytest.raises(ValueError, match=match):
+            state_overlap(np.eye(2) / 2, bad)
+        with pytest.raises(ValueError, match=match):
+            state_overlap(bad, np.eye(2) / 2)

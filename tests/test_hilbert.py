@@ -7,12 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from conftest import (
-    dense,
-    dense_embed,
     dense_partial_trace,
-    embed_local,
     linear_op,
-    offsets_embed_triplets,
     rand_pure_state,
 )
 from modent import (
@@ -30,7 +26,7 @@ from modent import (
     superpose,
     tensor,
 )
-from modent.hilbert import _log_factorials, embed_triplets
+from modent.hilbert import _log_factorials
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +58,25 @@ def test_bosonic_cutoff_must_be_positive():
     # a numpy integer is a cutoff, stored as a Python int
     assert BosonicMode(np.int64(3)) == BosonicMode(3)
     assert type(BosonicMode(np.int64(3)).cutoff) is int
+
+
+def test_layout_shape_is_cached_without_changing_equality():
+    subsystems = [("T", TwoLevel), ("m", BosonicMode(2)), ("f", FermionicMode)]
+    layout, fresh = compose_layout(subsystems), compose_layout(subsystems)
+    before = hash(layout)
+    shape = (layout.labels, layout.dims, layout.dim, layout.strides())
+    assert shape == (("T", "m", "f"), (2, 3, 2), 12, (6, 2, 1))
+    assert layout.dims is layout.dims and layout.strides() is layout.strides()
+    # the level grid: level of each subsystem (row) in each basis state (column)
+    levels = layout.levels
+    assert levels is layout.levels
+    assert levels.shape == (3, 12) and levels.dtype.kind == "i"
+    assert np.array_equal(levels, np.unravel_index(np.arange(12), layout.dims))
+    assert not levels.flags.writeable
+    with pytest.raises(ValueError):
+        levels[0, 0] = 1
+    assert layout == fresh and hash(layout) == hash(fresh) == before
+    assert {layout: 1}[fresh] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -310,114 +325,6 @@ def test_tensor_norm_and_associativity(seed):
 
 
 # ---------------------------------------------------------------------------
-# operator embedding
-# ---------------------------------------------------------------------------
-
-SP = np.array([[0, 0], [1, 0]], dtype=complex)
-
-
-def test_embed_on_first_subsystem():
-    layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
-    embedded = embed_local(layout, SP, ["T"])
-    assert np.allclose(dense(embedded), np.kron(SP, np.eye(3)))
-
-
-def test_embed_on_second_subsystem():
-    layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
-    a = np.diag(np.sqrt([1.0, 2.0]), k=1)
-    embedded = embed_local(layout, a, ["m"])
-    assert np.allclose(dense(embedded), np.kron(np.eye(2), a))
-
-
-def test_embed_multiplication_homomorphism():
-    rng = np.random.default_rng(7)
-    layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(2)), ("c", FermionicMode)])
-    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    lhs = dense(embed_local(layout, x @ y, ["b"]))
-    rhs = dense(embed_local(layout, x, ["b"])) @ dense(embed_local(layout, y, ["b"]))
-    assert np.allclose(lhs, rhs, atol=1e-13)
-
-
-def test_embed_nonadjacent_and_reordered_targets():
-    # oracle: act on basis states directly
-    layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(1)), ("c", TwoLevel)])
-    rng = np.random.default_rng(3)
-    local = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))  # acts on (c, a)
-    embedded = dense(embed_local(layout, local, ["c", "a"]))
-    dims = (2, 2, 2)
-    expected = np.zeros((8, 8), dtype=complex)
-    for col in range(8):
-        ia, ib, ic = np.unravel_index(col, dims)
-        for rc in range(2):
-            for ra in range(2):
-                val = local[rc * 2 + ra, ic * 2 + ia]
-                row = np.ravel_multi_index((ra, ib, rc), dims)
-                expected[row, col] += val
-    assert np.allclose(embedded, expected, atol=1e-14)
-
-
-_KINDS = st.sampled_from([TwoLevel(), FermionicMode(), BosonicMode(1), BosonicMode(2),
-                          BosonicMode(3)])
-
-
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_embed_matches_kron_oracle(data):
-    kinds = data.draw(st.lists(_KINDS, min_size=1, max_size=4))
-    layout = compose_layout([(f"s{i}", kind) for i, kind in enumerate(kinds)])
-    order = data.draw(st.permutations(layout.labels))
-    targets = order[:data.draw(st.integers(1, len(order)))]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    d = int(np.prod([layout.kind_of(lab).dim for lab in targets]))
-    local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    local[rng.random((d, d)) < data.draw(st.floats(0.0, 1.0))] = 0.0
-    embedded = dense(embed_local(layout, local, targets))
-    assert np.array_equal(embedded, dense_embed(layout, local, targets))
-
-
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_embed_triplets_match_offset_oracle(data):
-    # the same global triplets, bit for bit and in the same order, as the
-    # loop over basis_offsets the grid slices replaced
-    kinds = data.draw(st.lists(_KINDS, min_size=1, max_size=5))
-    layout = compose_layout([(f"s{i}", kind) for i, kind in enumerate(kinds)])
-    order = data.draw(st.permutations(layout.labels))
-    targets = order[:data.draw(st.integers(1, len(order)))]
-    d = int(np.prod([layout.kind_of(lab).dim for lab in targets]))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    size = data.draw(st.integers(0, 2 * d))
-    rows, cols = rng.integers(0, d, size), rng.integers(0, d, size)
-    values = rng.normal(size=size) + 1j * rng.normal(size=size)
-    op = embed_triplets(layout, rows, cols, values, targets)
-    for got, want in zip((op.rows, op.cols, op.values),
-                         offsets_embed_triplets(layout, rows, cols, values, targets)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def test_layout_shape_is_cached_without_changing_equality():
-    subsystems = [("T", TwoLevel), ("m", BosonicMode(2)), ("f", FermionicMode)]
-    layout, fresh = compose_layout(subsystems), compose_layout(subsystems)
-    before = hash(layout)
-    shape = (layout.labels, layout.dims, layout.dim, layout.strides())
-    assert shape == (("T", "m", "f"), (2, 3, 2), 12, (6, 2, 1))
-    assert layout.dims is layout.dims and layout.strides() is layout.strides()
-    assert layout == fresh and hash(layout) == hash(fresh) == before
-    assert {layout: 1}[fresh] == 1
-
-
-def test_embed_errors():
-    layout = compose_layout([("a", TwoLevel), ("b", BosonicMode(1))])
-    with pytest.raises(KeyError):
-        embed_local(layout, SP, ["nope"])
-    with pytest.raises(ValueError, match="at least one target"):
-        embed_local(layout, np.eye(1), [])
-    with pytest.raises(ValueError, match="distinct"):
-        embed_local(layout, np.eye(4), ["a", "a"])
-
-
-# ---------------------------------------------------------------------------
 # partial trace of a pure state (reduced_density)
 # ---------------------------------------------------------------------------
 
@@ -458,6 +365,10 @@ def test_partial_trace_keep_order_contract():
         for j in range(2):
             swap[j * 2 + i, i * 2 + j] = 1
     assert np.allclose(ba, swap @ ab @ swap.T, atol=1e-14)
+
+
+_KINDS = st.sampled_from([TwoLevel(), FermionicMode(), BosonicMode(1), BosonicMode(2),
+                          BosonicMode(3)])
 
 
 @given(st.data())
