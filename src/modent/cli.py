@@ -7,6 +7,12 @@ cross-parameter check, and an optional plot function.  The argparse
 subcommands, config validation, execution and plotting are derived from
 those entries.
 
+A run is one config document, the README's JSON schema
+``{"experiment", "parameters", "output": {"format", "path", "plot"}}``:
+``parse_config`` overlays the flags on the config file's document and
+returns it validated, with every default filled in; ``run`` executes it, and
+``render_config`` dumps it.
+
 Numeric output is formatted to 12 significant digits and runs are
 deterministic: identical configs produce byte-identical CSV/JSON.
 Exit codes: 0 success, 2 usage/validation error (including sizes beyond the
@@ -43,15 +49,6 @@ from .protocols import (
 
 class UsageError(Exception):
     """Bad flags, bad config file, or out-of-range parameter values."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    experiment: str
-    parameters: dict
-    format: str = "table"
-    out: str | None = None
-    plot: str | None = None
 
 
 def _fmt12(x) -> str:
@@ -298,7 +295,8 @@ def _normalize_amplitudes(params: dict):
         params["alpha"], params["beta"] = sa / n, sb / n
 
 
-def _validate(experiment: str, raw_params: dict, fmt: str, out, plot) -> RunConfig:
+def _validate(config: dict) -> dict:
+    experiment, raw_params, output = config["experiment"], config["parameters"], config["output"]
     entry = _entry(experiment)
     names = sorted(p.name for p in entry.params)
     unknown = set(raw_params) - set(names)
@@ -314,6 +312,7 @@ def _validate(experiment: str, raw_params: dict, fmt: str, out, plot) -> RunConf
         else:
             params[p.name] = copy.copy(p.default)   # callers may mutate a list
     _normalize_amplitudes(params)
+    fmt, out, plot = output.get("format") or "table", output.get("path"), output.get("plot")
     if fmt not in _FORMATS:
         raise UsageError(f"format must be one of {_FORMATS}, got {fmt!r}")
     if plot is not None:
@@ -326,7 +325,8 @@ def _validate(experiment: str, raw_params: dict, fmt: str, out, plot) -> RunConf
             raise UsageError(f"--out and --plot name the same file {plot!r}")
     if entry.check is not None:
         entry.check(params, plot)
-    return RunConfig(experiment=experiment, parameters=params, format=fmt, out=out, plot=plot)
+    return {"experiment": experiment, "parameters": params,
+            "output": {"format": fmt, "path": out, "plot": plot}}
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree generated from ``EXPERIMENTS``; built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=_FORMATS, default=None)
-    common.add_argument("--out", default=None, metavar="PATH")
+    common.add_argument("--out", dest="path", default=None, metavar="PATH")
     common.add_argument("--plot", default=None, metavar="PATH.svg")
     # SUPPRESS: a subcommand without --config keeps the top-level value
     common.add_argument("--config", default=argparse.SUPPRESS, metavar="PATH.json")
@@ -417,18 +417,14 @@ def _load_config_document(text: str) -> dict:
     return doc
 
 
-def parse_config(argv=None, config_text: str | None = None) -> RunConfig:
-    """Build a validated RunConfig from argv flags and/or a JSON config document.
+def parse_config(argv=None, config_text: str | None = None) -> dict:
+    """The validated config document of a run, from argv flags and/or a JSON
+    config document: ``{"experiment", "parameters", "output": {"format",
+    "path", "plot"}}`` with every default filled in.
 
     Flags override config-file values.  Raises UsageError (exit status 2 in
     main) on unknown keys, missing required parameters, or out-of-range values.
     """
-    experiment = None
-    raw_params: dict = {}
-    fmt = None
-    out = None
-    plot = None
-
     ns = None
     if argv is not None:
         ns = _build_parser().parse_args(_attach_negative_numbers(argv))
@@ -439,44 +435,27 @@ def parse_config(argv=None, config_text: str | None = None) -> RunConfig:
             except OSError as exc:
                 raise UsageError(f"cannot read config file: {exc}") from None
 
-    if config_text is not None:
-        doc = _load_config_document(config_text)
-        experiment = doc.get("experiment")
-        raw_params.update(doc.get("parameters", {}))
-        output = doc.get("output", {})
-        fmt = output.get("format", fmt)
-        out = output.get("path", out)
-        plot = output.get("plot", plot)
+    doc = _load_config_document(config_text) if config_text is not None else {}
+    config = {"experiment": None, "parameters": {}, "output": {}, **doc}
 
     if ns is not None and ns.experiment is not None:
-        if experiment is not None and experiment != ns.experiment:
-            raise UsageError(f"config experiment {experiment!r} conflicts with "
+        if config["experiment"] not in (None, ns.experiment):
+            raise UsageError(f"config experiment {config['experiment']!r} conflicts with "
                              f"subcommand {ns.experiment!r}")
-        experiment = ns.experiment
-        for param in EXPERIMENTS[experiment].params:
-            val = getattr(ns, param.name)
-            if val is not None:
-                raw_params[param.name] = val
-        if ns.format is not None:
-            fmt = ns.format
-        if ns.out is not None:
-            out = ns.out
-        if ns.plot is not None:
-            plot = ns.plot
+        config["experiment"] = ns.experiment
+        flags = {k: v for k, v in vars(ns).items() if v is not None}
+        names = [p.name for p in EXPERIMENTS[ns.experiment].params]
+        config["parameters"].update((k, flags[k]) for k in names if k in flags)
+        config["output"].update((k, flags[k]) for k in ("format", "path", "plot") if k in flags)
 
-    if experiment is None:
+    if config["experiment"] is None:
         raise UsageError("no experiment given: pass a subcommand or a config file")
-    return _validate(experiment, raw_params, fmt or "table", out, plot)
+    return _validate(config)
 
 
-def render_config(config: RunConfig) -> str:
-    """JSON config document equivalent to ``config`` (parse_config round-trips it)."""
-    doc = {
-        "experiment": config.experiment,
-        "parameters": dict(config.parameters),
-        "output": {"format": config.format, "path": config.out, "plot": config.plot},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def render_config(config: dict) -> str:
+    """The JSON text of a config document (parse_config round-trips it)."""
+    return json.dumps(config, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -572,28 +551,29 @@ def _write_file(path: str, text: str):
         raise
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated config and emit its artifacts; returns the exit status."""
-    entry = _entry(config.experiment)
-    if config.plot and entry.plot is None:
-        raise UsageError(f"experiment {config.experiment!r} produces no plot")
-    payload = {"name": config.experiment, "params": dict(config.parameters), "scalars": {},
+def run(config: dict) -> int:
+    """Execute a validated config document and emit its artifacts; returns the exit status."""
+    experiment, params, output = config["experiment"], config["parameters"], config["output"]
+    entry = _entry(experiment)
+    if output["plot"] and entry.plot is None:
+        raise UsageError(f"experiment {experiment!r} produces no plot")
+    payload = {"name": experiment, "params": dict(params), "scalars": {},
                "flags": {}, "series": None, "series_columns": None, "table": None}
-    entry.run(config.parameters, payload)
-    if config.format == "json":
+    entry.run(params, payload)
+    if output["format"] == "json":
         text = _emit_json(payload)
-    elif config.format == "csv":
+    elif output["format"] == "csv":
         text = _emit_csv(payload)
     else:
         text = _emit_table(payload)
-    plot_text = entry.plot(payload) if config.plot else None
+    plot_text = entry.plot(payload) if output["plot"] else None
 
-    if config.out:
-        _write_file(config.out, text)
+    if output["path"]:
+        _write_file(output["path"], text)
     else:
         sys.stdout.write(text)
-    if config.plot:
-        _write_file(config.plot, plot_text)
+    if output["plot"]:
+        _write_file(output["plot"], plot_text)
     return 0
 
 

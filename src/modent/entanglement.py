@@ -135,8 +135,11 @@ def chsh_violated(rho) -> bool:
 
 
 def trace_distance(a, b) -> float:
-    """(1/2) tr |a - b| for Hermitian a, b."""
-    diff = _as_matrix(a) - _as_matrix(b)
+    """(1/2) tr |a - b| for Hermitian a, b of matching dimensions."""
+    ma, mb = _as_matrix(a), _as_matrix(b)
+    if ma.shape != mb.shape:
+        raise ValueError("trace distance requires matching dimensions")
+    diff = ma - mb
     if not np.max(np.abs(diff - diff.conj().T)) <= 1e-9:
         raise ValueError("trace distance expects Hermitian operators")
     ev = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))

@@ -436,6 +436,8 @@ def reduced_density(state: PureState, keep: Sequence[str]) -> DensityOp:
     Every subsystem not in ``keep`` is traced out; the reduced operator's
     basis is ordered row-major over ``keep`` in the order given.
     """
+    if isinstance(keep, str):
+        raise TypeError(f"keep must be a sequence of labels, not the string {keep!r}")
     keep = list(keep)
     if not keep:
         raise ValueError("keep-set must be non-empty")

@@ -16,8 +16,6 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     return [lo + span * i / (n - 1) for i in range(n)]
 

@@ -1,14 +1,19 @@
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
+from xml.etree import ElementTree
 
 import pytest
 
 import modent
-from modent.cli import RunConfig, UsageError, main, parse_config, render_config, run
+from modent.cli import UsageError, main, parse_config, render_config, run
+from modent.plotting import heatmap
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 # ---------------------------------------------------------------------------
@@ -17,16 +22,17 @@ from modent.cli import RunConfig, UsageError, main, parse_config, render_config,
 
 def test_parse_table1_flags():
     cfg = parse_config(["table1", "--n", "50"])
-    assert cfg == RunConfig("table1", {"n": 50}, "table", None, None)
+    assert cfg == {"experiment": "table1", "parameters": {"n": 50},
+                   "output": {"format": "table", "path": None, "plot": None}}
 
 
 def test_parse_fermion_sweep_flags():
     cfg = parse_config(["fermion-sweep", "--pairs", "2", "--grid", "64", "--refine", "3",
                         "--format", "csv", "--out", "s.csv"])
-    assert cfg.experiment == "fermion-sweep"
-    assert cfg.parameters == {"pairs": 2, "grid": 64, "refine": 3}
-    assert cfg.format == "csv"
-    assert cfg.out == "s.csv"
+    assert cfg["experiment"] == "fermion-sweep"
+    assert cfg["parameters"] == {"pairs": 2, "grid": 64, "refine": 3}
+    assert cfg["output"]["format"] == "csv"
+    assert cfg["output"]["path"] == "s.csv"
 
 
 def test_parse_rejects_out_of_range_gamma():
@@ -47,7 +53,7 @@ def test_parse_rejects_unknown_flag():
 
 def test_parse_normalizes_amplitudes():
     cfg = parse_config(["rotate", "--alpha", "3", "--beta", "4"])
-    a, b = cfg.parameters["alpha"], cfg.parameters["beta"]
+    a, b = cfg["parameters"]["alpha"], cfg["parameters"]["beta"]
     assert abs(a - 0.6) < 1e-12 and abs(b - 0.8) < 1e-12
 
 
@@ -76,7 +82,7 @@ def test_negative_first_entry_of_a_comma_list_reaches_the_validator(capsys):
 
 def test_parse_n_list():
     cfg = parse_config(["rotate-sweep", "--n-list", "4,8,16"])
-    assert cfg.parameters["n_list"] == [4, 8, 16]
+    assert cfg["parameters"]["n_list"] == [4, 8, 16]
     with pytest.raises(UsageError, match="n_list"):
         parse_config(["rotate-sweep", "--n-list", "4,zebra"])
 
@@ -116,8 +122,43 @@ def test_flags_override_config(tmp_path):
         "output": {"format": "json"},
     }))
     cfg = parse_config(["bell", "--config", str(path), "--gamma", "0.75"])
-    assert cfg.parameters["gamma"] == 0.75
-    assert cfg.format == "json"
+    assert cfg["parameters"]["gamma"] == 0.75
+    assert cfg["output"]["format"] == "json"
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    pytest.param(["rotate", "--alpha", "inf"], None, "alpha must be finite, got inf",
+                 id="alpha inf"),
+    pytest.param(["fermion-sweep", "--pairs", "3", "--plot", "x.svg"], None,
+                 "plotting supports pairs in {1, 2}", id="fermion-sweep pairs 3 plot"),
+    pytest.param([], {"experiment": "rotate-sweep", "parameters": {"n_list": 5}},
+                 "n_list must be a non-empty list of integers, got 5", id="n_list not a list"),
+    pytest.param([], {"experiment": "teleport"}, "unknown experiment 'teleport'",
+                 id="unknown experiment"),
+    pytest.param([], {"experiment": "bell", "parameters": {"gamma": 0.5},
+                      "output": {"format": "xml"}},
+                 "format must be one of ('table', 'csv', 'json'), got 'xml'", id="bad format"),
+    pytest.param([], "{not json", "config file is not valid JSON", id="not JSON"),
+    pytest.param([], [1, 2], "config document must be a JSON object", id="not an object"),
+    pytest.param([], {"experiment": "bell", "parameters": [0.5]},
+                 "config 'parameters' must be an object", id="parameters not an object"),
+    pytest.param([], {"experiment": "bell", "output": "csv"},
+                 "config 'output' must be an object", id="output not an object"),
+    pytest.param([], {"experiment": "bell", "output": {"file": "x"}},
+                 "unknown output key(s): ['file']", id="unknown output key"),
+    pytest.param([], {"parameters": {"gamma": 0.5}}, "no experiment given", id="no experiment"),
+])
+def test_refusals_are_usage_errors(argv, doc, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = doc if doc is None or isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(UsageError, match=re.escape(message)):
+        parse_config(argv, config_text=text)
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+        argv = ["--config", "cfg.json"] + argv
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if text else [])
 
 
 def test_config_experiment_conflict():
@@ -181,6 +222,35 @@ def test_svg_plots(tmp_path):
                  "--plot", str(heat), "--format", "csv", "--out", str(tmp_path / "g.csv")]) == 0
     text = heat.read_text()
     assert text.startswith("<svg") and "rect" in text
+
+
+def test_one_point_line_chart_is_valid_and_deterministic(tmp_path):
+    # a single n widens the x range by 1/2 on each side, so the one marker sits mid-frame
+    svgs = []
+    for tag in ("a", "b"):
+        path = tmp_path / f"{tag}.svg"
+        assert main(["rotate-sweep", "--n-list", "4", "--format", "csv",
+                     "--out", str(tmp_path / f"{tag}.csv"), "--plot", str(path)]) == 0
+        svgs.append(path.read_bytes())
+    assert svgs[0] == svgs[1]
+    root = ElementTree.fromstring(svgs[0])
+    assert root.tag == SVG + "svg"
+    (marker,) = root.iter(SVG + "circle")
+    assert (marker.get("cx"), marker.get("cy")) == ("340", "212.5")
+    coords = [float(v) for el in root.iter() for k, v in el.attrib.items()
+              if k in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy")]
+    assert coords and all(map(math.isfinite, coords))
+
+
+def test_heatmap_of_constant_values():
+    # an empty value range is widened to one unit, so every cell takes the low colour
+    rows = [(x, y, 0.25) for x in (0.0, 1.0) for y in (0.0, 1.0)]
+    text = heatmap(rows, "theta_1", "theta_2", "flat")
+    assert heatmap(rows, "theta_1", "theta_2", "flat") == text
+    root = ElementTree.fromstring(text)
+    cells = [r for r in root.iter(SVG + "rect") if r.get("fill") not in ("white", "none")]
+    assert [c.get("fill") for c in cells] == ["#0000ff"] * 4
+    assert "0.25 .. 1.25" in text
 
 
 def test_out_and_plot_naming_one_file_is_refused(tmp_path, monkeypatch, capsys):
@@ -319,9 +389,17 @@ def test_console_entry_point_runs():
     assert "M = 1.25" in proc.stdout
 
 
-def test_run_rejects_unvalidated_config():
-    cfg = RunConfig("bell", {"gamma": 0.5}, "table", None, None)
+def test_run_rejects_unvalidated_config(tmp_path):
+    # a plot path for an experiment without a chart is refused before anything is written
+    out, plot = tmp_path / "out.txt", tmp_path / "bell.svg"
+    cfg = {"experiment": "bell", "parameters": {"gamma": 0.5},
+           "output": {"format": "table", "path": str(out), "plot": str(plot)}}
+    with pytest.raises(UsageError, match="'bell' produces no plot"):
+        run(cfg)
+    assert not out.exists() and not plot.exists()
+    cfg["output"]["plot"] = None
     assert run(cfg) == 0
+    assert "M = 1.25" in out.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +410,7 @@ def test_top_level_config_survives_subcommand(tmp_path, capsys):
     # the subcommand's own --config default used to overwrite the top-level one
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiment": "bell", "parameters": {"gamma": 0.5}}))
-    assert parse_config(["--config", str(path), "bell"]).parameters == {"gamma": 0.5}
+    assert parse_config(["--config", str(path), "bell"])["parameters"] == {"gamma": 0.5}
     assert main(["--config", str(path), "bell"]) == 0
     assert "M = 1.25" in capsys.readouterr().out
 
@@ -369,20 +447,20 @@ def test_config_rejects_boolean_numbers(experiment, key, value, tmp_path, capsys
 
 def test_config_null_output_paths_still_allowed():
     doc = json.dumps({"experiment": None, "output": {"path": None, "plot": None}})
-    assert parse_config(["bell", "--gamma", "0.5"], config_text=doc).out is None
+    assert parse_config(["bell", "--gamma", "0.5"], config_text=doc)["output"]["path"] is None
 
 
 def test_normalization_survives_overflow_and_underflow():
-    p = parse_config(["rotate", "--alpha", "1e308", "--beta", "1e308"]).parameters
+    p = parse_config(["rotate", "--alpha", "1e308", "--beta", "1e308"])["parameters"]
     assert p["alpha"] == p["beta"] and abs(p["alpha"] - math.sqrt(0.5)) < 1e-15
-    p = parse_config(["rotate", "--alpha", "1e-200", "--beta", "0"]).parameters
+    p = parse_config(["rotate", "--alpha", "1e-200", "--beta", "0"])["parameters"]
     assert (p["alpha"], p["beta"]) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("tiny", ["5e-324", "1e-320"])
 def test_normalization_of_subnormal_amplitudes(tiny):
     # hypot of two subnormals rounds to a few bits, so a/hypot(a, b) missed 1/sqrt(2)
-    p = parse_config(["rotate", "--alpha", tiny, "--beta", tiny]).parameters
+    p = parse_config(["rotate", "--alpha", tiny, "--beta", tiny])["parameters"]
     assert p["alpha"] == p["beta"] and abs(p["alpha"] - math.sqrt(0.5)) < 1e-15
     assert main(["rotate", "--n", "2", "--alpha", tiny, "--beta", tiny]) == 0
 

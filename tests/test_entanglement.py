@@ -279,6 +279,10 @@ def test_trace_distance():
     assert trace_distance(a, a) == 0.0
     with pytest.raises(ValueError, match="Hermitian"):
         trace_distance(np.full((2, 2), np.nan), a)
+    # numpy would broadcast these against the 2x2 operator
+    for other in (np.array([0.5, 0.5]), np.array([[0.5]])):
+        with pytest.raises(ValueError, match="matching dimensions"):
+            trace_distance(np.eye(2) / 2, other)
 
 
 def test_state_overlap():

@@ -393,6 +393,12 @@ def test_partial_trace_errors():
         reduced_density(psi, [])
     with pytest.raises(ValueError, match="distinct"):
         reduced_density(psi, ["a", "a"])
+    # a bare string is one label, not a sequence of one-character labels
+    three = compose_layout([("a", TwoLevel), ("b", TwoLevel), ("ab", TwoLevel)])
+    psi3 = basis_state(three, ["g", "g", "g"])
+    for label in ("ab", "target"):
+        with pytest.raises(TypeError, match=f"not the string {label!r}"):
+            reduced_density(psi3, label)
 
 
 # ---------------------------------------------------------------------------

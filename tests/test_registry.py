@@ -45,7 +45,7 @@ def _readme_commands():
 
 @pytest.mark.parametrize("argv", list(_readme_commands()), ids=" ".join)
 def test_readme_command_parses(argv):
-    assert parse_config(argv).experiment == argv[0]
+    assert parse_config(argv)["experiment"] == argv[0]
 
 
 def test_readme_lists_commands():
@@ -54,12 +54,12 @@ def test_readme_lists_commands():
 
 def test_parser_built_once_does_not_leak_values():
     parse_config(["rotate", "--alpha", "0.3"])
-    assert parse_config(["rotate"]).parameters["alpha"] == 1.0
+    assert parse_config(["rotate"])["parameters"]["alpha"] == 1.0
     first = parse_config(["rotate", "--n", "5", "--alpha", "0.3", "--beta", "0.4"])
-    assert first.parameters["n"] == 5 and abs(first.parameters["alpha"] - 0.6) < 1e-15
-    assert parse_config(["rotate"]).parameters == {"n": 1, "alpha": 1.0, "beta": 0.0}
-    parse_config(["rotate-sweep"]).parameters["n_list"].append(128)
-    assert parse_config(["rotate-sweep"]).parameters["n_list"] == [4, 8, 16, 32, 64]
+    assert first["parameters"]["n"] == 5 and abs(first["parameters"]["alpha"] - 0.6) < 1e-15
+    assert parse_config(["rotate"])["parameters"] == {"n": 1, "alpha": 1.0, "beta": 0.0}
+    parse_config(["rotate-sweep"])["parameters"]["n_list"].append(128)
+    assert parse_config(["rotate-sweep"])["parameters"]["n_list"] == [4, 8, 16, 32, 64]
 
 
 def test_readme_library_example_prints_its_comments(capsys):
