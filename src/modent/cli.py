@@ -312,7 +312,9 @@ def _validate(config: dict) -> dict:
         else:
             params[p.name] = copy.copy(p.default)   # callers may mutate a list
     _normalize_amplitudes(params)
-    fmt, out, plot = output.get("format") or "table", output.get("path"), output.get("plot")
+    fmt, out, plot = output.get("format"), output.get("path"), output.get("plot")
+    if fmt is None:
+        fmt = "table"
     if fmt not in _FORMATS:
         raise UsageError(f"format must be one of {_FORMATS}, got {fmt!r}")
     if plot is not None:

@@ -15,10 +15,14 @@ real and imaginary parts.
 excitation number, has that real gauge and has no sector of more than
 ``_KRYLOV_CROSSOVER`` states, it diagonalizes H exactly, one sector at a
 time: each real symmetric block of H' is scattered straight from the
-triplets and diagonalized on its own (equal-size blocks in one batched
-``eigh``).  Every other H, whatever its sectors or phases, is propagated by
-Lanczos steps on the triplets (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
-Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), which need
+triplets and diagonalized on its own.  A one-state block, and a two-state
+block with a zero diagonal (every sector of a one-mode coupling: the
+Jaynes-Cummings doublets, Jaynes & Cummings, Proc. IEEE 51, 89 (1963)), has
+its spectrum in closed form, bit for bit what LAPACK returns; the other
+blocks go to one batched ``eigh`` per size.  Every other H, whatever its
+sectors or phases, is propagated by Lanczos steps on the triplets (Saad,
+SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer.
+Anal. 34, 1911 (1997)), which need
 neither sectors nor a gauge and keep the same error bound for any Hermitian
 H.  Each substep builds an orthonormal basis V of the
 Krylov space of the current vector w and the tridiagonal T = V^dag H V, and
@@ -94,6 +98,12 @@ def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
 # i^k, and the sign of the real part of i^k (a + ib) taken from a or b, for k = 0 .. 3
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 _REAL_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+# eigenvectors of [[0, b], [b, 0]] as LAPACK returns them, indexed by the
+# sign of b: b = 0, b > 0, b < 0
+_HALF_ROOT = 1 / math.sqrt(2)
+_PAIR_VECTORS = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                          [[-_HALF_ROOT, _HALF_ROOT], [_HALF_ROOT, _HALF_ROOT]],
+                          [[-_HALF_ROOT, -_HALF_ROOT], [-_HALF_ROOT, _HALF_ROOT]]])
 
 # Sectors of at most this many states are diagonalized as whole blocks; a
 # Hamiltonian with a larger one takes the Krylov step.  20 keeps every sector
@@ -174,6 +184,39 @@ def _check_hermitian(asym):
         raise ValueError("evolve requires a Hermitian Hamiltonian")
 
 
+def _block_eigh(blocks):
+    """``np.linalg.eigh`` of a (k, s, s) stack of real symmetric blocks, with
+    the one- and two-state blocks of a coupling taken in closed form.
+
+    A 1 x 1 block [[x]] is its own spectrum: w = x and v = 1.  A 2 x 2 block
+    with a zero diagonal, [[0, b], [b, 0]] with b read from the lower
+    triangle as ``eigh`` reads it, has w = (-|b|, |b|) and the eigenvectors
+    (e_1 -+ e_0)/sqrt(2) for b > 0, -(e_0 +- e_1)/sqrt(2) for b < 0, and the
+    unit vectors for b = 0: the columns and signs LAPACK returns.  For |b|
+    from 1e-120 to 1e145, and for every 1 x 1 block, that is ``eigh``'s
+    output bit for bit (OpenBLAS); beyond that range LAPACK scales the block
+    and its w is off |b| by up to an ulp, where the closed form stays exact.
+    Every 2 x 2 block with a nonzero diagonal, and every larger block, goes
+    to one batched ``eigh``.  The blocks are finite: the Hermiticity check
+    has refused a NaN or an infinity, whose asymmetry is NaN.
+    """
+    s = blocks.shape[-1]
+    if s == 1:
+        return blocks[:, 0], np.ones_like(blocks)
+    if s != 2:
+        return np.linalg.eigh(blocks)
+    b = blocks[:, 1, 0]
+    magnitude = np.abs(b)
+    # 0.0 - |b|, not -|b|: LAPACK gives +0.0 twice for a zero block
+    w = np.stack([0.0 - magnitude, magnitude], axis=1)
+    # the sign of b indexes _PAIR_VECTORS: 0 (also -0.0), 1 or -1
+    v = _PAIR_VECTORS[np.sign(b).astype(np.intp)]
+    rest = np.flatnonzero((blocks[:, 0, 0] != 0) | (blocks[:, 1, 1] != 0))
+    if rest.size:
+        w[rest], v[rest] = np.linalg.eigh(blocks[rest])
+    return w, v
+
+
 def _sector_eigh(hamiltonian: LinearOp):
     """Eigendecomposition of H over its excitation sectors, in the real gauge.
 
@@ -182,8 +225,11 @@ def _sector_eigh(hamiltonian: LinearOp):
     and otherwise ``(phase, sectors)`` with ``phase`` as in ``_sector_blocks``
     and ``sectors`` holding ``(idx, w, v)`` per sector size: ``v[j]
     diag(w[j]) v[j]^T`` is the real symmetric block of D^dag H D on
-    ``idx[j]``, so ``eigh`` runs the real solver.  Hermiticity is checked on
-    the blocks: every entry outside them is zero, and the gauge turns
+    ``idx[j]``.  ``_block_eigh`` gives one-state sectors and two-state
+    sectors with a zero diagonal (every sector of a one-mode coupling, such
+    as a Jaynes-Cummings doublet {|g, n>, |e, n - 1>}) in closed form, and
+    the rest to the real solver of ``eigh``.  Hermiticity is checked on the
+    blocks: every entry outside them is zero, and the gauge turns
     H[r, c] - conj(H[c, r]) by a power of i, which keeps its modulus, so the
     blocks pass the same tolerance iff H does.
     """
@@ -194,8 +240,7 @@ def _sector_eigh(hamiltonian: LinearOp):
     out = []
     for idx, blocks in sectors:
         _check_hermitian(blocks - blocks.transpose(0, 2, 1))
-        w, v = np.linalg.eigh(blocks)
-        out.append((idx, w, v))
+        out.append((idx, *_block_eigh(blocks)))
     return phase, out
 
 

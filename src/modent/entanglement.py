@@ -135,8 +135,10 @@ def chsh_violated(rho) -> bool:
 
 
 def trace_distance(a, b) -> float:
-    """(1/2) tr |a - b| for Hermitian a, b of matching dimensions."""
+    """(1/2) tr |a - b| for Hermitian a, b: square matrices of matching dimensions."""
     ma, mb = _as_matrix(a), _as_matrix(b)
+    if ma.ndim != 2 or ma.shape[0] != ma.shape[1]:
+        raise ValueError(f"trace distance requires square matrices, got shape {ma.shape}")
     if ma.shape != mb.shape:
         raise ValueError("trace distance requires matching dimensions")
     diff = ma - mb

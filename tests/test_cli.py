@@ -138,6 +138,9 @@ def test_flags_override_config(tmp_path):
     pytest.param([], {"experiment": "bell", "parameters": {"gamma": 0.5},
                       "output": {"format": "xml"}},
                  "format must be one of ('table', 'csv', 'json'), got 'xml'", id="bad format"),
+    pytest.param([], {"experiment": "bell", "parameters": {"gamma": 0.5},
+                      "output": {"format": ""}},
+                 "format must be one of ('table', 'csv', 'json'), got ''", id="empty format"),
     pytest.param([], "{not json", "config file is not valid JSON", id="not JSON"),
     pytest.param([], [1, 2], "config document must be a JSON object", id="not an object"),
     pytest.param([], {"experiment": "bell", "parameters": [0.5]},

@@ -392,8 +392,57 @@ def test_propagation_diagonalizes_sectors_not_the_whole_space(solver_calls):
     # states symmetric in the modes (the collective reference's blocks are 2)
     assert max(size for size, _ in solver_calls) <= 2 * (9 + 1)
     solver_calls.clear()
-    coherent_field_rotation(1.0, 0.0, 20.0)  # dimension 1162, sectors of 2
-    assert max(size for size, _ in solver_calls) == 2
+    # dimension 1162: sectors of 1 and 2 states with a zero diagonal, all in
+    # closed form, so no sector reaches eigh
+    coherent_field_rotation(1.0, 0.0, 20.0)
+    assert solver_calls == []
+
+
+def _zero_diagonal_pairs(b):
+    blocks = np.zeros((b.size, 2, 2))
+    blocks[:, 0, 1] = blocks[:, 1, 0] = b
+    return blocks
+
+
+def _assert_eigh_bits(blocks):
+    w, v = dynamics._block_eigh(blocks)
+    expected_w, expected_v = np.linalg.eigh(blocks)
+    assert w.dtype == v.dtype == np.float64
+    assert (w.shape, v.shape) == (expected_w.shape, expected_v.shape)
+    assert w.tobytes() == expected_w.tobytes()
+    assert v.tobytes() == expected_v.tobytes()
+
+
+def test_closed_form_pairs_match_eigh_bit_for_bit():
+    # +-sqrt(n): the Jaynes-Cummings doublets up to 2^17 quanta
+    root = np.sqrt(np.arange(1.0, 2.0 ** 17 + 1))
+    rng = np.random.default_rng(25)
+    scattered = rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-100, 100, 4096)
+    for b in (root, -root, scattered, np.array([0.0, -0.0])):
+        _assert_eigh_bits(_zero_diagonal_pairs(b))
+
+
+def test_closed_form_single_states_match_eigh_bit_for_bit():
+    rng = np.random.default_rng(26)
+    finfo = np.finfo(float)
+    x = np.concatenate([
+        rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-323, 308, 4096),
+        [0.0, -0.0, finfo.smallest_subnormal, -finfo.smallest_subnormal,
+         finfo.tiny, finfo.max, -finfo.max]])
+    _assert_eigh_bits(x[:, None, None])
+
+
+def test_pairs_with_a_diagonal_still_reach_eigh(solver_calls):
+    blocks = _zero_diagonal_pairs(np.array([1.0, -2.0, 3.0, 0.5, -1.5]))
+    blocks[1, 0, 0] = 0.25
+    blocks[3, 1, 1] = -1.0
+    blocks[4, 0, 0] = blocks[4, 1, 1] = -0.0  # a zero diagonal all the same
+    _assert_eigh_bits(blocks)
+    # one batched call, for the blocks with a nonzero diagonal
+    assert solver_calls == [(2, np.dtype(np.float64))]
+    solver_calls.clear()
+    _assert_eigh_bits(np.zeros((3, 3, 3)))
+    assert solver_calls == [(3, np.dtype(np.float64))]
 
 
 def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
@@ -442,10 +491,14 @@ def test_evolve_rejects_non_hermitian_sector_block(eps):
 
 def test_hermiticity_tolerance_accepts_rounding_asymmetry(solver_calls):
     psi, h = _jc_with_in_sector_asymmetry(1e-13)
-    assert dynamics._sector_blocks(h) is not None
-    assert abs(np.linalg.norm(evolve(psi, h, 1.0).amplitudes) - 1) < 1e-12
-    # checked and diagonalized block by block
-    assert max(size for size, _ in solver_calls) == 2
+    phase, groups = dynamics._sector_blocks(h)
+    evolved = evolve(psi, h, 1.0).amplitudes
+    assert abs(np.linalg.norm(evolved) - 1) < 1e-12
+    # checked block by block, and the closed form reads the lower triangle,
+    # as eigh does: the evolution is the lower-triangle eigh result
+    spectrum = (phase, [(idx, *np.linalg.eigh(blocks)) for idx, blocks in groups])
+    assert evolved.tobytes() == dynamics._propagate(spectrum, psi.amplitudes, 1.0).tobytes()
+    assert solver_calls == []
 
 
 @pytest.mark.parametrize("extra", [(3, 1, 1e-9j), (3, 3, np.nan)])

@@ -283,6 +283,10 @@ def test_trace_distance():
     for other in (np.array([0.5, 0.5]), np.array([[0.5]])):
         with pytest.raises(ValueError, match="matching dimensions"):
             trace_distance(np.eye(2) / 2, other)
+    # not matrices, or not square: refused before numpy's own errors
+    for bad in (np.array([0.5, 0.5]), np.ones((2, 3)) / 6):
+        with pytest.raises(ValueError, match="square matrices"):
+            trace_distance(bad, np.zeros_like(bad))
 
 
 def test_state_overlap():
