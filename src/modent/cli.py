@@ -68,6 +68,9 @@ def _fmt12(x) -> str:
 MAX_COLLECTIVE_N = 11
 MAX_COHERENT_CUTOFF = 2 ** 17 - 1
 MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory
+# The largest phase of a coherent run, sqrt(cutoff) times the coupling time
+# pi/(4 eta), overflows below eta = 1.5817e-306 at the largest cutoff.
+MIN_COHERENT_ETA = 1.6e-306
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,8 @@ def _run_coherent_rotation(p, payload):
 
 
 def _check_coherent_rotation(p, plot):
+    if 0 < p["eta"] < MIN_COHERENT_ETA:
+        raise UsageError(f"eta must be 0 or at least {MIN_COHERENT_ETA}, got {p['eta']!r}")
     # eta above MAX_COHERENT_CUTOFF is out of bounds anyway; min() keeps eta**2 finite
     if (p["cutoff"] is None
             and default_coherent_cutoff(min(p["eta"], MAX_COHERENT_CUTOFF)) > MAX_COHERENT_CUTOFF):

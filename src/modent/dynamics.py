@@ -12,23 +12,21 @@ each amplitude is turned by a power of i, which only swaps and negates its
 real and imaginary parts.
 
 ``evolve`` takes one of two paths, by one rule.  When H conserves the
-excitation number, has that real gauge and has no sector of more than
-``_KRYLOV_CROSSOVER`` states, it diagonalizes H exactly, one sector at a
-time: each real symmetric block of H' is scattered straight from the
-triplets and diagonalized on its own.  A one-state block, and a two-state
-block with a zero diagonal (every sector of a one-mode coupling: the
-Jaynes-Cummings doublets, Jaynes & Cummings, Proc. IEEE 51, 89 (1963)), has
-its spectrum in closed form, bit for bit what LAPACK returns; the other
-blocks go to one batched ``eigh`` per size.  Every other H, whatever its
-sectors or phases, is propagated by Lanczos steps on the triplets (Saad,
-SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer.
-Anal. 34, 1911 (1997)), which need
-neither sectors nor a gauge and keep the same error bound for any Hermitian
-H.  Each substep builds an orthonormal basis V of the
-Krylov space of the current vector w and the tridiagonal T = V^dag H V, and
-takes exp(-i H tau) w = |w| V exp(-i T tau) e_1.  A basis that spans an
-invariant subspace (a lucky breakdown: the next Lanczos coefficient is zero)
-makes that exact; otherwise the substep is shortened until the a-posteriori
+excitation number, has that real gauge, has no diagonal entry and has no
+sector of more than two states (one two-level system on one mode: the
+Jaynes-Cummings doublets {|g, n>, |e, n - 1>}, Jaynes & Cummings,
+Proc. IEEE 51, 89 (1963)), its spectrum is known in closed form: each
+sector's real block of H', scattered straight from the triplets, is [[0]]
+or [[0, b], [b, 0]], whose spectrum is written down bit for bit as LAPACK
+returns it.  Every other H, whatever its sectors or phases, is propagated
+by Lanczos steps on the triplets (Saad, SIAM J. Numer. Anal. 29, 209
+(1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), which
+need neither sectors nor a gauge and keep the same error bound for any
+Hermitian H.  Each substep builds an orthonormal basis V of the Krylov
+space of the current vector w and the tridiagonal T = V^dag H V, and takes
+exp(-i H tau) w = |w| V exp(-i T tau) e_1.  A basis that spans an invariant
+subspace (a lucky breakdown: the next Lanczos coefficient is zero) makes
+that exact; otherwise the substep is shortened until the a-posteriori
 estimate of its error is within ``_KRYLOV_TOL``.  V has orthonormal columns
 and exp(-i T tau) is unitary, so the norm is kept to rounding at any t.
 The products with the basis (the Gram-Schmidt coefficients V^dag p, the
@@ -105,13 +103,6 @@ _PAIR_VECTORS = np.array([[[1.0, 0.0], [0.0, 1.0]],
                           [[-_HALF_ROOT, _HALF_ROOT], [_HALF_ROOT, _HALF_ROOT]],
                           [[-_HALF_ROOT, -_HALF_ROOT], [-_HALF_ROOT, _HALF_ROOT]]])
 
-# Sectors of at most this many states are diagonalized as whole blocks; a
-# Hamiltonian with a larger one takes the Krylov step.  20 keeps every sector
-# of collective-check n <= 5, of the one-mode couplings and of the golden
-# outputs on whole blocks, so their printed digits do not move.  It is not a
-# speed crossover: on the collective state at n = 5 the Krylov step took
-# 0.44 ms against 0.47 ms on whole blocks (shared 2-CPU host).
-_KRYLOV_CROSSOVER = 20
 # Largest Krylov basis per substep, and the bound on a substep's estimated
 # error relative to the norm of the state.
 _KRYLOV_DIM = 30
@@ -121,17 +112,17 @@ _KRYLOV_TOL = 1e-14
 def _sector_blocks(hamiltonian: LinearOp):
     """The real blocks of D^dag H D over the excitation sectors, or None.
 
-    Returns None unless H conserves the excitation number, has the real gauge
-    and has no sector of more than ``_KRYLOV_CROSSOVER`` states; ``evolve``
-    then takes the Krylov step.  Otherwise returns ``(phase, sectors)``:
-    ``phase`` (d,) is the diagonal of the gauge D, i^q with q the sum of a
-    basis state's two-level indices, and ``sectors`` holds ``(idx, blocks)``
-    per sector size: ``idx`` (k, s) the global basis indices of the k sectors
-    of size s, and ``blocks`` (k, s, s) float64, the entries of D^dag H D
-    among them, scattered from the triplets (repeated entries add up in
-    triplet order).  The gauge is exact: a power of i only swaps and negates
-    the real and imaginary parts of an entry, so the blocks hold D^dag H D
-    without rounding.
+    Returns None unless H conserves the excitation number, has the real
+    gauge, has no diagonal entry and has no sector of more than two states;
+    ``evolve`` then takes the Krylov step.  Otherwise returns ``(phase,
+    sectors)``: ``phase`` (d,) is the diagonal of the gauge D, i^q with q the
+    sum of a basis state's two-level indices, and ``sectors`` holds ``(idx,
+    blocks)`` per sector size s = 1, 2: ``idx`` (k, s) the global basis
+    indices of the k sectors of size s, and ``blocks`` (k, s, s) float64, the
+    entries of D^dag H D among them, scattered from the triplets (repeated
+    entries add up in triplet order).  The gauge is exact: a power of i only
+    swaps and negates the real and imaginary parts of an entry, so the blocks
+    hold D^dag H D without rounding.
     """
     layout = hamiltonian.layout
     rows, cols, values = hamiltonian.rows, hamiltonian.cols, hamiltonian.values
@@ -139,7 +130,7 @@ def _sector_blocks(hamiltonian: LinearOp):
     # excitation number of each basis state: the sum of its level indices
     sector = levels.sum(axis=0)
     sizes = np.bincount(sector)
-    if sizes.max() > _KRYLOV_CROSSOVER or np.any(sector[rows] != sector[cols]):
+    if sizes.max() > 2 or np.any(rows == cols) or np.any(sector[rows] != sector[cols]):
         return None
     q = levels[[i for i, (_, kind) in enumerate(layout.subsystems)
                 if isinstance(kind, TwoLevel)]].sum(axis=0)
@@ -185,53 +176,44 @@ def _check_hermitian(asym):
 
 
 def _block_eigh(blocks):
-    """``np.linalg.eigh`` of a (k, s, s) stack of real symmetric blocks, with
-    the one- and two-state blocks of a coupling taken in closed form.
+    """``np.linalg.eigh`` of a (k, s, s) stack of the real symmetric blocks
+    ``_sector_blocks`` gives, s = 1 or 2 with a zero diagonal, in closed form.
 
     A 1 x 1 block [[x]] is its own spectrum: w = x and v = 1.  A 2 x 2 block
-    with a zero diagonal, [[0, b], [b, 0]] with b read from the lower
-    triangle as ``eigh`` reads it, has w = (-|b|, |b|) and the eigenvectors
-    (e_1 -+ e_0)/sqrt(2) for b > 0, -(e_0 +- e_1)/sqrt(2) for b < 0, and the
-    unit vectors for b = 0: the columns and signs LAPACK returns.  For |b|
-    from 1e-120 to 1e145, and for every 1 x 1 block, that is ``eigh``'s
-    output bit for bit (OpenBLAS); beyond that range LAPACK scales the block
-    and its w is off |b| by up to an ulp, where the closed form stays exact.
-    Every 2 x 2 block with a nonzero diagonal, and every larger block, goes
-    to one batched ``eigh``.  The blocks are finite: the Hermiticity check
-    has refused a NaN or an infinity, whose asymmetry is NaN.
+    [[0, b], [b, 0]], with b read from the lower triangle as ``eigh`` reads
+    it, has w = (-|b|, |b|) and the eigenvectors (e_1 -+ e_0)/sqrt(2) for
+    b > 0, -(e_0 +- e_1)/sqrt(2) for b < 0, and the unit vectors for b = 0:
+    the columns and signs LAPACK returns.  For |b| from 1e-120 to 1e145, and
+    for every 1 x 1 block, that is ``eigh``'s output bit for bit (OpenBLAS);
+    beyond that range LAPACK scales the block and its w is off |b| by up to
+    an ulp, where the closed form stays exact.  The blocks are finite: the
+    Hermiticity check has refused a NaN or an infinity, whose asymmetry is
+    NaN.
     """
-    s = blocks.shape[-1]
-    if s == 1:
+    if blocks.shape[-1] == 1:
         return blocks[:, 0], np.ones_like(blocks)
-    if s != 2:
-        return np.linalg.eigh(blocks)
     b = blocks[:, 1, 0]
     magnitude = np.abs(b)
     # 0.0 - |b|, not -|b|: LAPACK gives +0.0 twice for a zero block
     w = np.stack([0.0 - magnitude, magnitude], axis=1)
     # the sign of b indexes _PAIR_VECTORS: 0 (also -0.0), 1 or -1
-    v = _PAIR_VECTORS[np.sign(b).astype(np.intp)]
-    rest = np.flatnonzero((blocks[:, 0, 0] != 0) | (blocks[:, 1, 1] != 0))
-    if rest.size:
-        w[rest], v[rest] = np.linalg.eigh(blocks[rest])
-    return w, v
+    return w, _PAIR_VECTORS[np.sign(b).astype(np.intp)]
 
 
 def _sector_eigh(hamiltonian: LinearOp):
     """Eigendecomposition of H over its excitation sectors, in the real gauge.
 
     Returns None where ``_sector_blocks`` does (H joins two sectors, has no
-    real gauge or has a sector of more than ``_KRYLOV_CROSSOVER`` states),
-    and otherwise ``(phase, sectors)`` with ``phase`` as in ``_sector_blocks``
-    and ``sectors`` holding ``(idx, w, v)`` per sector size: ``v[j]
-    diag(w[j]) v[j]^T`` is the real symmetric block of D^dag H D on
-    ``idx[j]``.  ``_block_eigh`` gives one-state sectors and two-state
-    sectors with a zero diagonal (every sector of a one-mode coupling, such
-    as a Jaynes-Cummings doublet {|g, n>, |e, n - 1>}) in closed form, and
-    the rest to the real solver of ``eigh``.  Hermiticity is checked on the
-    blocks: every entry outside them is zero, and the gauge turns
-    H[r, c] - conj(H[c, r]) by a power of i, which keeps its modulus, so the
-    blocks pass the same tolerance iff H does.
+    real gauge, has a diagonal entry or has a sector of more than two
+    states), and otherwise ``(phase, sectors)`` with ``phase`` as in
+    ``_sector_blocks`` and ``sectors`` holding ``(idx, w, v)`` per sector
+    size: ``v[j] diag(w[j]) v[j]^T`` is the real symmetric block of D^dag H D
+    on ``idx[j]``, in the closed form of ``_block_eigh`` (every sector of a
+    one-mode coupling is a singlet or a Jaynes-Cummings doublet {|g, n>,
+    |e, n - 1>}).  Hermiticity is checked on the blocks: every entry outside
+    them is zero, and the gauge turns H[r, c] - conj(H[c, r]) by a power of
+    i, which keeps its modulus, so the blocks pass the same tolerance iff H
+    does.
     """
     grouped = _sector_blocks(hamiltonian)
     if grouped is None:
@@ -340,10 +322,10 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
 
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
     """exp(-i H t) |state>, never forming exp(-i H t); norm is preserved to
-    rounding.  An H that conserves the excitation number, has the real gauge
-    and has no sector of more than ``_KRYLOV_CROSSOVER`` states is
-    diagonalized once, sector by sector, and its spectrum applied; every
-    other H is propagated by Lanczos substeps on its triplets."""
+    rounding.  An H that conserves the excitation number, has the real gauge,
+    has no diagonal entry and has no sector of more than two states has its
+    spectrum in closed form, sector by sector, and that spectrum is applied;
+    every other H is propagated by Lanczos substeps on its triplets."""
     t = _finite_time(t)
     if state.layout.dims != hamiltonian.layout.dims:
         raise ValueError("state and Hamiltonian dimensions do not match")

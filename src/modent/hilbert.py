@@ -332,6 +332,8 @@ def superpose(terms: Sequence) -> PureState:
 def default_coherent_cutoff(eta: complex) -> int:
     """Cutoff giving sub-1e-10 truncation weight for amplitude ``eta``."""
     a = abs(eta)
+    if not math.isfinite(a):
+        raise ValueError(f"eta must be finite, got {eta!r}")
     return int(math.ceil(a * a + 8.0 * a + 20.0))
 
 

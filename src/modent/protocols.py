@@ -32,6 +32,7 @@ from .hilbert import (
     PureState,
     TwoLevel,
     _is_count,
+    _log_factorials,
     basis_state,
     coherent_mode_state,
     compose_layout,
@@ -215,7 +216,9 @@ def collective_mode_reference(n_modes: int, alpha: complex, beta: complex,
     """Reduced target state when the N modes are replaced by the one collective
     mode they address: coupling sqrt(N) J on the symmetric ladder
     <m-1| b |m> = sqrt(m (N - m + 1) / N), initial mode amplitudes
-    sqrt(C(N, m)) 2^(-N/2)."""
+    sqrt(C(N, m)) 2^(-N/2).  Those are formed in log space, -(log m! +
+    log (N - m)!)/2 shifted by its maximum, and normalized, so no C(N, m)
+    overflows a float at large N."""
     d = n_modes + 1
     layout = compose_layout([("target", TwoLevel), ("collective", BosonicMode(n_modes))])
     ladder = [math.sqrt(m * (n_modes - m + 1) / n_modes) for m in range(1, d)]
@@ -224,8 +227,10 @@ def collective_mode_reference(n_modes: int, alpha: complex, beta: complex,
     ground = np.arange(1, d)
     h = LinearOp(layout, np.concatenate([d + ground - 1, ground]),
                  np.concatenate([ground, d + ground - 1]), np.concatenate([values, values.conj()]))
-    chi = np.array([math.sqrt(math.comb(n_modes, m)) * 2 ** (-n_modes / 2) for m in range(d)],
-                   dtype=complex)
+    log_factorials = _log_factorials(d)
+    log_chi = -0.5 * (log_factorials + log_factorials[::-1])
+    chi = np.exp(log_chi - log_chi.max()).astype(complex)
+    chi /= np.linalg.norm(chi)
     psi0 = PureState(layout, np.kron(np.array([alpha, beta], dtype=complex), chi))
     final = evolve(psi0, h, duration)
     return reduced_density(final, ["target"])

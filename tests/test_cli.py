@@ -141,6 +141,12 @@ def test_flags_override_config(tmp_path):
     pytest.param([], {"experiment": "bell", "parameters": {"gamma": 0.5},
                       "output": {"format": ""}},
                  "format must be one of ('table', 'csv', 'json'), got ''", id="empty format"),
+    # the coupling time pi/(4 eta) overflows below 4.4e-309, and the largest
+    # phase sqrt(cutoff) pi/(4 eta) already at 4.37e-309
+    pytest.param(["coherent-rotation", "--eta", "1e-320"], None,
+                 "eta must be 0 or at least 1.6e-306, got 1e-320", id="eta 1e-320"),
+    pytest.param(["coherent-rotation", "--eta", "4.37e-309"], None,
+                 "eta must be 0 or at least 1.6e-306, got 4.37e-309", id="eta 4.37e-309"),
     pytest.param([], "{not json", "config file is not valid JSON", id="not JSON"),
     pytest.param([], [1, 2], "config document must be a JSON object", id="not an object"),
     pytest.param([], {"experiment": "bell", "parameters": [0.5]},
@@ -339,14 +345,25 @@ def test_computation_failure_exit_code(argv, capsys):
 @pytest.mark.parametrize("eta", ["1e-310", "1e-320"])
 def test_non_finite_result_is_a_computation_failure(eta, capsys):
     # pi / (4 eta) overflows to inf; this printed fidelity 0 and exited 0 when
-    # NaN slipped through the checks, then named the NaN norm it led to
+    # NaN slipped through the checks, then named the NaN norm it led to.  The
+    # library still fails on the infinite time, before any RuntimeWarning; the
+    # CLI refuses such an eta before it runs anything
     with warnings.catch_warnings():
-        warnings.simplefilter("always", RuntimeWarning)
-        assert main(["coherent-rotation", "--eta", eta, "--format", "csv"]) == 1
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="evolution time inf is not finite"):
+            modent.coherent_field_rotation(1.0, 0.0, float(eta))
+    assert main(["coherent-rotation", "--eta", eta, "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "evolution time inf is not finite" in captured.err
-    assert "RuntimeWarning" not in captured.err
+    assert "eta must be 0 or at least 1.6e-306" in captured.err
+
+
+def test_coherent_rotation_runs_at_the_smallest_eta(capsys):
+    # the largest phase, sqrt(cutoff) pi/(4 eta), stays finite at the floor,
+    # at the automatic cutoff and at the largest one
+    for cutoff in ([], ["--cutoff", "131071"]):
+        assert main(["coherent-rotation", "--eta", "1.6e-306", "--format", "csv"] + cutoff) == 0
+    assert "fidelity," in capsys.readouterr().out
 
 
 def test_coherent_rotation_eta_100_keeps_inverse_square_scaling(capsys):

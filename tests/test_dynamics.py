@@ -11,6 +11,7 @@ from conftest import (
     dense_collective_jc,
     dense_embed,
     dense_mixing,
+    dense_partial_trace,
     dense_propagator,
     linear_op,
     rand_amplitude_pair,
@@ -144,13 +145,14 @@ def test_collective_matches_dense_sum_oracle(case):
 
 @st.composite
 def _mixed_layouts(draw):
-    """1-4 subsystems drawn from TwoLevel, FermionicMode and BosonicMode(1..3),
-    plus the coupled qubit at a random position, the modes and a coupling
-    strength; every mode is coupled and the extra two-level particles are
-    spectators."""
+    """1 or up to 4 subsystems drawn from TwoLevel, FermionicMode and
+    BosonicMode(1..3), plus the coupled qubit at a random position, the modes
+    and a coupling strength; every mode is coupled and the extra two-level
+    particles are spectators.  With one subsystem beside the qubit, every
+    sector is a singlet or a doublet."""
     kinds = draw(st.lists(st.sampled_from([TwoLevel(), FermionicMode(), BosonicMode(1),
                                            BosonicMode(2), BosonicMode(3)]),
-                          min_size=1, max_size=4))
+                          min_size=1, max_size=draw(st.sampled_from([1, 4]))))
     subs = [(f"s{k}", kind) for k, kind in enumerate(kinds)]
     subs.insert(draw(st.integers(0, len(subs))), ("T", TwoLevel()))
     modes = tuple(lab for lab, kind in subs if not isinstance(kind, TwoLevel))
@@ -174,11 +176,9 @@ def _gauged(layout, h):
     return phase.conj()[:, None] * h * phase
 
 
-def _whole_blocks(h):
-    """``_sector_blocks`` with no sector left to the Krylov step, however large."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
-        return dynamics._sector_blocks(h)
+def _largest_sector(layout):
+    """States in the largest excitation sector of ``layout``."""
+    return np.bincount(layout.levels.sum(axis=0)).max()
 
 
 @given(_mixed_layouts())
@@ -193,7 +193,11 @@ def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
         oracle = strength * dense_collective_jc(layout, "T", modes)
     gauged = _gauged(layout, oracle)
     assert np.all(gauged.imag == 0)
-    phase, sectors = _whole_blocks(h)
+    grouped = dynamics._sector_blocks(h)
+    if _largest_sector(layout) > 2:  # left to the Krylov step
+        assert grouped is None
+        return
+    phase, sectors = grouped
     assert np.array_equal(phase, _gauge_phase(layout))
     covered = 0
     for idx, blocks in sectors:
@@ -210,7 +214,10 @@ def test_sum_of_operators_densifies_to_dense_sum():
     layout = compose_layout([("T", TwoLevel), ("m0", BosonicMode(2)), ("m1", FermionicMode)])
     h = _scaled(jc_hamiltonian(layout, "T", ("m0", "m1")), 0.7)
     assert np.array_equal(dense(h + h), dense(h) + dense(h))
-    # repeated triplets add up when the blocks are gathered, in the same gauge
+    # repeated triplets add up when the blocks of a one-mode coupling are
+    # gathered, in the same gauge
+    layout = _qubit_mode_layout(BosonicMode(3))
+    h = _scaled(jc_hamiltonian(layout, "T", ("m",)), 0.7)
     phase2, sectors2 = dynamics._sector_blocks(h + h)
     phase, sectors = dynamics._sector_blocks(h)
     assert np.array_equal(phase2, phase)
@@ -218,9 +225,9 @@ def test_sum_of_operators_densifies_to_dense_sum():
         assert np.array_equal(idx2, idx)
         assert twice.dtype == np.float64
         assert np.array_equal(twice, once + once)
-    other = compose_layout([("T", TwoLevel), ("m1", FermionicMode), ("m0", BosonicMode(2))])
+    other = compose_layout([("m", BosonicMode(3)), ("T", TwoLevel)])
     with pytest.raises(ValueError, match="different layouts"):
-        h + jc_hamiltonian(other, "T", ("m0",))
+        h + jc_hamiltonian(other, "T", ("m",))
 
 
 def test_coupling_spec_validation():
@@ -312,17 +319,19 @@ def test_evolve_composes_in_time(seed, t1, t2):
 @given(_coupled_layouts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_evolve_matches_dense_oracle(case, seed, t, random_h):
-    # JC Hamiltonians split into real excitation-sector blocks; a random
-    # Hermitian H joins the sectors and has no real gauge, so it takes the
-    # Krylov step at any size
+    # a JC Hamiltonian of one mode splits into real singlet and doublet
+    # blocks, in closed form; a JC of more modes has larger sectors, and a
+    # random Hermitian H joins the sectors and has no real gauge, so both
+    # take the Krylov step
     layout, coupled, strength = case
     rng = np.random.default_rng(seed)
     h = (linear_op(layout, rand_hermitian(rng, layout.dim)) if random_h
          else _scaled(jc_hamiltonian(layout, "T", coupled), strength))
-    if random_h:
-        assert _whole_blocks(h) is None
+    grouped = dynamics._sector_blocks(h)
+    if random_h or _largest_sector(layout) > 2:
+        assert grouped is None
     else:
-        assert all(blocks.dtype == np.float64 for _, blocks in _whole_blocks(h)[1])
+        assert all(blocks.dtype == np.float64 for _, blocks in grouped[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(rng, layout)
@@ -357,11 +366,13 @@ def _gauge_real_hamiltonians(draw):
 @settings(max_examples=60, deadline=None)
 def test_real_path_matches_dense_oracle(case, seed, t):
     layout, h, joins_sectors = case
-    # an H that joins the sectors takes the Krylov step, whatever its gauge
-    if joins_sectors:
-        assert _whole_blocks(h) is None
+    # an H that joins the sectors, or has a sector of more than two states,
+    # takes the Krylov step, whatever its gauge
+    grouped = dynamics._sector_blocks(h)
+    if joins_sectors or _largest_sector(layout) > 2:
+        assert grouped is None
     else:
-        assert all(blocks.dtype == np.float64 for _, blocks in _whole_blocks(h)[1])
+        assert all(blocks.dtype == np.float64 for _, blocks in grouped[1])
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(np.random.default_rng(seed), layout)
@@ -432,22 +443,11 @@ def test_closed_form_single_states_match_eigh_bit_for_bit():
     _assert_eigh_bits(x[:, None, None])
 
 
-def test_pairs_with_a_diagonal_still_reach_eigh(solver_calls):
-    blocks = _zero_diagonal_pairs(np.array([1.0, -2.0, 3.0, 0.5, -1.5]))
-    blocks[1, 0, 0] = 0.25
-    blocks[3, 1, 1] = -1.0
-    blocks[4, 0, 0] = blocks[4, 1, 1] = -0.0  # a zero diagonal all the same
-    _assert_eigh_bits(blocks)
-    # one batched call, for the blocks with a nonzero diagonal
-    assert solver_calls == [(2, np.dtype(np.float64))]
-    solver_calls.clear()
-    _assert_eigh_bits(np.zeros((3, 3, 3)))
-    assert solver_calls == [(3, np.dtype(np.float64))]
-
-
 def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
-    # fermionic and bosonic jc_hamiltonian over several modes,
-    # collective_mode_reference and the massless-absorption sum over two targets
+    # fermionic and bosonic jc_hamiltonian over several modes and the
+    # massless-absorption sum over two targets take the Krylov step, whose
+    # tridiagonals are real; the coherent field and collective_mode_reference
+    # are singlets and doublets, in closed form
     simultaneous_coupling_check(3)
     coherent_field_rotation(0.6, 0.8, 4.0)
     massless_absorption()
@@ -501,10 +501,10 @@ def test_hermiticity_tolerance_accepts_rounding_asymmetry(solver_calls):
     assert solver_calls == []
 
 
-@pytest.mark.parametrize("extra", [(3, 1, 1e-9j), (3, 3, np.nan)])
+@pytest.mark.parametrize("extra", [(3, 1, 1e-9j), (3, 1, complex(0.0, np.nan))])
 def test_real_path_refuses_non_hermitian_and_nan(extra):
-    # i 1e-9 at (|e,0>, |g,1>) and a NaN on the diagonal both gauge real, so
-    # the blocks are float64 and the check runs on them
+    # i 1e-9 and i NaN at (|e,0>, |g,1>) both gauge real, so the blocks are
+    # float64 and the check runs on them
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     row, col, value = extra
     h = jc_hamiltonian(layout, "T", ("m",)) + LinearOp(layout, [row], [col], [value])
@@ -530,27 +530,26 @@ def _traced_peak(f):
         tracemalloc.stop()
 
 
-def test_hermiticity_check_holds_one_temporary_at_most(monkeypatch):
-    # collective n = 10 on whole blocks: the blocks and their eigenvectors take
-    # 2 x 5.4 MiB; a check that kept both the difference and its modulus alive
-    # added a full extra group (3.3 MiB) on top of them
-    _, h = _collective_jc(10)
-    monkeypatch.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
-    groups = [blocks.nbytes for _, blocks in dynamics._sector_blocks(h)[1]]
-    peak = _traced_peak(lambda: dynamics._sector_eigh(h))
-    assert peak < 2 * sum(groups) + 0.5 * max(groups)
+def test_hermiticity_check_holds_one_temporary_at_most():
+    # the check overwrites the difference its caller hands it: the 2^16
+    # doublets of a field of 2^16 quanta take 2 MiB, and so does their
+    # difference; a check that kept both the difference and its modulus alive
+    # held a third array of that size
+    h = jc_hamiltonian(_qubit_mode_layout(BosonicMode(2 ** 16)), "T", ("m",))
+    blocks = dynamics._sector_blocks(h)[1][-1][1]
+    assert blocks.shape == (2 ** 16, 2, 2)
+    peak = _traced_peak(lambda: dynamics._check_hermitian(blocks - blocks.transpose(0, 2, 1)))
+    assert peak < 1.5 * blocks.nbytes
 
 
-def test_chiral_path_peaks_below_the_whole_blocks(monkeypatch):
+def test_chiral_path_peaks_below_the_whole_blocks():
     # collective n = 10: the Krylov step holds the sorted triplets, the basis
     # (30 x 2048 complex, 0.9 MiB) and a few work vectors, less than half the
-    # whole blocks (5.4 MiB), which the whole-block path holds twice
+    # real sector blocks of H, sum_k C(11, k)^2 = C(22, 11) entries (5.4 MiB),
+    # which a decomposition would hold twice
     layout, h = _collective_jc(10)
     psi = rand_pure_state(np.random.default_rng(10), layout)
-    with monkeypatch.context() as m:
-        m.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
-        groups = [blocks.nbytes for _, blocks in dynamics._sector_blocks(h)[1]]
-    assert _traced_peak(lambda: evolve(psi, h, 1.0)) < 0.5 * sum(groups)
+    assert _traced_peak(lambda: evolve(psi, h, 1.0)) < 0.5 * 8 * math.comb(22, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +649,8 @@ def test_chiral_path_stays_unitary_at_long_times(t, solver_calls):
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), t) @ psi.amplitudes)) < bound
 
 
-@pytest.mark.parametrize("n_modes", [6, 7, 8, 9, 10, 11, 12])
-def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes, monkeypatch):
+@pytest.mark.parametrize("n_modes", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
+def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes):
     alpha, beta = rand_amplitude_pair(np.random.default_rng(n_modes))
     duration = math.pi / (4.0 * math.sqrt(n_modes))
     layout, h = _collective_jc(n_modes)
@@ -666,10 +665,25 @@ def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes, monkey
     result = simultaneous_coupling_check(n_modes, alpha, beta)
     assert result["trace_distance"] < 1e-12
     assert abs(result["fidelity_gain"]) < 1e-12
-    if n_modes <= 10:  # whole blocks take seconds and hundreds of MB beyond
-        monkeypatch.setattr(dynamics, "_KRYLOV_CROSSOVER", math.inf)
-        whole = evolve(psi, h, duration)
-        assert np.max(np.abs(krylov.amplitudes - whole.amplitudes)) < 1e-13
+    if n_modes <= 8:  # the dense oracle's eigh of the whole d x d matrix
+        exact = dense_propagator(dense(h), duration) @ psi.amplitudes
+        assert np.max(np.abs(krylov.amplitudes - exact)) < 1e-13
+
+
+def test_absorption_matches_dense_oracle():
+    # the sum of two one-mode couplings has sectors of up to six states, so
+    # the absorption takes the Krylov step
+    layout = compose_layout([("fly_l", BosonicMode(1)), ("fly_r", BosonicMode(1)),
+                             ("tgt_l", TwoLevel), ("tgt_r", TwoLevel)])
+    h = dense_collective_jc(layout, "tgt_l", ["fly_l"]) + dense_collective_jc(layout, "tgt_r",
+                                                                             ["fly_r"])
+    psi = superpose([(1.0, basis_state(layout, [1, 0, "g", "g"])),
+                     (1.0, basis_state(layout, [0, 1, "g", "g"]))])
+    final = PureState(layout, dense_propagator(h, math.pi / 2) @ psi.amplitudes)
+    targets, scalars = massless_absorption()
+    expected = dense_partial_trace(final, ["tgt_l", "tgt_r"])
+    assert np.max(np.abs(targets.matrix - expected)) < 1e-12
+    assert abs(scalars["flying_occupation"]) < 1e-12
 
 
 def _big_sector_pair(layout):
@@ -740,16 +754,18 @@ def test_krylov_step_on_an_empty_hamiltonian(solver_calls):
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "complex gauge", "cross-sector pair",
-                                  "real entry at odd q-difference"])
+                                  "real entry at odd q-difference", "diagonal in a doublet"])
 def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_calls):
-    # whole blocks need an H that conserves the excitation number, has the
-    # real gauge and has no sector above 20 states; the Krylov step needs
-    # none of that and works on the complex triplets as given.  In the
-    # 35-state sector, a diagonal entry joins a state to its own parity and a
-    # real entry between states whose q differs by one leaves no real gauge.
-    # In the d = 6 JC, |g,0> <-> |e,2> joins sectors 0 and 3 (in the real
-    # gauge: the entries are imaginary), and a real entry between |e,0> and
-    # |g,1> leaves no real gauge inside one sector
+    # the closed form needs an H that conserves the excitation number, has
+    # the real gauge, has no diagonal entry and has no sector above two
+    # states; the Krylov step needs none of that and works on the complex
+    # triplets as given.  In the 35-state sector, a diagonal entry joins a
+    # state to its own parity and a real entry between states whose q
+    # differs by one leaves no real gauge.  In the d = 6 JC, |g,0> <-> |e,2>
+    # joins sectors 0 and 3 (in the real gauge: the entries are imaginary), a
+    # real entry between |e,0> and |g,1> leaves no real gauge inside one
+    # sector, and a diagonal entry (-0.0 among them) leaves a doublet's
+    # diagonal nonzero
     if kind in ("diagonal", "complex gauge"):
         layout, h = _collective_jc(6)
         row, col = _big_sector_pair(layout)
@@ -759,6 +775,8 @@ def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_cal
         row, col = (0, 5) if kind == "cross-sector pair" else (3, 1)
     if kind == "diagonal":
         h = h + LinearOp(layout, [row], [row], [0.3])
+    elif kind == "diagonal in a doublet":
+        h = h + LinearOp(layout, [row, col], [row, col], [0.3, -0.0])
     elif kind == "cross-sector pair":
         h = h + LinearOp(layout, [row, col], [col, row], [0.25j, -0.25j])
     else:
@@ -790,11 +808,11 @@ def test_collision_unitary_is_bit_identical_to_evolve(t):
 
 
 def _stack_layouts():
-    """Collective layouts with n = 1..5 fermionic modes (sectors of 1 to 20
-    states) and a qubit beside a BosonicMode(3)."""
-    for n in range(1, 6):
-        yield compose_layout([("T", TwoLevel)] + [(f"m{k}", FermionicMode) for k in range(n)])
-    yield _qubit_mode_layout(BosonicMode(3))
+    """A qubit beside a FermionicMode or a BosonicMode(3), in either order:
+    sectors of one and two states."""
+    for kind in (FermionicMode(), BosonicMode(3)):
+        yield _qubit_mode_layout(kind)
+        yield compose_layout([("m", kind), ("T", TwoLevel)])
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -802,7 +820,7 @@ def test_propagate_on_a_stack_matches_each_state_bit_for_bit(m):
     rng = np.random.default_rng(m)
     sizes = set()
     for layout in _stack_layouts():
-        spectrum = dynamics._sector_eigh(jc_hamiltonian(layout, "T", layout.labels[1:]))
+        spectrum = dynamics._sector_eigh(jc_hamiltonian(layout, "T", ("m",)))
         sizes |= {idx.shape[1] for idx, _, _ in spectrum[1]}
         for t in (0.3, -2.7, math.pi / 4):
             stack = rng.normal(size=(layout.dim, m)) + 1j * rng.normal(size=(layout.dim, m))
@@ -810,7 +828,7 @@ def test_propagate_on_a_stack_matches_each_state_bit_for_bit(m):
             out = dynamics._propagate(spectrum, stack, t)
             assert out.shape == (layout.dim, m)
             assert out.tobytes() == np.column_stack(columns).tobytes()
-    assert sizes == {1, 2, 3, 4, 5, 6, 10, 15, 20}
+    assert sizes == {1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from modent import (
     tensor,
 )
 from modent.hilbert import _log_factorials
+from modent.protocols import coherent_field_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +267,10 @@ def test_coherent_rejects_non_finite_eta(eta):
     # refused by name before any arithmetic; a RuntimeWarning would fail the test
     with pytest.raises(ValueError, match="eta must be finite"):
         coherent_mode_state(5, eta)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        default_coherent_cutoff(eta)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        coherent_field_rotation(1, 0, eta)
 
 
 def test_coherent_rejects_small_cutoff():

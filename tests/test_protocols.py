@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from conftest import (
     dense_mixing,
@@ -208,6 +209,31 @@ def test_simultaneous_with_superposed_target():
     res = simultaneous_coupling_check(3, 0.6, 0.8)
     assert res["trace_distance"] < 1e-10
     assert abs(res["fidelity_gain"]) < 1e-10
+
+
+def _collective_doublet_oracle(n_modes, alpha, beta, t):
+    """Reduced target of the collective-mode reference, doublet by doublet:
+    |g, m> and |e, m - 1> turn by the angle sqrt(m (N + 1 - m)) t, from the
+    amplitudes (alpha, beta) sqrt(binom.pmf(m; N, 1/2)); |g, 0> and |e, N>
+    stay."""
+    chi = np.sqrt(stats.binom.pmf(np.arange(n_modes + 1), n_modes, 0.5))
+    g, e = alpha * chi, beta * chi
+    m = np.arange(1, n_modes + 1)
+    angle = np.sqrt(m * (n_modes + 1 - m)) * t
+    c, s = np.cos(angle), np.sin(angle)
+    x = np.stack([g, e])
+    x[0, 1:], x[1, :-1] = c * g[1:] - s * e[:-1], s * g[1:] + c * e[:-1]
+    return x @ x.conj().T
+
+
+@pytest.mark.parametrize("n_modes", [1030, 4096])
+def test_collective_reference_at_large_n_matches_doublet_oracle(n_modes):
+    # C(N, m) overflows a float from N = 1030: the amplitudes come from log space
+    alpha, beta = rand_amplitude_pair(np.random.default_rng(n_modes))
+    for t in (math.pi / (4.0 * math.sqrt(n_modes)), 0.7):
+        reference = protocols.collective_mode_reference(n_modes, alpha, beta, t)
+        oracle = _collective_doublet_oracle(n_modes, alpha, beta, t)
+        assert np.max(np.abs(reference.matrix - oracle)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
