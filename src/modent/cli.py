@@ -238,7 +238,8 @@ def _check_coherent_rotation(p, plot):
     # eta above MAX_COHERENT_CUTOFF is out of bounds anyway; min() keeps eta**2 finite
     if (p["cutoff"] is None
             and default_coherent_cutoff(min(p["eta"], MAX_COHERENT_CUTOFF)) > MAX_COHERENT_CUTOFF):
-        eta_max = math.sqrt(MAX_COHERENT_CUTOFF - 4) - 4   # eta**2 + 8 eta + 20 <= cutoff
+        # eta**2 + 8 eta + 20 <= cutoff, rounded down so the printed bound passes
+        eta_max = math.floor(1e3 * (math.sqrt(MAX_COHERENT_CUTOFF - 4) - 4)) / 1e3
         raise UsageError(f"eta must be in [0,{eta_max:.6g}] when cutoff is automatic "
                          f"(cutoff <= {MAX_COHERENT_CUTOFF}), got {p['eta']!r}")
 

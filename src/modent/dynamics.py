@@ -15,15 +15,18 @@ real and imaginary parts.
 excitation number, has that real gauge, has no diagonal entry and has no
 sector of more than two states (one two-level system on one mode: the
 Jaynes-Cummings doublets {|g, n>, |e, n - 1>}, Jaynes & Cummings,
-Proc. IEEE 51, 89 (1963)), its spectrum is known in closed form: each
-sector's real block of H', scattered straight from the triplets, is [[0]]
-or [[0, b], [b, 0]], whose spectrum is written down bit for bit as LAPACK
-returns it.  Every other H, whatever its sectors or phases, is propagated
-by Lanczos steps on the triplets (Saad, SIAM J. Numer. Anal. 29, 209
-(1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), which
-need neither sectors nor a gauge and keep the same error bound for any
-Hermitian H.  Each substep builds an orthonormal basis V of the Krylov
-space of the current vector w and the tridiagonal T = V^dag H V, and takes
+Proc. IEEE 51, 89 (1963)), its spectrum is known in closed form.  A state
+alone in its sector has a zero row and is kept as it is.  The real block of
+H' on a two-state sector, scattered straight from the triplets, is
+[[0, b], [b, 0]], whose spectrum is written down bit for bit as LAPACK
+returns it: one ``(phase, pairs, w, v)`` spectrum holds the gauge, the
+(k, 2) pairs and each pair's eigenvalues and eigenvectors.  Every other H,
+whatever its sectors or phases, is propagated by Lanczos steps on the
+triplets (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich,
+SIAM J. Numer. Anal. 34, 1911 (1997)), which need neither sectors nor a
+gauge and keep the same error bound for any Hermitian H.  Each substep
+builds an orthonormal basis V of the Krylov space of the current vector w
+and the tridiagonal T = V^dag H V, and takes
 exp(-i H tau) w = |w| V exp(-i T tau) e_1.  A basis that spans an invariant
 subspace (a lucky breakdown: the next Lanczos coefficient is zero) makes
 that exact; otherwise the substep is shortened until the a-posteriori
@@ -109,20 +112,24 @@ _KRYLOV_DIM = 30
 _KRYLOV_TOL = 1e-14
 
 
-def _sector_blocks(hamiltonian: LinearOp):
-    """The real blocks of D^dag H D over the excitation sectors, or None.
+def _doublets(hamiltonian: LinearOp):
+    """The closed-form spectrum of H over its two-state excitation sectors, or None.
 
     Returns None unless H conserves the excitation number, has the real
     gauge, has no diagonal entry and has no sector of more than two states;
     ``evolve`` then takes the Krylov step.  Otherwise returns ``(phase,
-    sectors)``: ``phase`` (d,) is the diagonal of the gauge D, i^q with q the
-    sum of a basis state's two-level indices, and ``sectors`` holds ``(idx,
-    blocks)`` per sector size s = 1, 2: ``idx`` (k, s) the global basis
-    indices of the k sectors of size s, and ``blocks`` (k, s, s) float64, the
-    entries of D^dag H D among them, scattered from the triplets (repeated
-    entries add up in triplet order).  The gauge is exact: a power of i only
-    swaps and negates the real and imaginary parts of an entry, so the blocks
-    hold D^dag H D without rounding.
+    pairs, w, v)``: ``phase`` (d,) is the diagonal of the gauge D, i^q with q
+    the sum of a basis state's two-level indices; ``pairs`` (k, 2) holds the
+    basis indices of the k two-state sectors, by excitation number and each
+    in increasing order; ``w`` (k, 2) and ``v`` (k, 2, 2) are ``_pair_eigh``
+    of b, the lower-triangle entry of each pair's real block [[0, b], [b, 0]]
+    of D^dag H D, scattered from the triplets (repeated entries add up in
+    triplet order, from +0.0).  A one-state sector has no diagonal entry, so
+    its row of H is zero and it has no place here.  The gauge is exact: a
+    power of i only swaps and negates the real and imaginary parts of an
+    entry.  Hermiticity is checked on the pairs: every entry outside them is
+    zero, and the gauge turns H[r, c] - conj(H[c, r]) by a power of i, which
+    keeps its modulus, so the pairs pass the same tolerance iff H does.
     """
     layout = hamiltonian.layout
     rows, cols, values = hamiltonian.rows, hamiltonian.cols, hamiltonian.values
@@ -141,28 +148,18 @@ def _sector_blocks(hamiltonian: LinearOp):
     odd = turn % 2 == 1
     if np.any(np.where(odd, values.real, values.imag)):
         return None
-    phase = _POWERS_OF_I[q % 4]
     values = np.where(odd, values.imag, values.real) * _REAL_SIGN[turn]
     order = np.argsort(sector, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    # position of each basis state within its sector, and of each sector
-    # among the sectors of its size
-    within = np.empty_like(order)
-    within[order] = np.arange(order.size) - starts[sector[order]]
-    rank = np.empty_like(sizes)
-    sectors = []
-    row_sector = sector[rows]
-    for s in sorted(set(sizes.tolist()) - {0}):
-        members = np.flatnonzero(sizes == s)
-        rank[members] = np.arange(members.size)
-        idx = order[starts[members][:, None] + np.arange(s)]
-        mine = sizes[row_sector] == s
-        flat = (rank[row_sector[mine]] * s + within[rows[mine]]) * s + within[cols[mine]]
-        size = members.size * s * s
-        # astype: bincount gives integer zeros when there is nothing to add
-        blocks = np.bincount(flat, values[mine], size).astype(float, copy=False)
-        sectors.append((idx, blocks.reshape(members.size, s, s)))
-    return phase, sectors
+    pairs = order[sizes[sector[order]] == 2].reshape(-1, 2)
+    # every triplet lies in a pair, off its diagonal: slot 2 j + 1 adds up the
+    # lower entry of pair j (the row its second state), slot 2 j the upper one
+    slot = np.empty_like(sector)
+    slot[pairs] = np.arange(pairs.size).reshape(pairs.shape)
+    # astype: bincount gives integer zeros when there is nothing to add
+    entries = np.bincount(slot[rows], values, pairs.size).astype(float, copy=False)
+    lower, upper = entries[1::2], entries[::2]
+    _check_hermitian(lower - upper)
+    return (_POWERS_OF_I[q % 4], pairs, *_pair_eigh(lower))
 
 
 def _check_hermitian(asym):
@@ -175,55 +172,23 @@ def _check_hermitian(asym):
         raise ValueError("evolve requires a Hermitian Hamiltonian")
 
 
-def _block_eigh(blocks):
-    """``np.linalg.eigh`` of a (k, s, s) stack of the real symmetric blocks
-    ``_sector_blocks`` gives, s = 1 or 2 with a zero diagonal, in closed form.
+def _pair_eigh(b):
+    """``np.linalg.eigh`` of the blocks [[0, b], [b, 0]] for a (k,) array b, in
+    closed form.
 
-    A 1 x 1 block [[x]] is its own spectrum: w = x and v = 1.  A 2 x 2 block
-    [[0, b], [b, 0]], with b read from the lower triangle as ``eigh`` reads
-    it, has w = (-|b|, |b|) and the eigenvectors (e_1 -+ e_0)/sqrt(2) for
-    b > 0, -(e_0 +- e_1)/sqrt(2) for b < 0, and the unit vectors for b = 0:
-    the columns and signs LAPACK returns.  For |b| from 1e-120 to 1e145, and
-    for every 1 x 1 block, that is ``eigh``'s output bit for bit (OpenBLAS);
-    beyond that range LAPACK scales the block and its w is off |b| by up to
-    an ulp, where the closed form stays exact.  The blocks are finite: the
-    Hermiticity check has refused a NaN or an infinity, whose asymmetry is
-    NaN.
+    w = (-|b|, |b|) and the eigenvectors are (e_1 -+ e_0)/sqrt(2) for b > 0,
+    -(e_0 +- e_1)/sqrt(2) for b < 0, and the unit vectors for b = 0: the
+    columns and signs LAPACK returns.  For |b| from 1e-120 to 1e145 that is
+    ``eigh``'s output bit for bit (OpenBLAS); beyond that range LAPACK scales
+    the block and its w is off |b| by up to an ulp, where the closed form
+    stays exact.  b is finite: the Hermiticity check has refused a NaN or an
+    infinity, whose asymmetry is NaN.
     """
-    if blocks.shape[-1] == 1:
-        return blocks[:, 0], np.ones_like(blocks)
-    b = blocks[:, 1, 0]
     magnitude = np.abs(b)
     # 0.0 - |b|, not -|b|: LAPACK gives +0.0 twice for a zero block
     w = np.stack([0.0 - magnitude, magnitude], axis=1)
     # the sign of b indexes _PAIR_VECTORS: 0 (also -0.0), 1 or -1
     return w, _PAIR_VECTORS[np.sign(b).astype(np.intp)]
-
-
-def _sector_eigh(hamiltonian: LinearOp):
-    """Eigendecomposition of H over its excitation sectors, in the real gauge.
-
-    Returns None where ``_sector_blocks`` does (H joins two sectors, has no
-    real gauge, has a diagonal entry or has a sector of more than two
-    states), and otherwise ``(phase, sectors)`` with ``phase`` as in
-    ``_sector_blocks`` and ``sectors`` holding ``(idx, w, v)`` per sector
-    size: ``v[j] diag(w[j]) v[j]^T`` is the real symmetric block of D^dag H D
-    on ``idx[j]``, in the closed form of ``_block_eigh`` (every sector of a
-    one-mode coupling is a singlet or a Jaynes-Cummings doublet {|g, n>,
-    |e, n - 1>}).  Hermiticity is checked on the blocks: every entry outside
-    them is zero, and the gauge turns H[r, c] - conj(H[c, r]) by a power of
-    i, which keeps its modulus, so the blocks pass the same tolerance iff H
-    does.
-    """
-    grouped = _sector_blocks(hamiltonian)
-    if grouped is None:
-        return None
-    phase, sectors = grouped
-    out = []
-    for idx, blocks in sectors:
-        _check_hermitian(blocks - blocks.transpose(0, 2, 1))
-        out.append((idx, *_block_eigh(blocks)))
-    return phase, out
 
 
 def _finite_time(t) -> float:
@@ -234,20 +199,19 @@ def _finite_time(t) -> float:
 
 
 def _propagate(spectrum, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) amplitudes from H's ``_sector_eigh`` spectrum: D v e^{-iwt} v^T D^dag.
+    """exp(-i H t) amplitudes from H's ``_doublets`` spectrum: D v e^{-iwt} v^T D^dag
+    on each pair, and the identity on every other state, whose row of H is zero.
 
     ``amplitudes`` is one state (d,) or a stack of m states, the columns of a
     (d, m) array.  Each state takes its own matrix-vector products, batched
-    over (state, sector), so a column of a stack comes out bit for bit as that
-    state alone; a (s, m) matrix product per sector would round differently.
+    over (state, pair), so a column of a stack comes out bit for bit as that
+    state alone; a (2, m) matrix product per pair would round differently.
     """
-    phase, sectors = spectrum
+    phase, pairs, w, v = spectrum
     amps = phase.conj() * amplitudes.T
-    out = np.empty_like(amps)
-    for idx, w, v in sectors:
-        coeffs = (v.transpose(0, 2, 1) @ amps[..., idx, None])[..., 0]
-        out[..., idx] = (v @ (np.exp(-1j * w * t) * coeffs)[..., None])[..., 0]
-    return (phase * out).T
+    coeffs = (v.transpose(0, 2, 1) @ amps[..., pairs, None])[..., 0]
+    amps[..., pairs] = (v @ (np.exp(-1j * w * t) * coeffs)[..., None])[..., 0]
+    return (phase * amps).T
 
 
 def _coalesce(key, values):
@@ -264,7 +228,7 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
 
     The triplets are sorted once into row-major (CSR) order and repeated
     entries added up; H minus its conjugate transpose, coalesced the same way,
-    must be within the tolerance of the block check entry by entry.  A
+    must be within the tolerance of the pair check entry by entry.  A
     substep runs Lanczos from w, reorthogonalizing each new vector against
     the whole basis by classical Gram-Schmidt applied twice, for at most
     ``_KRYLOV_DIM`` vectors.  When the next coefficient beta is so small that
@@ -324,12 +288,14 @@ def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
     """exp(-i H t) |state>, never forming exp(-i H t); norm is preserved to
     rounding.  An H that conserves the excitation number, has the real gauge,
     has no diagonal entry and has no sector of more than two states has its
-    spectrum in closed form, sector by sector, and that spectrum is applied;
-    every other H is propagated by Lanczos substeps on its triplets."""
+    spectrum in closed form, one doublet per two-state sector (``_doublets``),
+    and that spectrum is applied pair by pair, every state alone in its sector
+    kept as it is; every other H is propagated by Lanczos substeps on its
+    triplets."""
     t = _finite_time(t)
     if state.layout.dims != hamiltonian.layout.dims:
         raise ValueError("state and Hamiltonian dimensions do not match")
-    spectrum = _sector_eigh(hamiltonian)
+    spectrum = _doublets(hamiltonian)
     amplitudes = (_krylov_propagate(hamiltonian, state.amplitudes, t) if spectrum is None
                   else _propagate(spectrum, state.amplitudes, t))
     return PureState(state.layout, amplitudes)

@@ -332,9 +332,11 @@ def superpose(terms: Sequence) -> PureState:
 def default_coherent_cutoff(eta: complex) -> int:
     """Cutoff giving sub-1e-10 truncation weight for amplitude ``eta``."""
     a = abs(eta)
-    if not math.isfinite(a):
-        raise ValueError(f"eta must be finite, got {eta!r}")
-    return int(math.ceil(a * a + 8.0 * a + 20.0))
+    cutoff = a * a + 8.0 * a + 20.0
+    if not math.isfinite(cutoff):
+        raise ValueError(f"eta must be finite, and so must the automatic cutoff "
+                         f"|eta|**2 + 8 |eta| + 20, got {eta!r}")
+    return int(math.ceil(cutoff))
 
 
 _LOG_FACTORIAL_TABLE = np.array([math.lgamma(k + 1) for k in range(32)])

@@ -9,6 +9,9 @@ import math
 
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 30, 40, 55
+# width and height of the plot area inside the margins
+_PX = _W - _ML - _MR
+_PY = _H - _MT - _MB
 
 
 def _fmt(x: float) -> str:
@@ -30,33 +33,37 @@ def _header(title: str) -> list:
     ]
 
 
-def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel):
-    px = _W - _ML - _MR
-    py = _H - _MT - _MB
+def _frame(ticks: list, xlabel: str, ylabel: str) -> list:
+    """The outline of the plot area, then ``ticks``, then both axis titles."""
+    return [
+        f'<rect x="{_ML}" y="{_MT}" width="{_PX}" height="{_PY}" fill="none" stroke="black"/>',
+        *ticks,
+        f'<text x="{_W / 2}" y="{_H - 12}" font-family="monospace" font-size="12" '
+        f'text-anchor="middle">{xlabel}</text>',
+        f'<text x="16" y="{_MT + _PY / 2}" font-family="monospace" font-size="12" '
+        f'text-anchor="middle" transform="rotate(-90 16 {_MT + _PY / 2})">{ylabel}</text>',
+    ]
 
+
+def _axes(xlo, xhi, ylo, yhi, xlabel, ylabel):
     def sx(x):
-        return _ML + (x - xlo) / (xhi - xlo) * px
+        return _ML + (x - xlo) / (xhi - xlo) * _PX
 
     def sy(y):
-        return _MT + py - (y - ylo) / (yhi - ylo) * py
+        return _MT + _PY - (y - ylo) / (yhi - ylo) * _PY
 
-    parts = [f'<rect x="{_ML}" y="{_MT}" width="{px}" height="{py}" '
-             f'fill="none" stroke="black"/>']
+    ticks = []
     for t in _ticks(xlo, xhi):
-        parts.append(f'<line x1="{_fmt(sx(t))}" y1="{_MT + py}" x2="{_fmt(sx(t))}" '
-                     f'y2="{_MT + py + 5}" stroke="black"/>')
-        parts.append(f'<text x="{_fmt(sx(t))}" y="{_MT + py + 20}" font-family="monospace" '
+        ticks.append(f'<line x1="{_fmt(sx(t))}" y1="{_MT + _PY}" x2="{_fmt(sx(t))}" '
+                     f'y2="{_MT + _PY + 5}" stroke="black"/>')
+        ticks.append(f'<text x="{_fmt(sx(t))}" y="{_MT + _PY + 20}" font-family="monospace" '
                      f'font-size="11" text-anchor="middle">{_fmt(t)}</text>')
     for t in _ticks(ylo, yhi):
-        parts.append(f'<line x1="{_ML - 5}" y1="{_fmt(sy(t))}" x2="{_ML}" '
+        ticks.append(f'<line x1="{_ML - 5}" y1="{_fmt(sy(t))}" x2="{_ML}" '
                      f'y2="{_fmt(sy(t))}" stroke="black"/>')
-        parts.append(f'<text x="{_ML - 8}" y="{_fmt(sy(t) + 4)}" font-family="monospace" '
+        ticks.append(f'<text x="{_ML - 8}" y="{_fmt(sy(t) + 4)}" font-family="monospace" '
                      f'font-size="11" text-anchor="end">{_fmt(t)}</text>')
-    parts.append(f'<text x="{_W / 2}" y="{_H - 12}" font-family="monospace" font-size="12" '
-                 f'text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="16" y="{_MT + py / 2}" font-family="monospace" font-size="12" '
-                 f'text-anchor="middle" transform="rotate(-90 16 {_MT + py / 2})">{ylabel}</text>')
-    return parts, sx, sy
+    return _frame(ticks, xlabel, ylabel), sx, sy
 
 
 def line_chart(points, xlabel: str, ylabel: str, title: str) -> str:
@@ -102,10 +109,8 @@ def heatmap(rows, xlabel: str, ylabel: str, title: str) -> str:
     vhi = max(vals.values())
     if math.isclose(vlo, vhi):
         vhi = vlo + 1.0
-    px = _W - _ML - _MR
-    py = _H - _MT - _MB
-    cw = px / len(xs)
-    ch = py / len(ys)
+    cw = _PX / len(xs)
+    ch = _PY / len(ys)
     parts = _header(title)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -114,21 +119,16 @@ def heatmap(rows, xlabel: str, ylabel: str, title: str) -> str:
                 continue
             color = _ramp((v - vlo) / (vhi - vlo))
             cx = _ML + i * cw
-            cy = _MT + py - (j + 1) * ch
+            cy = _MT + _PY - (j + 1) * ch
             parts.append(f'<rect x="{_fmt(cx)}" y="{_fmt(cy)}" width="{_fmt(cw)}" '
                          f'height="{_fmt(ch)}" fill="{color}"/>')
-    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{px}" height="{py}" '
-                 f'fill="none" stroke="black"/>')
-    for lab, x in ((_fmt(xs[0]), _ML), (_fmt(xs[-1]), _ML + px)):
-        parts.append(f'<text x="{x}" y="{_MT + py + 20}" font-family="monospace" '
-                     f'font-size="11" text-anchor="middle">{lab}</text>')
-    for lab, y in ((_fmt(ys[0]), _MT + py), (_fmt(ys[-1]), _MT)):
-        parts.append(f'<text x="{_ML - 8}" y="{y + 4}" font-family="monospace" '
-                     f'font-size="11" text-anchor="end">{lab}</text>')
-    parts.append(f'<text x="{_W / 2}" y="{_H - 12}" font-family="monospace" font-size="12" '
-                 f'text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="16" y="{_MT + py / 2}" font-family="monospace" font-size="12" '
-                 f'text-anchor="middle" transform="rotate(-90 16 {_MT + py / 2})">{ylabel}</text>')
+    ends = [f'<text x="{x}" y="{_MT + _PY + 20}" font-family="monospace" '
+            f'font-size="11" text-anchor="middle">{lab}</text>'
+            for lab, x in ((_fmt(xs[0]), _ML), (_fmt(xs[-1]), _ML + _PX))]
+    ends += [f'<text x="{_ML - 8}" y="{y + 4}" font-family="monospace" '
+             f'font-size="11" text-anchor="end">{lab}</text>'
+             for lab, y in ((_fmt(ys[0]), _MT + _PY), (_fmt(ys[-1]), _MT))]
+    parts += _frame(ends, xlabel, ylabel)
     parts.append(f'<text x="{_W - _MR}" y="{_MT - 8}" font-family="monospace" font-size="11" '
                  f'text-anchor="end">{_fmt(vlo)} .. {_fmt(vhi)}</text>')
     parts.append("</svg>")

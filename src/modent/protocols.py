@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .dynamics import _finite_time, _propagate, _sector_eigh, evolve, jc_hamiltonian
+from .dynamics import _doublets, _finite_time, _propagate, evolve, jc_hamiltonian
 from .entanglement import (
     TWO_TARGETS,
     concurrence,
@@ -137,7 +137,7 @@ def massless_absorption():
 _ANCILLA_PLUS_RHO = 0.5 * np.ones((2, 2), dtype=complex)
 
 # the fixed target-ancilla collision Hamiltonian, diagonalized once
-_COLLISION_SPECTRUM = _sector_eigh(jc_hamiltonian(compose_layout(
+_COLLISION_SPECTRUM = _doublets(jc_hamiltonian(compose_layout(
     [("target", TwoLevel), ("ancilla", FermionicMode)]), "target", ("ancilla",)))
 
 

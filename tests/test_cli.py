@@ -491,9 +491,9 @@ def test_normalization_of_subnormal_amplitudes(tiny):
 
 @pytest.mark.parametrize("argv, message", [
     (["collective-check", "--n", "12"], r"n must be an integer in \[1,11\], got 12"),
-    (["coherent-rotation", "--eta", "358.1"], r"eta must be in \[0,358\.032\]"),
-    (["coherent-rotation", "--eta", "1e300"], r"eta must be in \[0,358\.032\]"),
-    (["coherent-rotation", "--eta", "1000"], r"eta must be in \[0,358\.032\]"),
+    (["coherent-rotation", "--eta", "358.1"], r"eta must be in \[0,358\.031\]"),
+    (["coherent-rotation", "--eta", "1e300"], r"eta must be in \[0,358\.031\]"),
+    (["coherent-rotation", "--eta", "1000"], r"eta must be in \[0,358\.031\]"),
     (["coherent-rotation", "--eta", "4", "--cutoff", "131072"],
      r"cutoff must be an integer in \[1,131071\], got 131072"),
     (["fermion-sweep", "--pairs", "4", "--grid", "33"], r"grid\*\*pairs must be <= 1048576"),
@@ -522,6 +522,14 @@ def test_size_guards_refuse_before_running(argv, message):
 ])
 def test_size_guards_accept_the_budget_edge(argv):
     parse_config(argv)
+
+
+def test_printed_eta_bound_is_accepted():
+    # the bound is printed rounded down, so feeding it back is within budget
+    with pytest.raises(UsageError) as refused:
+        parse_config(["coherent-rotation", "--eta", "1000"])
+    bound = re.search(r"eta must be in \[0,([^\]]+)\]", str(refused.value)).group(1)
+    assert parse_config(["coherent-rotation", "--eta", bound])["parameters"]["eta"] == float(bound)
 
 
 def test_size_guard_exit_code(monkeypatch, capsys):

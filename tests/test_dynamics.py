@@ -181,6 +181,22 @@ def _largest_sector(layout):
     return np.bincount(layout.levels.sum(axis=0)).max()
 
 
+def _doublets_and_couplings(h):
+    """``_doublets(h)``, and the pair couplings b it hands to ``_pair_eigh``
+    (None when it hands none)."""
+    seen = []
+    pair_eigh = dynamics._pair_eigh
+
+    def recording(b):
+        seen.append(b.copy())
+        return pair_eigh(b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_pair_eigh", recording)
+        spectrum = dynamics._doublets(h)
+    return spectrum, (seen[0] if seen else None)
+
+
 @given(_mixed_layouts())
 @settings(max_examples=80, deadline=None)
 def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
@@ -193,38 +209,46 @@ def test_sector_blocks_match_dense_oracle_bit_for_bit(case):
         oracle = strength * dense_collective_jc(layout, "T", modes)
     gauged = _gauged(layout, oracle)
     assert np.all(gauged.imag == 0)
-    grouped = dynamics._sector_blocks(h)
+    spectrum, b = _doublets_and_couplings(h)
     if _largest_sector(layout) > 2:  # left to the Krylov step
-        assert grouped is None
+        assert spectrum is None
         return
-    phase, sectors = grouped
+    phase, pairs, w, v = spectrum
     assert np.array_equal(phase, _gauge_phase(layout))
-    covered = 0
-    for idx, blocks in sectors:
-        # the scatter sums from +0.0, so the oracle's signed zeros are made +0.0
-        expected = gauged.real[idx[:, :, None], idx[:, None, :]] + 0.0
-        assert blocks.dtype == np.float64
-        assert blocks.flags.c_contiguous
-        assert blocks.tobytes() == expected.tobytes()
-        covered += idx.size
-    assert covered == layout.dim
+    # the pairs are the two-state sectors, by excitation number, each in
+    # increasing order; every other state is alone in its sector
+    sector = layout.levels.sum(axis=0)
+    sizes = np.bincount(sector)
+    assert pairs.shape == (np.count_nonzero(sizes == 2), 2)
+    assert np.array_equal(sector[pairs[:, 0]], sector[pairs[:, 1]])
+    assert np.all(np.diff(sector[pairs[:, 0]]) > 0) and np.all(pairs[:, 0] < pairs[:, 1])
+    alone = np.setdiff1d(np.arange(layout.dim), pairs)
+    assert np.all(sizes[sector[alone]] == 1)
+    # the scatter sums from +0.0, so the oracle's signed zeros are made +0.0
+    assert b.dtype == np.float64
+    assert b.tobytes() == (gauged.real[pairs[:, 1], pairs[:, 0]] + 0.0).tobytes()
+    # the pairs' couplings are every entry of the gauged H, on every state
+    rebuilt = np.zeros((layout.dim, layout.dim))
+    rebuilt[pairs[:, 1], pairs[:, 0]] = rebuilt[pairs[:, 0], pairs[:, 1]] = b
+    assert np.array_equal(rebuilt, gauged.real)
+    expected_w, expected_v = dynamics._pair_eigh(b)
+    assert w.tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
 
 
 def test_sum_of_operators_densifies_to_dense_sum():
     layout = compose_layout([("T", TwoLevel), ("m0", BosonicMode(2)), ("m1", FermionicMode)])
     h = _scaled(jc_hamiltonian(layout, "T", ("m0", "m1")), 0.7)
     assert np.array_equal(dense(h + h), dense(h) + dense(h))
-    # repeated triplets add up when the blocks of a one-mode coupling are
-    # gathered, in the same gauge
+    # repeated triplets add up when the pair couplings of a one-mode coupling
+    # are gathered, in the same gauge
     layout = _qubit_mode_layout(BosonicMode(3))
     h = _scaled(jc_hamiltonian(layout, "T", ("m",)), 0.7)
-    phase2, sectors2 = dynamics._sector_blocks(h + h)
-    phase, sectors = dynamics._sector_blocks(h)
+    (phase2, pairs2, _, _), twice = _doublets_and_couplings(h + h)
+    (phase, pairs, _, _), once = _doublets_and_couplings(h)
     assert np.array_equal(phase2, phase)
-    for (idx2, twice), (idx, once) in zip(sectors2, sectors):
-        assert np.array_equal(idx2, idx)
-        assert twice.dtype == np.float64
-        assert np.array_equal(twice, once + once)
+    assert np.array_equal(pairs2, pairs)
+    assert twice.dtype == np.float64
+    assert np.array_equal(twice, once + once)
     other = compose_layout([("m", BosonicMode(3)), ("T", TwoLevel)])
     with pytest.raises(ValueError, match="different layouts"):
         h + jc_hamiltonian(other, "T", ("m",))
@@ -327,11 +351,11 @@ def test_evolve_matches_dense_oracle(case, seed, t, random_h):
     rng = np.random.default_rng(seed)
     h = (linear_op(layout, rand_hermitian(rng, layout.dim)) if random_h
          else _scaled(jc_hamiltonian(layout, "T", coupled), strength))
-    grouped = dynamics._sector_blocks(h)
+    grouped = dynamics._doublets(h)
     if random_h or _largest_sector(layout) > 2:
         assert grouped is None
     else:
-        assert all(blocks.dtype == np.float64 for _, blocks in grouped[1])
+        assert grouped[2].dtype == grouped[3].dtype == np.float64
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(rng, layout)
@@ -368,11 +392,11 @@ def test_real_path_matches_dense_oracle(case, seed, t):
     layout, h, joins_sectors = case
     # an H that joins the sectors, or has a sector of more than two states,
     # takes the Krylov step, whatever its gauge
-    grouped = dynamics._sector_blocks(h)
+    grouped = dynamics._doublets(h)
     if joins_sectors or _largest_sector(layout) > 2:
         assert grouped is None
     else:
-        assert all(blocks.dtype == np.float64 for _, blocks in grouped[1])
+        assert grouped[2].dtype == grouped[3].dtype == np.float64
     u = dense_propagator(dense(h), t)
     assert np.max(np.abs(_evolved_columns(h, t) - u)) < 1e-12
     psi = rand_pure_state(np.random.default_rng(seed), layout)
@@ -382,7 +406,7 @@ def test_real_path_matches_dense_oracle(case, seed, t):
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Records (side, dtype) of every eigh call the dynamics module makes: a
-    sector block, or the tridiagonal of one Krylov substep."""
+    tridiagonal of one Krylov substep (no closed-form pair reaches eigh)."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -415,9 +439,9 @@ def _zero_diagonal_pairs(b):
     return blocks
 
 
-def _assert_eigh_bits(blocks):
-    w, v = dynamics._block_eigh(blocks)
-    expected_w, expected_v = np.linalg.eigh(blocks)
+def _assert_eigh_bits(b):
+    w, v = dynamics._pair_eigh(b)
+    expected_w, expected_v = np.linalg.eigh(_zero_diagonal_pairs(b))
     assert w.dtype == v.dtype == np.float64
     assert (w.shape, v.shape) == (expected_w.shape, expected_v.shape)
     assert w.tobytes() == expected_w.tobytes()
@@ -430,17 +454,7 @@ def test_closed_form_pairs_match_eigh_bit_for_bit():
     rng = np.random.default_rng(25)
     scattered = rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-100, 100, 4096)
     for b in (root, -root, scattered, np.array([0.0, -0.0])):
-        _assert_eigh_bits(_zero_diagonal_pairs(b))
-
-
-def test_closed_form_single_states_match_eigh_bit_for_bit():
-    rng = np.random.default_rng(26)
-    finfo = np.finfo(float)
-    x = np.concatenate([
-        rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-323, 308, 4096),
-        [0.0, -0.0, finfo.smallest_subnormal, -finfo.smallest_subnormal,
-         finfo.tiny, finfo.max, -finfo.max]])
-    _assert_eigh_bits(x[:, None, None])
+        _assert_eigh_bits(b)
 
 
 def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
@@ -455,8 +469,8 @@ def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
     assert {dtype for _, dtype in solver_calls} == {np.dtype(np.float64)}
     # the collision of the sequential rotation is diagonalized at import, out
     # of the fixture's sight, so its eigenvectors are checked instead
-    _, sectors = protocols._COLLISION_SPECTRUM
-    assert {v.dtype for _, _, v in sectors} == {np.dtype(np.float64)}
+    _, _, w, v = protocols._COLLISION_SPECTRUM
+    assert w.dtype == v.dtype == np.float64
 
 
 def test_rotation_protocols_diagonalize_nothing(solver_calls):
@@ -474,7 +488,7 @@ def test_evolve_rejects_non_hermitian():
 
 def _jc_with_in_sector_asymmetry(eps):
     # |e,0> <- |g,1> lies inside the one-excitation sector, and i eps there
-    # keeps the real gauge, so H stays on the real sector blocks
+    # keeps the real gauge, so H stays on the closed form's real pairs
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     h = dense(jc_hamiltonian(layout, "T", ("m",))).copy()
     h[3, 1] += complex(0.0, eps)
@@ -484,33 +498,45 @@ def _jc_with_in_sector_asymmetry(eps):
 @pytest.mark.parametrize("eps", [1e-9, np.nan])
 def test_evolve_rejects_non_hermitian_sector_block(eps):
     psi, h = _jc_with_in_sector_asymmetry(eps)
-    assert dynamics._sector_blocks(h) is not None
+    # refused by the closed form itself, not left to the Krylov step
+    with pytest.raises(ValueError, match="Hermitian"):
+        dynamics._doublets(h)
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(psi, h, 1.0)
 
 
 def test_hermiticity_tolerance_accepts_rounding_asymmetry(solver_calls):
     psi, h = _jc_with_in_sector_asymmetry(1e-13)
-    phase, groups = dynamics._sector_blocks(h)
+    phase, pairs, _, _ = dynamics._doublets(h)
     evolved = evolve(psi, h, 1.0).amplitudes
     assert abs(np.linalg.norm(evolved) - 1) < 1e-12
-    # checked block by block, and the closed form reads the lower triangle,
-    # as eigh does: the evolution is the lower-triangle eigh result
-    spectrum = (phase, [(idx, *np.linalg.eigh(blocks)) for idx, blocks in groups])
+    # checked pair by pair, and the closed form reads the lower triangle, as
+    # eigh does: the evolution is the lower-triangle eigh result
+    blocks = _gauged(h.layout, dense(h)).real[pairs[:, :, None], pairs[:, None, :]] + 0.0
+    spectrum = (phase, pairs, *np.linalg.eigh(blocks))
     assert evolved.tobytes() == dynamics._propagate(spectrum, psi.amplitudes, 1.0).tobytes()
     assert solver_calls == []
 
 
 @pytest.mark.parametrize("extra", [(3, 1, 1e-9j), (3, 1, complex(0.0, np.nan))])
 def test_real_path_refuses_non_hermitian_and_nan(extra):
-    # i 1e-9 and i NaN at (|e,0>, |g,1>) both gauge real, so the blocks are
-    # float64 and the check runs on them
+    # i 1e-9 and i NaN at (|e,0>, |g,1>) both gauge real, so the pair
+    # couplings are float64 and the check runs on them
     layout = compose_layout([("T", TwoLevel), ("m", BosonicMode(2))])
     row, col, value = extra
     h = jc_hamiltonian(layout, "T", ("m",)) + LinearOp(layout, [row], [col], [value])
-    assert all(group[-1].dtype == np.float64 for group in dynamics._sector_blocks(h)[1])
-    with pytest.raises(ValueError, match="Hermitian"):
-        evolve(basis_state(layout, ["e", 0]), h, 1.0)
+    checked = []
+    check = dynamics._check_hermitian
+
+    def recording(asym):
+        checked.append((asym.dtype, asym.shape))
+        check(asym)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_check_hermitian", recording)
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(basis_state(layout, ["e", 0]), h, 1.0)
+    assert checked == [(np.dtype(np.float64), (2,))]
 
 
 def _collective_jc(n_modes):
@@ -532,14 +558,14 @@ def _traced_peak(f):
 
 def test_hermiticity_check_holds_one_temporary_at_most():
     # the check overwrites the difference its caller hands it: the 2^16
-    # doublets of a field of 2^16 quanta take 2 MiB, and so does their
-    # difference; a check that kept both the difference and its modulus alive
-    # held a third array of that size
+    # doublets of a field of 2^16 quanta have 2^16 couplings (0.5 MiB), and
+    # their lower less their upper entries as many; a check that kept both
+    # the difference and its modulus alive held a second array of that size
     h = jc_hamiltonian(_qubit_mode_layout(BosonicMode(2 ** 16)), "T", ("m",))
-    blocks = dynamics._sector_blocks(h)[1][-1][1]
-    assert blocks.shape == (2 ** 16, 2, 2)
-    peak = _traced_peak(lambda: dynamics._check_hermitian(blocks - blocks.transpose(0, 2, 1)))
-    assert peak < 1.5 * blocks.nbytes
+    _, b = _doublets_and_couplings(h)
+    assert b.shape == (2 ** 16,)
+    peak = _traced_peak(lambda: dynamics._check_hermitian(b - b))
+    assert peak < 1.5 * b.nbytes
 
 
 def test_chiral_path_peaks_below_the_whole_blocks():
@@ -590,7 +616,7 @@ def _bipartite_hamiltonians(draw):
 @settings(max_examples=40, deadline=None)
 def test_chiral_path_matches_dense_oracle(case, seed, t):
     layout, h = case
-    assert dynamics._sector_blocks(h) is None
+    assert dynamics._doublets(h) is None
     u = dense_propagator(dense(h), t)
     rng = np.random.default_rng(seed)
     # each state is propagated on its own: a sample of the basis states
@@ -620,7 +646,7 @@ def test_chiral_path_on_rank_deficient_unbalanced_blocks(solver_calls):
     # H is mostly null space: each basis state lies in a small invariant
     # subspace, so its Krylov basis breaks down early, short of _KRYLOV_DIM
     h = _rank_deficient_jc()
-    assert dynamics._sector_blocks(h) is None
+    assert dynamics._doublets(h) is None
     assert np.linalg.matrix_rank(dense(h)) < h.layout.dim // 2
     for t in (0.0, 0.4, 3.1):
         assert np.max(np.abs(_evolved_columns(h, t) - dense_propagator(dense(h), t))) < 1e-12
@@ -654,7 +680,7 @@ def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes):
     alpha, beta = rand_amplitude_pair(np.random.default_rng(n_modes))
     duration = math.pi / (4.0 * math.sqrt(n_modes))
     layout, h = _collective_jc(n_modes)
-    assert dynamics._sector_blocks(h) is None
+    assert dynamics._doublets(h) is None
     amps = np.array([alpha, beta])
     for _ in range(n_modes):
         amps = np.kron(amps, np.array([1.0, 1.0]) / math.sqrt(2))
@@ -700,7 +726,7 @@ def test_chiral_path_refuses_non_hermitian_and_nan(value):
     layout, h = _collective_jc(6)
     row, col = _big_sector_pair(layout)
     h = h + LinearOp(layout, [row], [col], [value])
-    assert dynamics._sector_blocks(h) is None
+    assert dynamics._doublets(h) is None
     with pytest.raises(ValueError, match="evolve requires a Hermitian Hamiltonian"):
         evolve(basis_state(layout, ["g"] + [0] * 6), h, 1.0)
 
@@ -709,7 +735,7 @@ def test_chiral_path_accepts_rounding_asymmetry():
     layout, h = _collective_jc(6)
     row, col = _big_sector_pair(layout)
     h = h + LinearOp(layout, [row], [col], [1e-13j])
-    assert dynamics._sector_blocks(h) is None
+    assert dynamics._doublets(h) is None
     assert abs(np.linalg.norm(evolve(basis_state(layout, ["e"] + [1, 1, 0, 0, 0, 0]), h,
                                      1.0).amplitudes) - 1) < 1e-12
 
@@ -720,7 +746,7 @@ def test_krylov_step_adds_up_repeated_triplets():
     layout, h = _collective_jc(6)
     row, col = _big_sector_pair(layout)
     h = h + LinearOp(layout, [row, row, col], [col, col, row], [0.25j, 0.5j, -0.75j])
-    assert dynamics._sector_blocks(h) is None
+    assert dynamics._doublets(h) is None
     psi = rand_pure_state(np.random.default_rng(4), layout)
     out = evolve(psi, h, 0.9)
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), 0.9) @ psi.amplitudes)) < 1e-12
@@ -747,7 +773,7 @@ def test_krylov_step_ends_on_a_lucky_breakdown(solver_calls):
 def test_krylov_step_on_an_empty_hamiltonian(solver_calls):
     layout, _ = _collective_jc(6)
     h = LinearOp(layout, [], [], [])
-    assert dynamics._sector_blocks(h) is None   # sectors of up to 35 states
+    assert dynamics._doublets(h) is None   # sectors of up to 35 states
     psi = rand_pure_state(np.random.default_rng(6), layout)
     assert np.max(np.abs(evolve(psi, h, 3.0).amplitudes - psi.amplitudes)) < 1e-15
     assert solver_calls == [(1, np.float64)]
@@ -781,7 +807,7 @@ def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_cal
         h = h + LinearOp(layout, [row, col], [col, row], [0.25j, -0.25j])
     else:
         h = h + LinearOp(layout, [row, col], [col, row], [0.25, 0.25])
-    assert dynamics._sector_blocks(h) is None
+    assert dynamics._doublets(h) is None
     psi = rand_pure_state(np.random.default_rng(3), layout)
     out = evolve(psi, h, 0.9)
     assert max(size for size, _ in solver_calls) <= dynamics._KRYLOV_DIM
@@ -818,17 +844,30 @@ def _stack_layouts():
 @pytest.mark.parametrize("m", [1, 4])
 def test_propagate_on_a_stack_matches_each_state_bit_for_bit(m):
     rng = np.random.default_rng(m)
-    sizes = set()
     for layout in _stack_layouts():
-        spectrum = dynamics._sector_eigh(jc_hamiltonian(layout, "T", ("m",)))
-        sizes |= {idx.shape[1] for idx, _, _ in spectrum[1]}
+        spectrum = dynamics._doublets(jc_hamiltonian(layout, "T", ("m",)))
+        assert 0 < spectrum[1].size < layout.dim   # pairs, and states alone
         for t in (0.3, -2.7, math.pi / 4):
             stack = rng.normal(size=(layout.dim, m)) + 1j * rng.normal(size=(layout.dim, m))
             columns = [dynamics._propagate(spectrum, stack[:, j], t) for j in range(m)]
             out = dynamics._propagate(spectrum, stack, t)
             assert out.shape == (layout.dim, m)
             assert out.tobytes() == np.column_stack(columns).tobytes()
-    assert sizes == {1, 2}
+
+
+@pytest.mark.parametrize("cutoff", [1, 3, 40])
+def test_states_alone_in_their_sector_are_kept_bit_for_bit(cutoff):
+    # |g,0> and |e,L> of a BosonicMode(L) field are alone in their sectors,
+    # where H has no entry: evolve returns them unchanged, alone and stacked
+    layout = _qubit_mode_layout(BosonicMode(cutoff))
+    h = jc_hamiltonian(layout, "T", ("m",))
+    ends = [basis_state(layout, ["g", 0]), basis_state(layout, ["e", cutoff])]
+    stack = np.column_stack([state.amplitudes for state in ends])
+    spectrum = dynamics._doublets(h)
+    for t in (0.3, -2.7, math.pi / 4):
+        for state in ends:
+            assert evolve(state, h, t).amplitudes.tobytes() == state.amplitudes.tobytes()
+        assert dynamics._propagate(spectrum, stack, t).tobytes() == stack.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,16 @@ def test_coherent_rejects_non_finite_eta(eta):
         coherent_field_rotation(1, 0, eta)
 
 
+@pytest.mark.parametrize("eta", [1e200, -1e200, complex(0, 1.5e154), 1.79e308])
+def test_coherent_refuses_an_automatic_cutoff_that_overflows(eta):
+    # eta is finite but eta**2 + 8 eta + 20 is not: refused by name, as
+    # a ValueError like a non-finite eta
+    with pytest.raises(ValueError, match="eta must be finite, and so must the automatic cutoff"):
+        default_coherent_cutoff(eta)
+    with pytest.raises(ValueError, match=r"automatic cutoff .*, got .*e\+(154|200|308)"):
+        coherent_field_rotation(1, 0, eta)
+
+
 def test_coherent_rejects_small_cutoff():
     with pytest.raises(ValueError):
         coherent_mode_state(0, 1.0)
