@@ -57,11 +57,12 @@ def _fmt12(x) -> str:
 
 # Memory guards.  At n = 11 (d = 4096) collective-check propagates by Krylov
 # substeps: the n d / 2 = 22,528 Hamiltonian triplets (0.7 MiB) are sorted
-# into row order once, with about 1.7 MiB of temporaries while they are
-# coalesced and checked for Hermiticity, and the substeps keep a basis of at
-# most 30 complex vectors of length d (1.9 MiB) beside the 64 KiB state and
-# the layout's cached (n + 1) x d level grid (384 KiB).  The check peaks at
-# 4.8 MiB traced (tracemalloc) and a fresh run at 38 MiB RSS (31 MiB of it
+# into row order once (0.9 MiB kept), with at most 0.9 MiB more while each
+# entry is checked against its mirror for Hermiticity, and the substeps keep
+# a basis of at most 30 complex vectors of length d (1.9 MiB) and a gather
+# buffer as long as the triplets (0.3 MiB) beside the 64 KiB state and the
+# layout's cached (n + 1) x d level grid (384 KiB).  The check peaks at
+# 4.75 MiB traced (tracemalloc) and a fresh run at 36 MiB RSS (30 MiB of it
 # the interpreter and numpy); each step of n doubles the arrays.
 # coherent-rotation holds O(cutoff) arrays of 2 (cutoff + 1) amplitudes and
 # 2 cutoff Hamiltonian triplets.

@@ -65,8 +65,9 @@ def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     s+|g> = |e>, mode k contributes the ladder's nonzeros only: for each
     basis state with the qubit at g and n >= 1 quanta in k, i sqrt(n) at the
     row of the state with the qubit at e and n - 1 quanta in k, then the
-    conjugate transpose of those triplets.  The modes' triplets follow each
-    other in the order given.
+    conjugate transpose of those triplets.  Every mode's nonzeros are read
+    off the grid in one pass, and the triplets come out mode by mode in the
+    order given, as the sum of the one-mode couplings would hold them.
     """
     if isinstance(modes, str):
         raise TypeError(f"modes must be a sequence of labels, not the string {modes!r}")
@@ -83,16 +84,23 @@ def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
             raise ValueError(f"subsystem {m!r} must be a bosonic or fermionic mode")
     levels, strides = layout.levels, layout.strides()
     q = layout.position(qubit)
+    k = [layout.position(m) for m in modes]
+    d = layout.dim
+    # <n-1| a |n> = sqrt(n) for n >= 1; a hard-core fermion has n <= 1.  The
+    # nonzeros of the (modes, d) grid run by mode, then basis state: mode j's
+    # run lies in [j d, (j + 1) d).
+    occupied = levels[k]
+    nonzero = np.flatnonzero((levels[q] == 0) & (occupied >= 1))
+    value = 1j * np.sqrt(occupied.ravel()[nonzero])
+    conj = value.conj()
+    bounds = np.searchsorted(nonzero, d * np.arange(len(k) + 1)).tolist()
     rows, cols, values = [], [], []
-    for m in modes:
-        k = layout.position(m)
-        # <n-1| a |n> = sqrt(n) for n >= 1; a hard-core fermion has n <= 1
-        col = np.flatnonzero((levels[q] == 0) & (levels[k] >= 1))
-        row = col + strides[q] - strides[k]
-        value = 1j * np.sqrt(levels[k, col])
+    for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        col = nonzero[start:stop] - j * d
+        row = col + (strides[q] - strides[k[j]])
         rows += [row, col]
         cols += [col, row]
-        values += [value, value.conj()]
+        values += [value[start:stop], conj[start:stop]]
     return LinearOp(layout, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
 
 
@@ -216,19 +224,43 @@ def _propagate(spectrum, amplitudes: np.ndarray, t: float) -> np.ndarray:
 
 def _coalesce(key, values):
     """(key, value) pairs sorted by key, with the values of a repeated key
-    added up in their given order."""
+    added up in their given order.  Without a repeated key the sorted pairs
+    are the result, as a sum over one-entry runs would give them."""
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    key, values = key[order], values[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    return key[first], np.add.reduceat(values[order], first)
+    if first.size == key.size:
+        return key, values
+    return key[first], np.add.reduceat(values, first)
+
+
+def _hermitian_residual(key, rows, cols, values, d):
+    """H - H^dag on the coalesced triplets of H, sorted by ``key`` = rows d + cols.
+
+    The keys run by row, then column, so a stable argsort of the columns
+    lists the entries by column, then row: the mirror order.  When the
+    mirrored keys are the keys, as for every coupling ``jc_hamiltonian``
+    builds, the mirror of entry j is entry ``mirror[j]`` and the residual is
+    values - conj(values[mirror]): bit for bit the sums value + (-conj(mirror
+    value)) that the merge below forms, since a float subtraction is the
+    addition of the negated operand.  Any other pattern takes that merge:
+    every entry and the negated conjugate of every mirror, coalesced alike,
+    so an entry whose mirror is missing stands alone."""
+    mirror = np.argsort(cols, kind="stable")
+    if np.array_equal(cols[mirror] * d + rows[mirror], key):
+        return values - values[mirror].conj()
+    return _coalesce(np.concatenate([key, cols * d + rows]),
+                     np.concatenate([values, -values.conj()]))[1]
 
 
 def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) amplitudes by Lanczos substeps on the triplets of H.
 
     The triplets are sorted once into row-major (CSR) order and repeated
-    entries added up; H minus its conjugate transpose, coalesced the same way,
-    must be within the tolerance of the pair check entry by entry.  A
+    entries added up; H minus its conjugate transpose (``_hermitian_residual``)
+    must be within the tolerance of the pair check entry by entry.  Each
+    product of H with a basis vector gathers the vector at the columns into
+    one buffer, scales it by the values there and adds up each row's run.  A
     substep runs Lanczos from w, reorthogonalizing each new vector against
     the whole basis by classical Gram-Schmidt applied twice, for at most
     ``_KRYLOV_DIM`` vectors.  When the next coefficient beta is so small that
@@ -243,11 +275,10 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
     d = hamiltonian.layout.dim
     key, values = _coalesce(hamiltonian.rows * d + hamiltonian.cols, hamiltonian.values)
     rows, cols = np.divmod(key, d)
-    # H - H^dag: each entry less the conjugate of its mirror, coalesced alike
-    _check_hermitian(_coalesce(np.concatenate([key, cols * d + rows]),
-                               np.concatenate([values, -values.conj()]))[1])
+    _check_hermitian(_hermitian_residual(key, rows, cols, values, d))
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     filled = rows[starts]
+    gathered = np.empty_like(values)
 
     w = amplitudes.astype(complex)
     basis = np.empty((_KRYLOV_DIM, d), dtype=complex)
@@ -259,8 +290,12 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
         basis[0] = w / norm
         tridiagonal[:] = 0.0
         for m in range(1, _KRYLOV_DIM + 1):
+            # every column is in range; mode "raise" would gather through a
+            # temporary before copying into the buffer
+            np.take(basis[m - 1], cols, out=gathered, mode="clip")
+            np.multiply(values, gathered, out=gathered)
             p = np.zeros(d, dtype=complex)
-            p[filled] = np.add.reduceat(values * basis[m - 1, cols], starts)
+            p[filled] = np.add.reduceat(gathered, starts)
             for _ in range(2):
                 c = np.vecdot(basis[:m], p)
                 p -= np.vecmat(c.conj(), basis[:m])

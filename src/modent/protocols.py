@@ -27,12 +27,10 @@ from .hilbert import (
     BosonicMode,
     DensityOp,
     FermionicMode,
-    LinearOp,
     NORM_TOL,
     PureState,
     TwoLevel,
     _is_count,
-    _log_factorials,
     basis_state,
     coherent_mode_state,
     compose_layout,
@@ -135,6 +133,8 @@ def massless_absorption():
 # ---------------------------------------------------------------------------
 
 _ANCILLA_PLUS_RHO = 0.5 * np.ones((2, 2), dtype=complex)
+# the amplitude of each level of (|0>+|1>)/sqrt(2), as a complex scalar
+_PLUS_AMPLITUDE = (np.ones(1, dtype=complex) / math.sqrt(2))[0]
 
 # the fixed target-ancilla collision Hamiltonian, diagonalized once
 _COLLISION_SPECTRUM = _doublets(jc_hamiltonian(compose_layout(
@@ -211,29 +211,70 @@ def sequential_rotation(alpha: complex, beta: complex, n_ancillas: int) -> dict:
 # simultaneous coupling and the collective-mode reduction
 # ---------------------------------------------------------------------------
 
+def _ladder_target(b, c, alpha: complex, beta: complex, t: float) -> np.ndarray:
+    """The reduced target state, a 2x2 density matrix, after a two-level
+    target has coupled to one ladder for time t.
+
+    The ladder has levels n = 0 .. L - 1 with amplitudes ``c`` (L,), and
+    ``b`` (L - 1,) holds the couplings b_n of levels n = 1 .. L - 1: H is
+    b_n (i |e, n - 1><g, n| - i |g, n><e, n - 1|) summed over n, whose
+    Jaynes-Cummings doublets turn |g, n> into cos(b_n t) |g, n> +
+    sin(b_n t) |e, n - 1> (Jaynes & Cummings, Proc. IEEE 51, 89 (1963)).
+    From (alpha |g> + beta |e>) (x) sum_n c_n |n>, the target rows are
+    A_n = alpha c_n cos(b_n t) - beta c_{n-1} sin(b_n t) and
+    B_m = beta c_m cos(b_{m+1} t) + alpha c_{m+1} sin(b_{m+1} t), with
+    A_0 = alpha c_0 and B_{L-1} = beta c_{L-1}; the state is their Gram
+    matrix.
+    """
+    angle = np.multiply(b, t)
+    cos, sin = np.cos(angle), np.sin(angle)
+    rows = np.multiply.outer(np.array([alpha, beta], dtype=complex), c)
+    g, e = rows.copy()
+    rows[0, 1:] = cos * g[1:] - sin * e[:-1]
+    rows[1, :-1] = cos * e[:-1] + sin * g[1:]
+    return rows @ rows.conj().T
+
+
+def _check_n_modes(n_modes):
+    _check_count("n_modes", n_modes)
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+
+
+_TARGET = compose_layout([("target", TwoLevel)])
+
+
+def _binomial_amplitudes(n: int) -> np.ndarray:
+    """sqrt(C(n, m)) 2^(-n/2) for m = 0 .. n, from the ratios of successive
+    amplitudes: log(c_m / c_{m-1}) = log1p((n + 1 - 2m)/m) / 2, summed outward
+    from the middle level k = n // 2 and normalized.  The sums are small
+    where the weight lies, so each amplitude keeps its relative accuracy at
+    large n, and no C(n, m) overflows a float."""
+    m = np.arange(1, n + 1)
+    steps = 0.5 * np.log1p((n + 1 - 2 * m) / m)
+    k = n // 2
+    log_c = np.zeros(n + 1)
+    log_c[k + 1:] = np.cumsum(steps[k:])
+    log_c[:k] = -np.cumsum(steps[:k][::-1])[::-1]
+    c = np.exp(log_c)
+    return c / np.linalg.norm(c)
+
+
 def collective_mode_reference(n_modes: int, alpha: complex, beta: complex,
                               duration: float) -> DensityOp:
     """Reduced target state when the N modes are replaced by the one collective
     mode they address: coupling sqrt(N) J on the symmetric ladder
-    <m-1| b |m> = sqrt(m (N - m + 1) / N), initial mode amplitudes
-    sqrt(C(N, m)) 2^(-N/2).  Those are formed in log space, -(log m! +
-    log (N - m)!)/2 shifted by its maximum, and normalized, so no C(N, m)
-    overflows a float at large N."""
-    d = n_modes + 1
-    layout = compose_layout([("target", TwoLevel), ("collective", BosonicMode(n_modes))])
-    ladder = [math.sqrt(m * (n_modes - m + 1) / n_modes) for m in range(1, d)]
-    # i sqrt(N) b_m at (e, m-1), (g, m) of the (target, collective) basis, plus the adjoint
-    values = 1j * (math.sqrt(n_modes) * np.array(ladder))
-    ground = np.arange(1, d)
-    h = LinearOp(layout, np.concatenate([d + ground - 1, ground]),
-                 np.concatenate([ground, d + ground - 1]), np.concatenate([values, values.conj()]))
-    log_factorials = _log_factorials(d)
-    log_chi = -0.5 * (log_factorials + log_factorials[::-1])
-    chi = np.exp(log_chi - log_chi.max()).astype(complex)
-    chi /= np.linalg.norm(chi)
-    psi0 = PureState(layout, np.kron(np.array([alpha, beta], dtype=complex), chi))
-    final = evolve(psi0, h, duration)
-    return reduced_density(final, ["target"])
+    <m-1| b |m> = sqrt(m (N - m + 1) / N), so the couplings sqrt(m (N - m + 1)),
+    from the initial mode amplitudes sqrt(C(N, m)) 2^(-N/2)
+    (``_binomial_amplitudes``).  The state comes in closed form from the
+    ladder's doublets (``_ladder_target``), in O(N)."""
+    _check_n_modes(n_modes)
+    _check_normalized(alpha, beta)
+    duration = _finite_time(duration)
+    m = np.arange(1, n_modes + 1)
+    couplings = np.sqrt(m * (n_modes + 1 - m))
+    return DensityOp(_TARGET, _ladder_target(couplings, _binomial_amplitudes(n_modes),
+                                             alpha, beta, duration))
 
 
 def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
@@ -247,20 +288,19 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
     the "gain" from simultaneous coupling, zero to rounding), and the fidelity
     a literal one-fermionic-ancilla collision would give.
     """
-    _check_count("n_modes", n_modes)
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    _check_n_modes(n_modes)
     # one collision's fidelity; this also checks (alpha, beta) before the coupled run
     f_single = single_ancilla_rotation(alpha, beta)[1]
     duration = math.pi / (4.0 * math.sqrt(n_modes))
 
     subsystems = [("target", TwoLevel)] + [(f"mode{k}", FermionicMode) for k in range(n_modes)]
     layout = compose_layout(subsystems)
-    amps = np.array([alpha, beta], dtype=complex)
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    # (alpha, beta) (x) |+>^N: each of the two amplitudes times 1/sqrt(2) N
+    # times, as N np.kron calls would take it, then repeated over the modes
+    pair = np.array([alpha, beta], dtype=complex)
     for _ in range(n_modes):
-        amps = np.kron(amps, plus)
-    psi0 = PureState(layout, amps)
+        pair = pair * _PLUS_AMPLITUDE
+    psi0 = PureState(layout, np.repeat(pair, 2 ** n_modes))
     h = jc_hamiltonian(layout, "target", layout.labels[1:])
     final = evolve(psi0, h, duration)
     simultaneous = reduced_density(final, ["target"])

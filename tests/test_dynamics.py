@@ -460,8 +460,9 @@ def test_closed_form_pairs_match_eigh_bit_for_bit():
 def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
     # fermionic and bosonic jc_hamiltonian over several modes and the
     # massless-absorption sum over two targets take the Krylov step, whose
-    # tridiagonals are real; the coherent field and collective_mode_reference
-    # are singlets and doublets, in closed form
+    # tridiagonals are real; the coherent field is singlets and doublets, in
+    # closed form, and collective_mode_reference evolves nothing: its ladder's
+    # doublets are cosines and sines
     simultaneous_coupling_check(3)
     coherent_field_rotation(0.6, 0.8, 4.0)
     massless_absorption()
@@ -719,25 +720,61 @@ def _big_sector_pair(layout):
             int(np.ravel_multi_index((0, 1, 1, 1, 0, 0, 0), layout.dims)))
 
 
-@pytest.mark.parametrize("value", [1e-9j, complex(0.0, np.nan)])
-def test_chiral_path_refuses_non_hermitian_and_nan(value):
-    # an entry without a matching mirror in the 35-state sector: the Krylov
-    # step checks the coalesced triplets against their conjugate transpose
+def _uncoupled_pair(layout):
+    # |g,1,1,1,0,0,0> and |g,1,1,0,1,0,0>: in the same sector, but H couples
+    # them in neither direction (both hold the target at g)
+    return (int(np.ravel_multi_index((0, 1, 1, 1, 0, 0, 0), layout.dims)),
+            int(np.ravel_multi_index((0, 1, 1, 0, 1, 0, 0), layout.dims)))
+
+
+def _counted_coalesce(monkeypatch):
+    """Record each ``dynamics._coalesce`` call: the Krylov step coalesces the
+    triplets once, and merges H with its mirror in a second call only when
+    the mirrored pattern differs from the pattern of H."""
+    calls = []
+    coalesce = dynamics._coalesce
+
+    def counted(key, values):
+        calls.append(key.size)
+        return coalesce(key, values)
+
+    monkeypatch.setattr(dynamics, "_coalesce", counted)
+    return calls
+
+
+@pytest.mark.parametrize("value, pair, coalesced", [
+    pytest.param(1e-9j, _big_sector_pair, 1, id="1e-09j"),
+    pytest.param(complex(0.0, np.nan), _big_sector_pair, 1, id="nanj"),
+    pytest.param(1e-9j, _uncoupled_pair, 2, id="1e-09j-unmatched"),
+    pytest.param(complex(0.0, np.nan), _uncoupled_pair, 2, id="nanj-unmatched"),
+])
+def test_chiral_path_refuses_non_hermitian_and_nan(value, pair, coalesced, monkeypatch):
+    # an entry that H's conjugate transpose does not match, in the 35-state
+    # sector: added to a coupled pair, the pattern stays symmetric and the
+    # residual is read against each entry's mirror; at a pair H does not
+    # couple, the entry has no mirror and the triplets are merged with their
+    # conjugate transpose
     layout, h = _collective_jc(6)
-    row, col = _big_sector_pair(layout)
+    row, col = pair(layout)
     h = h + LinearOp(layout, [row], [col], [value])
     assert dynamics._doublets(h) is None
+    calls = _counted_coalesce(monkeypatch)
     with pytest.raises(ValueError, match="evolve requires a Hermitian Hamiltonian"):
         evolve(basis_state(layout, ["g"] + [0] * 6), h, 1.0)
+    assert len(calls) == coalesced
 
 
-def test_chiral_path_accepts_rounding_asymmetry():
-    layout, h = _collective_jc(6)
-    row, col = _big_sector_pair(layout)
-    h = h + LinearOp(layout, [row], [col], [1e-13j])
-    assert dynamics._doublets(h) is None
-    assert abs(np.linalg.norm(evolve(basis_state(layout, ["e"] + [1, 1, 0, 0, 0, 0]), h,
-                                     1.0).amplitudes) - 1) < 1e-12
+def test_chiral_path_accepts_rounding_asymmetry(monkeypatch):
+    calls = _counted_coalesce(monkeypatch)
+    for pair, coalesced in ((_big_sector_pair, 1), (_uncoupled_pair, 2)):
+        layout, h = _collective_jc(6)
+        row, col = pair(layout)
+        h = h + LinearOp(layout, [row], [col], [1e-13j])
+        assert dynamics._doublets(h) is None
+        calls.clear()
+        assert abs(np.linalg.norm(evolve(basis_state(layout, ["e"] + [1, 1, 0, 0, 0, 0]), h,
+                                         1.0).amplitudes) - 1) < 1e-12
+        assert len(calls) == coalesced
 
 
 def test_krylov_step_adds_up_repeated_triplets():

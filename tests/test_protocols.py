@@ -12,13 +12,21 @@ from conftest import (
     pair_protocol_state,
     pointwise_optimize_angles,
     rand_amplitude_pair,
+    rand_pure_vector,
 )
 from modent import (
+    BosonicMode,
+    LinearOp,
+    PureState,
+    TwoLevel,
     coherent_field_rotation,
+    compose_layout,
+    evolve,
     default_coherent_cutoff,
     massive_fermion_protocol,
     massless_absorption,
     optimize_angles,
+    reduced_density,
     rotated_target_state,
     sequential_rotation,
     simultaneous_coupling_check,
@@ -226,14 +234,65 @@ def _collective_doublet_oracle(n_modes, alpha, beta, t):
     return x @ x.conj().T
 
 
-@pytest.mark.parametrize("n_modes", [1030, 4096])
+@pytest.mark.parametrize("n_modes", [1030, 4096, 2 ** 20])
 def test_collective_reference_at_large_n_matches_doublet_oracle(n_modes):
-    # C(N, m) overflows a float from N = 1030: the amplitudes come from log space
+    # C(N, m) overflows a float from N = 1030: the amplitudes come from the
+    # ratios of successive ones, and keep their relative accuracy at N = 2^20,
+    # where log m! alone is about 1.4e7 and its rounding about 2e-9
     alpha, beta = rand_amplitude_pair(np.random.default_rng(n_modes))
     for t in (math.pi / (4.0 * math.sqrt(n_modes)), 0.7):
         reference = protocols.collective_mode_reference(n_modes, alpha, beta, t)
         oracle = _collective_doublet_oracle(n_modes, alpha, beta, t)
         assert np.max(np.abs(reference.matrix - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((0, 1.0, 0.0, 0.1), ValueError, "n_modes must be >= 1, got 0"),
+    ((-2, 1.0, 0.0, 0.1), ValueError, "n_modes must be >= 1, got -2"),
+    ((1.5, 1.0, 0.0, 0.1), TypeError, "n_modes must be an integer, got 1.5"),
+    ((2.0, 1.0, 0.0, 0.1), TypeError, "n_modes must be an integer, got 2.0"),
+    ((True, 1.0, 0.0, 0.1), TypeError, "n_modes must be an integer, got True"),
+    ((3, 1.0, 1.0, 0.1), ValueError, "must be normalized"),
+    ((3, math.nan, 0.0, 0.1), ValueError, "must be normalized"),
+    ((3, 1.0, 0.0, math.nan), ValueError, "evolution time nan is not finite"),
+    ((3, 1.0, 0.0, -math.inf), ValueError, "evolution time -inf is not finite"),
+], ids=["zero", "negative", "fraction", "float", "bool", "unnormalized", "nan amplitude",
+        "nan duration", "infinite duration"])
+def test_collective_reference_refuses_by_name(args, error, message):
+    # refused before any array is built; a closed form without these checks
+    # would return a state for N = 0
+    with pytest.raises(error, match=message):
+        protocols.collective_mode_reference(*args)
+
+
+def _hand_built_ladder(b):
+    """Target (x) a ladder of len(b) + 1 levels and its coupling, triplet by
+    triplet: i b_n at (|e, n - 1>, |g, n>) and the adjoint."""
+    levels = len(b) + 1
+    if levels == 1:
+        layout = compose_layout([("target", TwoLevel)])
+        return layout, LinearOp(layout, [], [], [])
+    layout = compose_layout([("target", TwoLevel), ("ladder", BosonicMode(levels - 1))])
+    ground = np.arange(1, levels)
+    excited = levels + ground - 1
+    values = 1j * np.asarray(b, dtype=float)
+    return layout, LinearOp(layout, np.concatenate([excited, ground]),
+                            np.concatenate([ground, excited]),
+                            np.concatenate([values, values.conj()]))
+
+
+def test_ladder_target_matches_evolve_on_hand_built_ladders():
+    rng = np.random.default_rng(10)
+    for levels in list(range(1, 41)) + list(rng.integers(1, 41, 20)):
+        b = rng.uniform(0.0, 3.0, levels - 1) * (rng.random(levels - 1) < 0.9)
+        c = rand_pure_vector(rng, levels)
+        alpha, beta = rand_pure_vector(rng, 2)
+        layout, h = _hand_built_ladder(b)
+        psi = PureState(layout, np.kron([alpha, beta], c))
+        for t in (0.0, 0.37, -1.3, 4.1):
+            oracle = reduced_density(evolve(psi, h, t), ["target"]).matrix
+            closed = protocols._ladder_target(b, c, alpha, beta, t)
+            assert np.max(np.abs(closed - oracle)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
