@@ -64,8 +64,9 @@ def _fmt12(x) -> str:
 # layout's cached (n + 1) x d level grid (384 KiB).  The check peaks at
 # 4.75 MiB traced (tracemalloc) and a fresh run at 36 MiB RSS (30 MiB of it
 # the interpreter and numpy); each step of n doubles the arrays.
-# coherent-rotation holds O(cutoff) arrays of 2 (cutoff + 1) amplitudes and
-# 2 cutoff Hamiltonian triplets.
+# coherent-rotation builds no Hamiltonian triplets: it holds O(cutoff)
+# arrays, the 2 (cutoff + 1) amplitudes and the closed-form spectrum of the
+# field's cutoff doublets.
 MAX_COLLECTIVE_N = 11
 MAX_COHERENT_CUTOFF = 2 ** 17 - 1
 MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory

@@ -2,31 +2,13 @@
 
 Units: hbar = 1 and the coupling strength is J = 1, so all times are
 expressed in units of 1/J.  Hamiltonians are ``LinearOp`` triplets built from
-the nonzeros of each coupling; no d x d array is formed.  The excitation
-number of a basis state is the sum of its level indices.  Every coupling
-built here conserves it and is i sqrt(n) times a real ladder between states
-whose two-level indices sum to q + 1 and q, so with D = diag(i^q) the gauged
-H' = D^dag H D is real symmetric and block diagonal over the sectors, and
-exp(-i H t) = D exp(-i H' t) D^dag.  The gauge is exact: each entry of H' and
-each amplitude is turned by a power of i, which only swaps and negates its
-real and imaginary parts.
+the nonzeros of each coupling; no d x d array is formed.
 
-``evolve`` takes one of two paths, by one rule.  When H conserves the
-excitation number, has that real gauge, has no diagonal entry and has no
-sector of more than two states (one two-level system on one mode: the
-Jaynes-Cummings doublets {|g, n>, |e, n - 1>}, Jaynes & Cummings,
-Proc. IEEE 51, 89 (1963)), its spectrum is known in closed form.  A state
-alone in its sector has a zero row and is kept as it is.  The real block of
-H' on a two-state sector, scattered straight from the triplets, is
-[[0, b], [b, 0]], whose spectrum is written down bit for bit as LAPACK
-returns it: one ``(phase, pairs, w, v)`` spectrum holds the gauge, the
-(k, 2) pairs and each pair's eigenvalues and eigenvectors.  Every other H,
-whatever its sectors or phases, is propagated by Lanczos steps on the
-triplets (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich,
-SIAM J. Numer. Anal. 34, 1911 (1997)), which need neither sectors nor a
-gauge and keep the same error bound for any Hermitian H.  Each substep
-builds an orthonormal basis V of the Krylov space of the current vector w
-and the tridiagonal T = V^dag H V, and takes
+``evolve`` is the one propagation of a state under a ``LinearOp``: Lanczos
+steps on the triplets of any Hermitian H (Saad, SIAM J. Numer. Anal. 29, 209
+(1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).  Each
+substep builds an orthonormal basis V of the Krylov space of the current
+vector w and the tridiagonal T = V^dag H V, and takes
 exp(-i H tau) w = |w| V exp(-i T tau) e_1.  A basis that spans an invariant
 subspace (a lucky breakdown: the next Lanczos coefficient is zero) makes
 that exact; otherwise the substep is shortened until the a-posteriori
@@ -37,6 +19,15 @@ correction V c and the recombination V y) run in numpy's ``vecdot`` and
 ``vecmat`` loops, one dot product per row on one core: as BLAS
 matrix-vector products on a basis of at most 30 x d they were split across
 threads that only waited on each other at these sizes.
+
+One two-level target on one mode, the coherent field and the
+target-ancilla collision, has its spectrum in closed form instead
+(``_ladder_spectrum``, applied by ``_propagate``): the coupling is
+i sqrt(n) times a real ladder between |g, n> and |e, n - 1>, so with
+D = diag(i^q), q the target's level, D^dag H D is real symmetric and splits
+into the Jaynes-Cummings doublets {|g, n>, |e, n - 1>} (Jaynes & Cummings,
+Proc. IEEE 51, 89 (1963)).  The gauge is exact: each amplitude is turned by
+a power of i, which only swaps and negates its real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -104,15 +95,9 @@ def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     return LinearOp(layout, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
 
 
-# i^k, and the sign of the real part of i^k (a + ib) taken from a or b, for k = 0 .. 3
-_POWERS_OF_I = np.array([1, 1j, -1, -1j])
-_REAL_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
-# eigenvectors of [[0, b], [b, 0]] as LAPACK returns them, indexed by the
-# sign of b: b = 0, b > 0, b < 0
+# eigenvectors of [[0, b], [b, 0]] for b > 0, as LAPACK returns them
 _HALF_ROOT = 1 / math.sqrt(2)
-_PAIR_VECTORS = np.array([[[1.0, 0.0], [0.0, 1.0]],
-                          [[-_HALF_ROOT, _HALF_ROOT], [_HALF_ROOT, _HALF_ROOT]],
-                          [[-_HALF_ROOT, -_HALF_ROOT], [-_HALF_ROOT, _HALF_ROOT]]])
+_PAIR_VECTORS = np.array([[-_HALF_ROOT, _HALF_ROOT], [_HALF_ROOT, _HALF_ROOT]])
 
 # Largest Krylov basis per substep, and the bound on a substep's estimated
 # error relative to the norm of the state.
@@ -120,54 +105,25 @@ _KRYLOV_DIM = 30
 _KRYLOV_TOL = 1e-14
 
 
-def _doublets(hamiltonian: LinearOp):
-    """The closed-form spectrum of H over its two-state excitation sectors, or None.
+def _ladder_spectrum(b):
+    """The closed-form spectrum of ``jc_hamiltonian`` for a TwoLevel target,
+    listed first, on one mode whose L levels above the ground have the
+    couplings ``b`` (L,), all > 0: b_n = sqrt(n) for a BosonicMode(L), b = [1.0]
+    for a FermionicMode.
 
-    Returns None unless H conserves the excitation number, has the real
-    gauge, has no diagonal entry and has no sector of more than two states;
-    ``evolve`` then takes the Krylov step.  Otherwise returns ``(phase,
-    pairs, w, v)``: ``phase`` (d,) is the diagonal of the gauge D, i^q with q
-    the sum of a basis state's two-level indices; ``pairs`` (k, 2) holds the
-    basis indices of the k two-state sectors, by excitation number and each
-    in increasing order; ``w`` (k, 2) and ``v`` (k, 2, 2) are ``_pair_eigh``
-    of b, the lower-triangle entry of each pair's real block [[0, b], [b, 0]]
-    of D^dag H D, scattered from the triplets (repeated entries add up in
-    triplet order, from +0.0).  A one-state sector has no diagonal entry, so
-    its row of H is zero and it has no place here.  The gauge is exact: a
-    power of i only swaps and negates the real and imaginary parts of an
-    entry.  Hermiticity is checked on the pairs: every entry outside them is
-    zero, and the gauge turns H[r, c] - conj(H[c, r]) by a power of i, which
-    keeps its modulus, so the pairs pass the same tolerance iff H does.
+    Returns ``(phase, pairs, w, v)`` for ``_propagate``: ``phase`` (2 (L + 1),)
+    is the diagonal of the gauge D, 1 on |g, n> and i on |e, n>; ``pairs``
+    (L, 2) holds the basis indices (n, L + n) of the doublet {|g, n>, |e, n - 1>}
+    for n = 1 .. L, whose real block of D^dag H D is [[0, b_n], [b_n, 0]];
+    ``w`` (L, 2) is (-b_n, b_n) and ``v`` (L, 2, 2) the block's eigenvectors
+    (e_1 -+ e_0)/sqrt(2), the columns and signs LAPACK returns, so both match
+    ``np.linalg.eigh`` of the blocks bit for bit.  |g, 0> and |e, L> are alone
+    in their sectors, where H has no entry, and are kept as they are.
     """
-    layout = hamiltonian.layout
-    rows, cols, values = hamiltonian.rows, hamiltonian.cols, hamiltonian.values
-    levels = layout.levels
-    # excitation number of each basis state: the sum of its level indices
-    sector = levels.sum(axis=0)
-    sizes = np.bincount(sector)
-    if sizes.max() > 2 or np.any(rows == cols) or np.any(sector[rows] != sector[cols]):
-        return None
-    q = levels[[i for i, (_, kind) in enumerate(layout.subsystems)
-                if isinstance(kind, TwoLevel)]].sum(axis=0)
-    # entry (r, c) of D^dag H D is i^k H[r, c] with k = q[c] - q[r] (mod 4):
-    # an odd k swaps re and im, and k = 1, 2 flip the sign of the real part.
-    # Both are exact, even for a non-finite entry.
-    turn = (q[cols] - q[rows]) % 4
-    odd = turn % 2 == 1
-    if np.any(np.where(odd, values.real, values.imag)):
-        return None
-    values = np.where(odd, values.imag, values.real) * _REAL_SIGN[turn]
-    order = np.argsort(sector, kind="stable")
-    pairs = order[sizes[sector[order]] == 2].reshape(-1, 2)
-    # every triplet lies in a pair, off its diagonal: slot 2 j + 1 adds up the
-    # lower entry of pair j (the row its second state), slot 2 j the upper one
-    slot = np.empty_like(sector)
-    slot[pairs] = np.arange(pairs.size).reshape(pairs.shape)
-    # astype: bincount gives integer zeros when there is nothing to add
-    entries = np.bincount(slot[rows], values, pairs.size).astype(float, copy=False)
-    lower, upper = entries[1::2], entries[::2]
-    _check_hermitian(lower - upper)
-    return (_POWERS_OF_I[q % 4], pairs, *_pair_eigh(lower))
+    levels = len(b)
+    n = np.arange(1, levels + 1)
+    return (np.repeat([1, 1j], levels + 1), np.stack([n, levels + n], axis=1),
+            np.stack([-b, b], axis=1), np.broadcast_to(_PAIR_VECTORS, (levels, 2, 2)))
 
 
 def _check_hermitian(asym):
@@ -180,25 +136,6 @@ def _check_hermitian(asym):
         raise ValueError("evolve requires a Hermitian Hamiltonian")
 
 
-def _pair_eigh(b):
-    """``np.linalg.eigh`` of the blocks [[0, b], [b, 0]] for a (k,) array b, in
-    closed form.
-
-    w = (-|b|, |b|) and the eigenvectors are (e_1 -+ e_0)/sqrt(2) for b > 0,
-    -(e_0 +- e_1)/sqrt(2) for b < 0, and the unit vectors for b = 0: the
-    columns and signs LAPACK returns.  For |b| from 1e-120 to 1e145 that is
-    ``eigh``'s output bit for bit (OpenBLAS); beyond that range LAPACK scales
-    the block and its w is off |b| by up to an ulp, where the closed form
-    stays exact.  b is finite: the Hermiticity check has refused a NaN or an
-    infinity, whose asymmetry is NaN.
-    """
-    magnitude = np.abs(b)
-    # 0.0 - |b|, not -|b|: LAPACK gives +0.0 twice for a zero block
-    w = np.stack([0.0 - magnitude, magnitude], axis=1)
-    # the sign of b indexes _PAIR_VECTORS: 0 (also -0.0), 1 or -1
-    return w, _PAIR_VECTORS[np.sign(b).astype(np.intp)]
-
-
 def _finite_time(t) -> float:
     t = float(t)
     if not math.isfinite(t):
@@ -207,7 +144,7 @@ def _finite_time(t) -> float:
 
 
 def _propagate(spectrum, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) amplitudes from H's ``_doublets`` spectrum: D v e^{-iwt} v^T D^dag
+    """exp(-i H t) amplitudes from H's ``_ladder_spectrum``: D v e^{-iwt} v^T D^dag
     on each pair, and the identity on every other state, whose row of H is zero.
 
     ``amplitudes`` is one state (d,) or a stack of m states, the columns of a
@@ -320,17 +257,10 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
 
 
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:
-    """exp(-i H t) |state>, never forming exp(-i H t); norm is preserved to
-    rounding.  An H that conserves the excitation number, has the real gauge,
-    has no diagonal entry and has no sector of more than two states has its
-    spectrum in closed form, one doublet per two-state sector (``_doublets``),
-    and that spectrum is applied pair by pair, every state alone in its sector
-    kept as it is; every other H is propagated by Lanczos substeps on its
-    triplets."""
+    """exp(-i H t) |state> by Lanczos substeps on the triplets of H
+    (``_krylov_propagate``), for any Hermitian H, never forming exp(-i H t);
+    norm is preserved to rounding."""
     t = _finite_time(t)
     if state.layout.dims != hamiltonian.layout.dims:
         raise ValueError("state and Hamiltonian dimensions do not match")
-    spectrum = _doublets(hamiltonian)
-    amplitudes = (_krylov_propagate(hamiltonian, state.amplitudes, t) if spectrum is None
-                  else _propagate(spectrum, state.amplitudes, t))
-    return PureState(state.layout, amplitudes)
+    return PureState(state.layout, _krylov_propagate(hamiltonian, state.amplitudes, t))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .dynamics import _doublets, _finite_time, _propagate, evolve, jc_hamiltonian
+from .dynamics import _finite_time, _ladder_spectrum, _propagate, evolve, jc_hamiltonian
 from .entanglement import (
     TWO_TARGETS,
     concurrence,
@@ -136,9 +136,8 @@ _ANCILLA_PLUS_RHO = 0.5 * np.ones((2, 2), dtype=complex)
 # the amplitude of each level of (|0>+|1>)/sqrt(2), as a complex scalar
 _PLUS_AMPLITUDE = (np.ones(1, dtype=complex) / math.sqrt(2))[0]
 
-# the fixed target-ancilla collision Hamiltonian, diagonalized once
-_COLLISION_SPECTRUM = _doublets(jc_hamiltonian(compose_layout(
-    [("target", TwoLevel), ("ancilla", FermionicMode)]), "target", ("ancilla",)))
+# the spectrum of the fixed target-ancilla collision: one doublet of coupling 1
+_COLLISION_SPECTRUM = _ladder_spectrum(np.ones(1))
 
 
 def _collision_unitary(duration: float) -> np.ndarray:
@@ -442,29 +441,39 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
 # classical-field limit: rotation driven by a coherent mode
 # ---------------------------------------------------------------------------
 
-def coherent_field_rotation(alpha: complex, beta: complex, eta: complex,
+def coherent_field_rotation(alpha: complex, beta: complex, eta: float,
                             cutoff: int | None = None) -> dict:
-    """Rotate the target with a truncated coherent mode for Jt = pi/(4 |eta|).
+    """Rotate the target with a truncated coherent mode for Jt = pi/(4 eta).
 
-    At eta = 0 the coupling time is zero (vacuum ancilla, no rotation); as
-    |eta| grows the mode approaches a classical drive and the fidelity against
-    the ideal rotated target improves.  Returns the scalars ``fidelity``,
+    eta is a real number >= 0.  At eta = 0 the coupling time is zero (vacuum
+    ancilla, no rotation); as eta grows the mode approaches a classical drive
+    and the fidelity against the ideal rotated target improves.  The target
+    and the field evolve under their closed-form doublets
+    (``dynamics._ladder_spectrum``).  Returns the scalars ``fidelity``,
     ``infidelity`` and the mode's ``truncation_weight``.
     """
     _check_normalized(alpha, beta)
     if cutoff is None:
         cutoff = default_coherent_cutoff(eta)
+    # the ideal is the half-turn of a real positive field: a negative or
+    # complex eta turns the target another way
+    z = complex(eta)
+    if z.imag != 0 or not z.real >= 0:
+        raise ValueError(f"eta must be a real number >= 0, got {eta!r}")
+    eta = z.real
     mode, weight = coherent_mode_state(cutoff, eta, label="field")
     if weight > 1e-8:
         raise ValueError(
-            f"cutoff {cutoff} too small for |eta| = {abs(eta)}: truncation weight {weight:.3e}")
-    duration = 0.0 if abs(eta) == 0 else math.pi / (4.0 * abs(eta))
+            f"cutoff {cutoff} too small for |eta| = {eta}: truncation weight {weight:.3e}")
+    duration = _finite_time(0.0 if eta == 0 else math.pi / (4.0 * eta))
     target_layout = compose_layout([("target", TwoLevel)])
     target = superpose([(alpha, basis_state(target_layout, ["g"])),
                         (beta, basis_state(target_layout, ["e"]))])
     psi0 = tensor(target, mode)
-    h = jc_hamiltonian(psi0.layout, "target", mode.layout.labels)
-    reduced = reduced_density(evolve(psi0, h, duration), ["target"])
+    # the field's doublets have the couplings sqrt(n), n = 1 .. cutoff
+    spectrum = _ladder_spectrum(np.sqrt(np.arange(1.0, mode.layout.dim)))
+    final = PureState(psi0.layout, _propagate(spectrum, psi0.amplitudes, duration))
+    reduced = reduced_density(final, ["target"])
     fid = fidelity(reduced, rotated_target_state(alpha, beta))
     return _finite({"fidelity": fid, "infidelity": 1.0 - fid, "truncation_weight": weight})
 

@@ -20,9 +20,11 @@ from modent import (
     PureState,
     TwoLevel,
     coherent_field_rotation,
+    coherent_mode_state,
     compose_layout,
     evolve,
     default_coherent_cutoff,
+    jc_hamiltonian,
     massive_fermion_protocol,
     massless_absorption,
     optimize_angles,
@@ -32,6 +34,7 @@ from modent import (
     simultaneous_coupling_check,
     single_ancilla_rotation,
     table1_summary,
+    tensor,
 )
 from modent import protocols
 from modent.protocols import (
@@ -446,6 +449,36 @@ def test_coherent_rotation_improves_with_amplitude():
 def test_coherent_rotation_rejects_small_cutoff():
     with pytest.raises(ValueError, match="truncation weight"):
         coherent_field_rotation(1.0, 0.0, 4.0, cutoff=3)
+    # the ideal is the half-turn of a real positive field; a negative or
+    # complex eta turns the target elsewhere (fidelity 0.00085 at -3, 0.613
+    # at 3j), so it is refused by name, with or without a cutoff
+    for eta in (-3, 3j, -1e-300, complex(8, 1e-300)):
+        for cutoff in (None, 200):
+            with pytest.raises(ValueError, match=r"eta must be a real number >= 0, got "):
+                coherent_field_rotation(0.8, 0.6, eta, cutoff)
+    assert (coherent_field_rotation(0.8, 0.6, complex(2.0))
+            == coherent_field_rotation(0.8, 0.6, 2.0))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5, 2.0, 8.0, 20.0])
+def test_coherent_rotation_matches_evolve(eta, monkeypatch):
+    # the field's closed-form doublets against the Lanczos step on the
+    # triplets of jc_hamiltonian, reduced to the target alike
+    rng = np.random.default_rng(int(eta * 10))
+    reduced = []
+    monkeypatch.setattr(protocols, "fidelity",
+                        lambda rho, ideal: reduced.append(rho.matrix) or 1.0)
+    for _ in range(3):
+        alpha, beta = rand_amplitude_pair(rng)
+        coherent_field_rotation(alpha, beta, eta)
+        mode, _ = coherent_mode_state(default_coherent_cutoff(eta), eta, label="field")
+        target = PureState(compose_layout([("target", TwoLevel)]),
+                           np.array([alpha, beta]) / np.linalg.norm([alpha, beta]))
+        psi = tensor(target, mode)
+        h = jc_hamiltonian(psi.layout, "target", ("field",))
+        duration = 0.0 if eta == 0 else math.pi / (4.0 * eta)
+        oracle = reduced_density(evolve(psi, h, duration), ["target"]).matrix
+        assert np.max(np.abs(reduced.pop() - oracle)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
