@@ -339,20 +339,20 @@ def default_coherent_cutoff(eta: complex) -> int:
     return int(math.ceil(cutoff))
 
 
-_LOG_FACTORIAL_TABLE = np.array([math.lgamma(k + 1) for k in range(32)])
+def _amplitudes_from_log_ratios(steps) -> np.ndarray:
+    """Normalized amplitudes c_0 .. c_L from ``steps`` (L,), the logs of the
+    ratios c_n / c_{n-1} for n = 1 .. L, which must decrease in n.
 
-
-def _log_factorials(stop: int) -> np.ndarray:
-    """log k! for k = 0..stop-1: the ``math.lgamma`` table below 32, Stirling's
-    series through x^-7 above it (truncation error below 3e-17 there)."""
-    out = np.empty(stop)
-    out[:32] = _LOG_FACTORIAL_TABLE[:stop]
-    x = np.arange(32, stop, dtype=float)
-    r = 1.0 / x
-    r2 = r * r
-    out[32:] = (x * (np.log(x) - 1.0) + 0.5 * np.log(2.0 * math.pi * x)
-                + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
-    return out
+    The largest amplitude is c_k, k the number of positive steps; the steps
+    are summed outward from it, so each sum is small where the weight lies
+    and each amplitude there keeps its relative accuracy, and no factorial
+    or power is formed that could overflow a float."""
+    k = np.count_nonzero(steps > 0)
+    log_c = np.zeros(steps.size + 1)
+    log_c[k + 1:] = np.cumsum(steps[k:])
+    log_c[:k] = -np.cumsum(steps[:k][::-1])[::-1]
+    c = np.exp(log_c)
+    return c / np.linalg.norm(c)
 
 
 def _poisson_tail(lam: float, cutoff: int) -> float:
@@ -388,11 +388,13 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
     """Truncated coherent state of one bosonic mode.
 
     Amplitudes are proportional to eta^n / sqrt(n!) for n = 0..cutoff and
-    renormalized after truncation.  Magnitudes are formed in log space,
-    n log|eta| - log(n!) / 2 shifted by its maximum, so large |eta| neither
-    overflows nor underflows.  The weight beyond the cutoff is the tail of
-    Poisson(|eta|^2), also summed in log space; it is exactly 0.0 when
-    |eta|^2 is 0.0 and exactly 1.0 when |eta|^2 overflows.
+    renormalized after truncation.  Magnitudes come from the ratio
+    recurrence log(c_n / c_{n-1}) = log1p((|eta|^2 - n) / n) / 2, summed
+    outward from the largest amplitude (``_amplitudes_from_log_ratios``), so
+    large |eta| neither overflows nor underflows and the amplitudes near
+    n = |eta|^2 keep their relative accuracy.  The weight beyond the cutoff
+    is the tail of Poisson(|eta|^2), also summed in log space; it is exactly
+    0.0 when |eta|^2 is 0.0 and exactly 1.0 when |eta|^2 overflows.
 
     Returns
     -------
@@ -405,18 +407,24 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
     eta = complex(eta)
     if not cmath.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
+    try:
+        lam = abs(eta) ** 2
+    except OverflowError:  # |eta|^2 beyond the float range: all weight lies past any cutoff
+        lam = math.inf
     if eta == 0:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
     else:
-        n = np.arange(cutoff + 1)
-        log_mag = n * math.log(abs(eta)) - 0.5 * _log_factorials(cutoff + 1)
-        amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * n * math.atan2(eta.imag, eta.real))
-        amps /= np.linalg.norm(amps)
+        n = np.arange(1, cutoff + 1)
+        # |eta|^2 - n keeps the digits of |eta|^2 while n <= 2 |eta|^2; above,
+        # and where |eta|^2 underflows, the ratio is taken as |eta| / sqrt(n)
+        near = np.count_nonzero(n <= 2 * lam)
+        steps = np.concatenate([0.5 * np.log1p((lam - n[:near]) / n[:near]),
+                                np.log(abs(eta) / np.sqrt(n[near:]))])
+        amps = (_amplitudes_from_log_ratios(steps)
+                * np.exp(1j * np.arange(cutoff + 1) * math.atan2(eta.imag, eta.real)))
     state = PureState(compose_layout([(label, kind)]), amps)
-    try:
-        lam = abs(eta) ** 2
-    except OverflowError:  # |eta|^2 beyond the float range: all weight lies past any cutoff
+    if lam == math.inf:
         return state, 1.0
     return state, _poisson_tail(lam, cutoff)
 

@@ -30,6 +30,7 @@ from .hilbert import (
     NORM_TOL,
     PureState,
     TwoLevel,
+    _amplitudes_from_log_ratios,
     _is_count,
     basis_state,
     coherent_mode_state,
@@ -245,18 +246,11 @@ _TARGET = compose_layout([("target", TwoLevel)])
 
 def _binomial_amplitudes(n: int) -> np.ndarray:
     """sqrt(C(n, m)) 2^(-n/2) for m = 0 .. n, from the ratios of successive
-    amplitudes: log(c_m / c_{m-1}) = log1p((n + 1 - 2m)/m) / 2, summed outward
-    from the middle level k = n // 2 and normalized.  The sums are small
-    where the weight lies, so each amplitude keeps its relative accuracy at
-    large n, and no C(n, m) overflows a float."""
+    amplitudes, log(c_m / c_{m-1}) = log1p((n + 1 - 2m)/m) / 2
+    (``_amplitudes_from_log_ratios``): each amplitude keeps its relative
+    accuracy at large n, and no C(n, m) overflows a float."""
     m = np.arange(1, n + 1)
-    steps = 0.5 * np.log1p((n + 1 - 2 * m) / m)
-    k = n // 2
-    log_c = np.zeros(n + 1)
-    log_c[k + 1:] = np.cumsum(steps[k:])
-    log_c[:k] = -np.cumsum(steps[:k][::-1])[::-1]
-    c = np.exp(log_c)
-    return c / np.linalg.norm(c)
+    return _amplitudes_from_log_ratios(0.5 * np.log1p((n + 1 - 2 * m) / m))
 
 
 def collective_mode_reference(n_modes: int, alpha: complex, beta: complex,

@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from modent import (
     superpose,
     tensor,
 )
-from modent.hilbert import _log_factorials
 from modent.protocols import coherent_field_rotation
 
 
@@ -206,11 +206,6 @@ def test_coherent_truncation_weight_matches_poisson_tail():
     assert abs(weight - tail) < 1e-12
 
 
-def test_log_factorials_within_4_ulp_of_gammaln():
-    want = special.gammaln(np.arange(1_100_001) + 1.0)
-    assert np.all(np.abs(_log_factorials(want.size) - want) <= 4 * np.spacing(want))
-
-
 def _oracle_amplitudes(cutoff, eta):
     """The amplitude formula on scipy's log-gamma."""
     n = np.arange(cutoff + 1)
@@ -240,6 +235,28 @@ def test_coherent_state_matches_scipy_oracle(eta):
             assert (weight > 1e-8) == (want > 1e-8), (cutoff, weight, want)
         if abs(eta) <= 20:
             assert np.max(np.abs(state.amplitudes - _oracle_amplitudes(cutoff, eta))) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [100.0, 358.0])
+def test_coherent_amplitudes_keep_relative_accuracy_near_the_peak(eta):
+    # c_n / c_k for n within 6 eta of the largest amplitude c_k, against a
+    # 40-digit evaluation of c_n / c_{n-1} = eta / sqrt(n); amplitudes formed
+    # from n log(eta) - log(n!) / 2, two terms of order 1e6, missed it by
+    # 1.9e-11 at eta 100 and 3.0e-10 at eta 358
+    amps = np.abs(coherent_mode_state(default_coherent_cutoff(eta), eta)[0].amplitudes)
+    k = int(np.argmax(amps))
+    reach = int(6 * eta)
+    ctx = decimal.Context(prec=40)
+    e = decimal.Decimal(eta)
+    want = {k: decimal.Decimal(1)}
+    for n in range(k + 1, k + reach + 1):
+        want[n] = ctx.divide(ctx.multiply(want[n - 1], e), ctx.sqrt(n))
+    for n in range(k - 1, k - reach - 1, -1):
+        want[n] = ctx.divide(ctx.multiply(want[n + 1], ctx.sqrt(n + 1)), e)
+    peak = decimal.Decimal(amps[k])
+    worst = max(abs(ctx.divide(ctx.divide(decimal.Decimal(amps[n]), peak), ratio) - 1)
+                for n, ratio in want.items())
+    assert worst < 1e-12
 
 
 @pytest.mark.parametrize("eta", [0.0, 1e-200, 1e-310])
