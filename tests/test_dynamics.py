@@ -736,10 +736,10 @@ def test_krylov_step_on_an_empty_hamiltonian(solver_calls):
 @pytest.mark.parametrize("kind", ["diagonal", "complex gauge", "cross-sector pair",
                                   "real entry at odd q-difference", "diagonal in a doublet"])
 def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_calls):
-    # the closed form needs an H that conserves the excitation number, has
-    # the real gauge, has no diagonal entry and has no sector above two
-    # states; the Krylov step needs none of that and works on the complex
-    # triplets as given.  In the 35-state sector, a diagonal entry joins a
+    # the closed-form doublets would need an H that conserves the excitation
+    # number, has the real gauge, has no diagonal entry and has no sector
+    # above two states; the Krylov step needs none of that and works on the
+    # complex triplets as given.  In the 35-state sector, a diagonal entry joins a
     # state to its own parity and a real entry between states whose q
     # differs by one leaves no real gauge.  In the d = 6 JC, |g,0> <-> |e,2>
     # joins sectors 0 and 3 (in the real gauge: the entries are imaginary), a
