@@ -466,8 +466,13 @@ def test_coherent_rotation_matches_evolve(eta, monkeypatch):
     # triplets of jc_hamiltonian, reduced to the target alike
     rng = np.random.default_rng(int(eta * 10))
     reduced = []
-    monkeypatch.setattr(protocols, "fidelity",
-                        lambda rho, ideal: reduced.append(rho.matrix) or 1.0)
+
+    def recording(state, keep):
+        rho = reduced_density(state, keep)
+        reduced.append(rho.matrix)
+        return rho
+
+    monkeypatch.setattr(protocols, "reduced_density", recording)
     for _ in range(3):
         alpha, beta = rand_amplitude_pair(rng)
         coherent_field_rotation(alpha, beta, eta)
