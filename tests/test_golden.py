@@ -34,6 +34,9 @@ COMMANDS = {
     "fermion-sweep": ["fermion-sweep", "--pairs", "2", "--grid", "16", "--refine", "2"],
     "fermion-sweep-3pair": ["fermion-sweep", "--pairs", "3", "--grid", "8", "--refine", "1"],
     "coherent-rotation": ["coherent-rotation", "--eta", "8"],
+    # a general input, (alpha, beta) = (0.6, -0.8), off the golden eta
+    "coherent-rotation-amplitudes": ["coherent-rotation", "--eta", "19.8", "--alpha", "0.6",
+                                     "--beta", "-0.8"],
 }
 PLOTS = {
     "rotate-sweep": COMMANDS["rotate-sweep"],
