@@ -20,14 +20,15 @@ correction V c and the recombination V y) run in numpy's ``vecdot`` and
 matrix-vector products on a basis of at most 30 x d they were split across
 threads that only waited on each other at these sizes.
 
-One two-level target on one mode, the coherent field and the
-target-ancilla collision, has its spectrum in closed form instead
-(``_ladder_spectrum``, applied by ``_propagate``): the coupling is
-i sqrt(n) times a real ladder between |g, n> and |e, n - 1>, so with
-D = diag(i^q), q the target's level, D^dag H D is real symmetric and splits
-into the Jaynes-Cummings doublets {|g, n>, |e, n - 1>} (Jaynes & Cummings,
-Proc. IEEE 51, 89 (1963)).  The gauge is exact: each amplitude is turned by
-a power of i, which only swaps and negates its real and imaginary parts.
+One two-level target on one ladder, the coherent field, the
+target-ancilla collision and the collective mode of N ancillas, is
+propagated in closed form instead (``_propagate``, from the ladder's
+couplings b): the coupling is i b_n times a real ladder between |g, n> and
+|e, n - 1>, so with D = diag(i^q), q the target's level, D^dag H D is real
+symmetric and splits into the Jaynes-Cummings doublets {|g, n>, |e, n - 1>}
+(Jaynes & Cummings, Proc. IEEE 51, 89 (1963)).  The gauge is exact: each
+amplitude is turned by a power of i, which only swaps and negates its real
+and imaginary parts.
 """
 
 from __future__ import annotations
@@ -95,35 +96,13 @@ def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     return LinearOp(layout, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
 
 
-# eigenvectors of [[0, b], [b, 0]] for b > 0, as LAPACK returns them
+# the entries of the eigenvectors (e_1 -+ e_0)/sqrt(2) of [[0, b], [b, 0]]
 _HALF_ROOT = 1 / math.sqrt(2)
-_PAIR_VECTORS = np.array([[-_HALF_ROOT, _HALF_ROOT], [_HALF_ROOT, _HALF_ROOT]])
 
 # Largest Krylov basis per substep, and the bound on a substep's estimated
 # error relative to the norm of the state.
 _KRYLOV_DIM = 30
 _KRYLOV_TOL = 1e-14
-
-
-def _ladder_spectrum(b):
-    """The closed-form spectrum of ``jc_hamiltonian`` for a TwoLevel target,
-    listed first, on one mode whose L levels above the ground have the
-    couplings ``b`` (L,), all > 0: b_n = sqrt(n) for a BosonicMode(L), b = [1.0]
-    for a FermionicMode.
-
-    Returns ``(phase, pairs, w, v)`` for ``_propagate``: ``phase`` (2 (L + 1),)
-    is the diagonal of the gauge D, 1 on |g, n> and i on |e, n>; ``pairs``
-    (L, 2) holds the basis indices (n, L + n) of the doublet {|g, n>, |e, n - 1>}
-    for n = 1 .. L, whose real block of D^dag H D is [[0, b_n], [b_n, 0]];
-    ``w`` (L, 2) is (-b_n, b_n) and ``v`` (L, 2, 2) the block's eigenvectors
-    (e_1 -+ e_0)/sqrt(2), the columns and signs LAPACK returns, so both match
-    ``np.linalg.eigh`` of the blocks bit for bit.  |g, 0> and |e, L> are alone
-    in their sectors, where H has no entry, and are kept as they are.
-    """
-    levels = len(b)
-    n = np.arange(1, levels + 1)
-    return (np.repeat([1, 1j], levels + 1), np.stack([n, levels + n], axis=1),
-            np.stack([-b, b], axis=1), np.broadcast_to(_PAIR_VECTORS, (levels, 2, 2)))
 
 
 def _check_hermitian(asym):
@@ -143,20 +122,38 @@ def _finite_time(t) -> float:
     return t
 
 
-def _propagate(spectrum, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) amplitudes from H's ``_ladder_spectrum``: D v e^{-iwt} v^T D^dag
-    on each pair, and the identity on every other state, whose row of H is zero.
+def _propagate(b, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) amplitudes for ``jc_hamiltonian`` of a TwoLevel target,
+    listed first, on one (L + 1)-level ladder whose levels n = 1 .. L have
+    the real couplings ``b`` (L,): b_n = sqrt(n) for a BosonicMode(L), [1.0]
+    for a FermionicMode.
+
+    The doublet {|g, n>, |e, n - 1>} sits at the basis indices (n, L + n),
+    the slices [1:L + 1] and [L + 1:2L + 1]; there D^dag H D is
+    [[0, b_n], [b_n, 0]], with eigenvalues (-b_n, b_n) and eigenvectors
+    (e_1 -+ e_0)/sqrt(2), so each pair is gauged by -i on |e>, turned into
+    the eigenbasis, advanced by exp(+-i b_n t), turned back and gauged by i.
+    The products are the ones a 2 x 2 matrix product per pair takes, and
+    for b_n > 0 the spectrum is ``np.linalg.eigh``'s of the block bit for
+    bit; the exponential holds for any real b_n, zero included.  |g, 0> and
+    |e, L> are alone in their sectors, where H has no entry, and are kept.
 
     ``amplitudes`` is one state (d,) or a stack of m states, the columns of a
-    (d, m) array.  Each state takes its own matrix-vector products, batched
-    over (state, pair), so a column of a stack comes out bit for bit as that
-    state alone; a (2, m) matrix product per pair would round differently.
+    (d, m) array.  The products are elementwise and every operand is two-
+    dimensional, one row per state, so a column of a stack comes out bit for
+    bit as that state alone: numpy multiplies a (1,) by a (1, 1) complex
+    array on another loop, which rounds differently.
     """
-    phase, pairs, w, v = spectrum
-    amps = phase.conj() * amplitudes.T
-    coeffs = (v.transpose(0, 2, 1) @ amps[..., pairs, None])[..., 0]
-    amps[..., pairs] = (v @ (np.exp(-1j * w * t) * coeffs)[..., None])[..., 0]
-    return (phase * amps).T
+    levels = len(b)
+    amps = np.array(amplitudes.T, dtype=complex, ndmin=2)
+    g, e = amps[:, 1:levels + 1], amps[:, levels + 1:2 * levels + 1] * -1j
+    h = _HALF_ROOT
+    down = np.exp(-1j * np.array(b, ndmin=2) * t)
+    y0 = down.conj() * (-h * g + h * e)
+    y1 = down * (h * g + h * e)
+    amps[:, 1:levels + 1] = -h * y0 + h * y1
+    amps[:, levels + 1:2 * levels + 1] = (h * y0 + h * y1) * 1j
+    return amps.T.reshape(amplitudes.shape)
 
 
 def _coalesce(key, values):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .dynamics import _finite_time, _ladder_spectrum, _propagate, evolve, jc_hamiltonian
+from .dynamics import _finite_time, _propagate, evolve, jc_hamiltonian
 from .entanglement import (
     TWO_TARGETS,
     concurrence,
@@ -38,8 +38,10 @@ from .hilbert import (
     default_coherent_cutoff,
     reduced_density,
     superpose,
-    tensor,
 )
+
+
+_TARGET = compose_layout([("target", TwoLevel)])
 
 
 def _check_normalized(alpha: complex, beta: complex):
@@ -137,13 +139,11 @@ _ANCILLA_PLUS_RHO = 0.5 * np.ones((2, 2), dtype=complex)
 # the amplitude of each level of (|0>+|1>)/sqrt(2), as a complex scalar
 _PLUS_AMPLITUDE = (np.ones(1, dtype=complex) / math.sqrt(2))[0]
 
-# the spectrum of the fixed target-ancilla collision: one doublet of coupling 1
-_COLLISION_SPECTRUM = _ladder_spectrum(np.ones(1))
-
 
 def _collision_unitary(duration: float) -> np.ndarray:
-    """exp(-i H t) of one target-ancilla collision; column j is U|j>."""
-    return _propagate(_COLLISION_SPECTRUM, np.eye(4, dtype=complex), _finite_time(duration))
+    """exp(-i H t) of one target-ancilla collision, one doublet of coupling 1;
+    column j is U|j>."""
+    return _propagate(np.ones(1), np.eye(4, dtype=complex), _finite_time(duration))
 
 
 def _collision_channel(duration: float) -> np.ndarray:
@@ -179,7 +179,7 @@ def single_ancilla_rotation(alpha: complex, beta: complex):
     psi = np.array([alpha, beta], dtype=complex)
     psi = psi / np.linalg.norm(psi)
     rho = _collision_channel(math.pi / 4) @ np.outer(psi, psi.conj()).ravel()
-    simulated = DensityOp(compose_layout([("target", TwoLevel)]), rho.reshape(2, 2))
+    simulated = DensityOp(_TARGET, rho.reshape(2, 2))
     return simulated, fidelity(simulated, rotated_target_state(alpha, beta))
 
 
@@ -211,37 +211,19 @@ def sequential_rotation(alpha: complex, beta: complex, n_ancillas: int) -> dict:
 # simultaneous coupling and the collective-mode reduction
 # ---------------------------------------------------------------------------
 
-def _ladder_target(b, c, alpha: complex, beta: complex, t: float) -> np.ndarray:
-    """The reduced target state, a 2x2 density matrix, after a two-level
-    target has coupled to one ladder for time t.
-
-    The ladder has levels n = 0 .. L - 1 with amplitudes ``c`` (L,), and
-    ``b`` (L - 1,) holds the couplings b_n of levels n = 1 .. L - 1: H is
-    b_n (i |e, n - 1><g, n| - i |g, n><e, n - 1|) summed over n, whose
-    Jaynes-Cummings doublets turn |g, n> into cos(b_n t) |g, n> +
-    sin(b_n t) |e, n - 1> (Jaynes & Cummings, Proc. IEEE 51, 89 (1963)).
-    From (alpha |g> + beta |e>) (x) sum_n c_n |n>, the target rows are
-    A_n = alpha c_n cos(b_n t) - beta c_{n-1} sin(b_n t) and
-    B_m = beta c_m cos(b_{m+1} t) + alpha c_{m+1} sin(b_{m+1} t), with
-    A_0 = alpha c_0 and B_{L-1} = beta c_{L-1}; the state is their Gram
-    matrix.
-    """
-    angle = np.multiply(b, t)
-    cos, sin = np.cos(angle), np.sin(angle)
-    rows = np.multiply.outer(np.array([alpha, beta], dtype=complex), c)
-    g, e = rows.copy()
-    rows[0, 1:] = cos * g[1:] - sin * e[:-1]
-    rows[1, :-1] = cos * e[:-1] + sin * g[1:]
-    return rows @ rows.conj().T
+def _ladder_target(b, c, psi, t: float) -> DensityOp:
+    """The reduced target state after the target, in ``psi`` = (alpha, beta),
+    has coupled for time t to one ladder in the amplitudes ``c`` (L + 1,) of
+    its levels, with the couplings ``b`` (L,) of levels n = 1 .. L
+    (``dynamics._propagate``): the Gram matrix of the target's two rows."""
+    rows = _propagate(b, np.multiply.outer(psi, c).ravel(), t).reshape(2, -1)
+    return DensityOp(_TARGET, rows @ rows.conj().T)
 
 
 def _check_n_modes(n_modes):
     _check_count("n_modes", n_modes)
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-
-
-_TARGET = compose_layout([("target", TwoLevel)])
 
 
 def _binomial_amplitudes(n: int) -> np.ndarray:
@@ -266,8 +248,8 @@ def collective_mode_reference(n_modes: int, alpha: complex, beta: complex,
     duration = _finite_time(duration)
     m = np.arange(1, n_modes + 1)
     couplings = np.sqrt(m * (n_modes + 1 - m))
-    return DensityOp(_TARGET, _ladder_target(couplings, _binomial_amplitudes(n_modes),
-                                             alpha, beta, duration))
+    return _ladder_target(couplings, _binomial_amplitudes(n_modes),
+                          np.array([alpha, beta], dtype=complex), duration)
 
 
 def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
@@ -442,9 +424,10 @@ def coherent_field_rotation(alpha: complex, beta: complex, eta: float,
     eta is a real number >= 0.  At eta = 0 the coupling time is zero (vacuum
     ancilla, no rotation); as eta grows the mode approaches a classical drive
     and the fidelity against the ideal rotated target improves.  The target
-    and the field evolve under their closed-form doublets
-    (``dynamics._ladder_spectrum``).  Returns the scalars ``fidelity``,
-    ``infidelity`` and the mode's ``truncation_weight``.
+    and the field evolve in closed form on the field's ladder, couplings
+    sqrt(n) (``_ladder_target``), from the input renormalized to unit norm.
+    Returns the scalars ``fidelity``, ``infidelity`` and the mode's
+    ``truncation_weight``.
     """
     _check_normalized(alpha, beta)
     if cutoff is None:
@@ -455,19 +438,15 @@ def coherent_field_rotation(alpha: complex, beta: complex, eta: float,
     if z.imag != 0 or not z.real >= 0:
         raise ValueError(f"eta must be a real number >= 0, got {eta!r}")
     eta = z.real
-    mode, weight = coherent_mode_state(cutoff, eta, label="field")
+    mode, weight = coherent_mode_state(cutoff, eta)
     if weight > 1e-8:
         raise ValueError(
             f"cutoff {cutoff} too small for |eta| = {eta}: truncation weight {weight:.3e}")
     duration = _finite_time(0.0 if eta == 0 else math.pi / (4.0 * eta))
-    target_layout = compose_layout([("target", TwoLevel)])
-    target = superpose([(alpha, basis_state(target_layout, ["g"])),
-                        (beta, basis_state(target_layout, ["e"]))])
-    psi0 = tensor(target, mode)
-    # the field's doublets have the couplings sqrt(n), n = 1 .. cutoff
-    spectrum = _ladder_spectrum(np.sqrt(np.arange(1.0, mode.layout.dim)))
-    final = PureState(psi0.layout, _propagate(spectrum, psi0.amplitudes, duration))
-    reduced = reduced_density(final, ["target"])
+    psi = np.array([alpha, beta], dtype=complex)
+    # the field's ladder has the couplings sqrt(n), n = 1 .. cutoff
+    couplings = np.sqrt(np.arange(1.0, mode.amplitudes.size))
+    reduced = _ladder_target(couplings, mode.amplitudes, psi / np.linalg.norm(psi), duration)
     fid = fidelity(reduced, rotated_target_state(alpha, beta))
     return _finite({"fidelity": fid, "infidelity": 1.0 - fid, "truncation_weight": weight})
 

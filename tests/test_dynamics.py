@@ -165,14 +165,23 @@ def _ladder_layouts():
         yield _qubit_mode_layout(BosonicMode(cutoff)), np.sqrt(np.arange(1.0, cutoff + 1))
 
 
+def _doublets(b):
+    """The basis indices (n, L + n) of the doublets {|g, n>, |e, n - 1>},
+    n = 1 .. L, of a qubit listed first beside a ladder of L + 1 levels."""
+    n = np.arange(1, b.size + 1)
+    return np.stack([n, b.size + n], axis=1)
+
+
 def test_sector_blocks_match_dense_oracle_bit_for_bit():
-    # the closed-form doublets of one qubit on one mode are the eigh of the
-    # gauged dense jc_hamiltonian's two-state sector blocks, bit for bit
+    # the doublets that _propagate reads as two slices are the two-state
+    # sectors of the gauged dense jc_hamiltonian, which holds exactly b there;
+    # the eigh of those blocks is the closed form's constants bit for bit,
+    # and _propagate is the dense exponential of H
     for layout, b in _ladder_layouts():
-        gauged = _gauged(layout, dense(jc_hamiltonian(layout, "T", ("m",))))
+        h = dense(jc_hamiltonian(layout, "T", ("m",)))
+        gauged = _gauged(layout, h)
         assert np.all(gauged.imag == 0)
-        phase, pairs, w, v = dynamics._ladder_spectrum(b)
-        assert np.array_equal(phase, _gauge_phase(layout))
+        pairs = _doublets(b)
         # the pairs are the two-state sectors, by excitation number, each in
         # increasing order; the two other states are alone in their sectors
         sector = layout.levels.sum(axis=0)
@@ -188,13 +197,10 @@ def test_sector_blocks_match_dense_oracle_bit_for_bit():
         rebuilt[pairs[:, 1], pairs[:, 0]] = rebuilt[pairs[:, 0], pairs[:, 1]] = b
         assert np.array_equal(rebuilt, gauged.real)
         # the oracle's signed zeros are made +0.0, as a symmetric block holds them
-        expected_w, expected_v = np.linalg.eigh(
-            gauged.real[pairs[:, :, None], pairs[:, None, :]] + 0.0)
-        assert w.tobytes() == expected_w.tobytes() and v.tobytes() == expected_v.tobytes()
-    # the collision's spectrum is the fermionic case, the ladder of one level
-    collision = dynamics._ladder_spectrum(np.ones(1))
-    for got, want in zip(protocols._COLLISION_SPECTRUM, collision):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        _assert_eigh_bits(gauged.real[pairs[:, :, None], pairs[:, None, :]] + 0.0, b)
+        for t in (0.3, -2.7, math.pi / 4):
+            closed = dynamics._propagate(b, np.eye(layout.dim), t)
+            assert np.max(np.abs(closed - dense_propagator(h, t))) < 1e-14
 
 
 def test_sum_of_operators_densifies_to_dense_sum():
@@ -371,7 +377,7 @@ def test_propagation_diagonalizes_sectors_not_the_whole_space(solver_calls):
     assert max(size for size, _ in solver_calls) <= 2 * (9 + 1)
     solver_calls.clear()
     # dimension 1162: the field's doublets are written down in closed form
-    # (_ladder_spectrum), so no sector reaches eigh
+    # (_propagate), so no sector reaches eigh
     coherent_field_rotation(1.0, 0.0, 20.0)
     assert solver_calls == []
 
@@ -382,13 +388,15 @@ def _zero_diagonal_pairs(b):
     return blocks
 
 
-def _assert_eigh_bits(b):
-    _, _, w, v = dynamics._ladder_spectrum(b)
-    expected_w, expected_v = np.linalg.eigh(_zero_diagonal_pairs(b))
+def _assert_eigh_bits(blocks, b):
+    """LAPACK's eigh of the blocks [[0, b_n], [b_n, 0]] returns (-b_n, b_n) and
+    the eigenvectors (e_1 -+ e_0)/sqrt(2), entries +-_HALF_ROOT, bit for bit:
+    the constants that _propagate writes down."""
+    h = dynamics._HALF_ROOT
+    w, v = np.linalg.eigh(blocks)
     assert w.dtype == v.dtype == np.float64
-    assert (w.shape, v.shape) == (expected_w.shape, expected_v.shape)
-    assert w.tobytes() == expected_w.tobytes()
-    assert v.tobytes() == expected_v.tobytes()
+    assert w.tobytes() == np.stack([-b, b], axis=1).tobytes()
+    assert v.tobytes() == np.broadcast_to(np.array([[-h, h], [h, h]]), v.shape).tobytes()
 
 
 def test_closed_form_pairs_match_eigh_bit_for_bit():
@@ -397,24 +405,19 @@ def test_closed_form_pairs_match_eigh_bit_for_bit():
     root = np.sqrt(np.arange(1.0, 2.0 ** 17 + 1))
     scattered = 10.0 ** np.random.default_rng(25).uniform(-100, 100, 4096)
     for b in (root, scattered):
-        _assert_eigh_bits(b)
+        _assert_eigh_bits(_zero_diagonal_pairs(b), b)
 
 
 def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
     # fermionic jc_hamiltonian over several modes and the massless-absorption
     # sum over two targets are evolved by the Krylov step, whose tridiagonals
-    # are real; the coherent field's doublets are in closed form, and
-    # collective_mode_reference evolves nothing: its ladder's doublets are
-    # cosines and sines
+    # are real; the coherent field's and collective_mode_reference's ladders
+    # are propagated in closed form
     simultaneous_coupling_check(3)
     coherent_field_rotation(0.6, 0.8, 4.0)
     massless_absorption()
     assert solver_calls
     assert {dtype for _, dtype in solver_calls} == {np.dtype(np.float64)}
-    # the collision's doublet is written down at import, so its eigenvectors
-    # are checked instead
-    _, _, w, v = protocols._COLLISION_SPECTRUM
-    assert w.dtype == v.dtype == np.float64
 
 
 def test_rotation_protocols_diagonalize_nothing(solver_calls):
@@ -791,12 +794,11 @@ def test_propagate_on_a_stack_matches_each_state_bit_for_bit(m):
     # a qubit beside a FermionicMode or a BosonicMode(3): pairs, and states alone
     rng = np.random.default_rng(m)
     for b in (np.ones(1), np.sqrt(np.arange(1.0, 4.0))):
-        spectrum = dynamics._ladder_spectrum(b)
         layout = _qubit_mode_layout(BosonicMode(b.size))
         for t in (0.3, -2.7, math.pi / 4):
             stack = rng.normal(size=(layout.dim, m)) + 1j * rng.normal(size=(layout.dim, m))
-            columns = [dynamics._propagate(spectrum, stack[:, j], t) for j in range(m)]
-            out = dynamics._propagate(spectrum, stack, t)
+            columns = [dynamics._propagate(b, stack[:, j], t) for j in range(m)]
+            out = dynamics._propagate(b, stack, t)
             assert out.shape == (layout.dim, m)
             assert out.tobytes() == np.column_stack(columns).tobytes()
 
@@ -810,11 +812,11 @@ def test_states_alone_in_their_sector_are_kept_bit_for_bit(cutoff):
     h = jc_hamiltonian(layout, "T", ("m",))
     ends = [basis_state(layout, ["g", 0]), basis_state(layout, ["e", cutoff])]
     stack = np.column_stack([state.amplitudes for state in ends])
-    spectrum = dynamics._ladder_spectrum(np.sqrt(np.arange(1.0, cutoff + 1)))
+    b = np.sqrt(np.arange(1.0, cutoff + 1))
     for t in (0.3, -2.7, math.pi / 4):
         for state in ends:
             assert evolve(state, h, t).amplitudes.tobytes() == state.amplitudes.tobytes()
-        assert dynamics._propagate(spectrum, stack, t).tobytes() == stack.tobytes()
+        assert dynamics._propagate(b, stack, t).tobytes() == stack.tobytes()
 
 
 # ---------------------------------------------------------------------------
