@@ -64,9 +64,9 @@ def _fmt12(x) -> str:
 # layout's cached (n + 1) x d level grid (384 KiB).  The check peaks at
 # 4.75 MiB traced (tracemalloc) and a fresh run at 36 MiB RSS (30 MiB of it
 # the interpreter and numpy); each step of n doubles the arrays.
-# coherent-rotation builds no Hamiltonian triplets: it holds O(cutoff)
-# arrays, the 2 (cutoff + 1) amplitudes and the closed-form spectrum of the
-# field's cutoff doublets.
+# coherent-rotation builds no target-and-field layout and no Hamiltonian
+# triplets: it holds O(cutoff) arrays, the cutoff couplings and the
+# 2 (cutoff + 1) amplitudes that the closed-form ladder propagation turns.
 MAX_COLLECTIVE_N = 11
 MAX_COHERENT_CUTOFF = 2 ** 17 - 1
 MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory
