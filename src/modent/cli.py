@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .entanglement import chsh_violated, concurrence, horodecki_m, target_pair_density
-from .hilbert import default_coherent_cutoff
+from .hilbert import NORM_TOL, default_coherent_cutoff
 from .plotting import heatmap, line_chart
 from .protocols import (
     MAX_ANCILLAS,
@@ -91,12 +91,12 @@ def _int_range(lo, hi=None):
 
 
 def _number(key, val) -> float:
-    if not isinstance(val, bool):  # float() would read JSON true/false as 1.0/0.0
-        try:
-            return float(val)
-        except (TypeError, ValueError):
-            pass
-    raise UsageError(f"{key} must be a number, got {val!r}")
+    # a JSON number only: not a string, and not true/false, which are Python ints
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise UsageError(f"{key} must be a number, got {val!r}")
+    if isinstance(val, int) and abs(val) > sys.float_info.max:
+        return math.inf if val > 0 else -math.inf   # float() overflows; callers refuse inf
+    return float(val)
 
 
 def _float_range(lo, hi):
@@ -299,7 +299,7 @@ def _normalize_amplitudes(params: dict):
     n = math.hypot(sa, sb)
     if n == 0:
         raise UsageError("alpha and beta cannot both be zero")
-    if abs(a * a + b * b - 1.0) > 1e-12:
+    if abs(a * a + b * b - 1.0) > NORM_TOL:
         params["alpha"], params["beta"] = sa / n, sb / n
 
 
@@ -325,6 +325,8 @@ def _validate(config: dict) -> dict:
         fmt = "table"
     if fmt not in _FORMATS:
         raise UsageError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    if out == "":
+        raise UsageError("--out (output.path) must name a file, got ''")
     if plot is not None:
         if entry.plot is None:
             series = sorted(name for name, e in EXPERIMENTS.items() if e.plot)
@@ -403,7 +405,7 @@ def _check_optional_str(where: str, val):
 def _load_config_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer longer than int()'s digit limit
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError("config document must be a JSON object")
@@ -591,12 +593,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = parse_config(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
+        return run(parse_config(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

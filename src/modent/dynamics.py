@@ -16,9 +16,11 @@ estimate of its error is within ``_KRYLOV_TOL``.  V has orthonormal columns
 and exp(-i T tau) is unitary, so the norm is kept to rounding at any t.
 The products with the basis (the Gram-Schmidt coefficients V^dag p, the
 correction V c and the recombination V y) run in numpy's ``vecdot`` and
-``vecmat`` loops, one dot product per row on one core: as BLAS
-matrix-vector products on a basis of at most 30 x d they were split across
-threads that only waited on each other at these sizes.
+``vecmat`` loops, one dot product per row: as BLAS matrix-vector products
+on a basis of at most 30 x d they were split across threads that only
+waited on each other.  They stay on one core (CPU time = wall time) up to
+d = 4096, collective-check's n = 11; from d = 8192 numpy hands them to
+threaded BLAS, and a call takes twice its wall time in CPU on two threads.
 
 One two-level target on one ladder, the coherent field, the
 target-ancilla collision and the collective mode of N ancillas, is

@@ -156,6 +156,25 @@ def test_flags_override_config(tmp_path):
     pytest.param([], {"experiment": "bell", "output": {"file": "x"}},
                  "unknown output key(s): ['file']", id="unknown output key"),
     pytest.param([], {"parameters": {"gamma": 0.5}}, "no experiment given", id="no experiment"),
+    # an empty path names no file; it is refused, not read as stdout
+    pytest.param(["rotate", "--out", ""], None, "--out (output.path) must name a file, got ''",
+                 id="empty --out"),
+    pytest.param([], {"experiment": "rotate", "output": {"path": ""}},
+                 "--out (output.path) must name a file, got ''", id="empty output.path"),
+    pytest.param(["rotate-sweep", "--plot", ""], None, "plot path must end in .svg, got ''",
+                 id="empty --plot"),
+    # a config number is a JSON number, as a config integer already was
+    pytest.param([], {"experiment": "bell", "parameters": {"gamma": "0.5"}},
+                 "gamma must be a number, got '0.5'", id="string gamma"),
+    pytest.param([], {"experiment": "rotate", "parameters": {"alpha": "-1e-1"}},
+                 "alpha must be a number, got '-1e-1'", id="string alpha"),
+    # integers past the float range, and past int()'s default digit limit
+    pytest.param([], {"experiment": "bell", "parameters": {"gamma": 10 ** 400}},
+                 "gamma out of range [0.0,1.0], got 1000", id="gamma 10**400"),
+    pytest.param([], {"experiment": "coherent-rotation", "parameters": {"eta": -10 ** 400}},
+                 "eta must be finite, got -1000", id="eta -10**400"),
+    pytest.param([], '{"experiment": "bell", "parameters": {"gamma": 1' + "0" * 5000 + "}}",
+                 "config file is not valid JSON", id="gamma of 5001 digits"),
 ])
 def test_refusals_are_usage_errors(argv, doc, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

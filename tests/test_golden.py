@@ -96,10 +96,20 @@ print(json.dumps(results))
 """
 
 
-def test_commands_run_without_scipy():
-    # numpy is modent's only runtime dependency
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is modent's only runtime dependency.  Each run is keyed by the
+    # golden file it must reproduce: a command's stdout, a chart's SVG (its
+    # table goes to --out), and the config-file route to rotate.csv.
     runs = {f"{name}.{ext}": argv + ["--format", fmt]
             for name, argv in COMMANDS.items() for fmt, ext in EXTENSIONS.items()}
+    runs.update({f"{name}.svg": argv + ["--out", str(tmp_path / f"{name}.out"),
+                                         "--plot", str(tmp_path / f"{name}.svg")]
+                 for name, argv in PLOTS.items()})
+    config = tmp_path / "rotate.json"
+    config.write_text(json.dumps({"experiment": "rotate",
+                                  "parameters": {"n": 16, "alpha": 0.8, "beta": 0.6},
+                                  "output": {"format": "csv"}}))
+    runs["rotate.csv --config"] = ["--config", str(config)]
     # run from the directory holding the imported package, so the child finds
     # it also when only pytest's pythonpath setting put it on sys.path
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)],
@@ -110,5 +120,13 @@ def test_commands_run_without_scipy():
     assert sorted(results) == sorted(runs)
     for key, (status, got) in results.items():
         assert status == 0, key
-        want = (GOLDEN_DIR / key).read_bytes().decode("utf-8")
+        if key.endswith(".svg"):
+            got = (tmp_path / key).read_bytes().decode("utf-8")
+        want = (GOLDEN_DIR / key.split()[0]).read_bytes().decode("utf-8")
         assert _mask_noise(got) == _mask_noise(want), key
+
+
+def test_every_golden_file_has_a_run():
+    runs = {f"{name}.{ext}" for name in COMMANDS for ext in EXTENSIONS.values()}
+    runs |= {f"{name}.svg" for name in PLOTS}
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(runs)
