@@ -57,12 +57,13 @@ def _fmt12(x) -> str:
 
 # Memory guards.  At n = 11 (d = 4096) collective-check propagates by Krylov
 # substeps: the n d / 2 = 22,528 Hamiltonian triplets (0.7 MiB) are sorted
-# into row order once (0.9 MiB kept), with at most 0.9 MiB more while each
-# entry is checked against its mirror for Hermiticity, and the substeps keep
-# a basis of at most 30 complex vectors of length d (1.9 MiB) and a gather
-# buffer as long as the triplets (0.3 MiB) beside the 64 KiB state and the
+# into row order once, with at most 0.9 MiB more while each entry is checked
+# against its mirror for Hermiticity, and the values and the columns mapped
+# into sector order are kept.  The substeps keep a basis of at most 30
+# complex vectors of length d (1.9 MiB) and a work buffer of the same size,
+# which also takes the gathered triplets, beside the 64 KiB state and the
 # layout's cached (n + 1) x d level grid (384 KiB).  The check peaks at
-# 4.75 MiB traced (tracemalloc) and a fresh run at 36 MiB RSS (30 MiB of it
+# 5.96 MiB traced (tracemalloc) and a fresh run at 35 MiB RSS (30 MiB of it
 # the interpreter and numpy); each step of n doubles the arrays.
 # coherent-rotation builds no target-and-field layout and no Hamiltonian
 # triplets: it holds O(cutoff) arrays, the cutoff couplings and the

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 
@@ -352,29 +353,40 @@ def test_real_path_matches_dense_oracle(case, seed, t):
     assert np.max(np.abs(evolve(psi, h, t).amplitudes - u @ psi.amplitudes)) < 1e-12
 
 
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Records (side, dtype) of every eigh call the dynamics module makes: a
-    tridiagonal of one Krylov substep (no closed-form pair reaches eigh)."""
+@contextlib.contextmanager
+def _recorded_eigh():
+    """Records (shape, dtype) of every eigh call the dynamics module makes: the
+    tridiagonal of one Krylov substep over the whole space, (m, m), or the
+    stack of one tridiagonal per excitation sector, (sectors, m, m); no
+    closed-form pair reaches eigh."""
     calls = []
     eigh = np.linalg.eigh
 
     def recording(a, *args, **kwargs):
         # np.linalg is shared: skip the calls of the other modules
         if sys._getframe(1).f_globals["__name__"] == dynamics.__name__:
-            calls.append((np.shape(a)[-1], np.asarray(a).dtype))
+            calls.append((np.shape(a), np.asarray(a).dtype))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics.np.linalg, "eigh", recording)
-    return calls
+    dynamics.np.linalg.eigh = recording
+    try:
+        yield calls
+    finally:
+        dynamics.np.linalg.eigh = eigh
+
+
+@pytest.fixture
+def solver_calls():
+    with _recorded_eigh() as calls:
+        yield calls
 
 
 def test_propagation_diagonalizes_sectors_not_the_whole_space(solver_calls):
     simultaneous_coupling_check(9)  # dimension 1024, sectors C(10, k)
     # sectors of up to 252 states take the Krylov step, which decomposes only
-    # its tridiagonal: one substep, since the initial state stays in the 20
+    # its tridiagonals: one substep, since the initial state stays in the 20
     # states symmetric in the modes (the collective reference's blocks are 2)
-    assert max(size for size, _ in solver_calls) <= 2 * (9 + 1)
+    assert max(shape[-1] for shape, _ in solver_calls) <= 2 * (9 + 1)
     solver_calls.clear()
     # dimension 1162: the field's doublets are written down in closed form
     # (_propagate), so no sector reaches eigh
@@ -498,9 +510,10 @@ def test_hermiticity_check_holds_one_temporary_at_most():
 
 def test_chiral_path_peaks_below_the_whole_blocks():
     # collective n = 10: the Krylov step holds the sorted triplets, the basis
-    # (30 x 2048 complex, 0.9 MiB) and a few work vectors, less than half the
-    # real sector blocks of H, sum_k C(11, k)^2 = C(22, 11) entries (5.4 MiB),
-    # which a decomposition would hold twice
+    # and the work buffer of the sector recurrences (30 x 2048 complex each,
+    # 0.9 MiB; the buffer also takes the gathered triplets) and a few work
+    # vectors, less than half the real sector blocks of H, sum_k C(11, k)^2 =
+    # C(22, 11) entries (5.4 MiB), which a decomposition would hold twice
     layout, h = _collective_jc(10)
     psi = rand_pure_state(np.random.default_rng(10), layout)
     assert _traced_peak(lambda: evolve(psi, h, 1.0)) < 0.5 * 8 * math.comb(22, 11)
@@ -576,29 +589,95 @@ def test_chiral_path_on_rank_deficient_unbalanced_blocks(solver_calls):
     assert np.linalg.matrix_rank(dense(h)) < h.layout.dim // 2
     for t in (0.0, 0.4, 3.1):
         assert np.max(np.abs(_evolved_columns(h, t) - dense_propagator(dense(h), t))) < 1e-12
-    assert max(size for size, _ in solver_calls) < dynamics._KRYLOV_DIM
+    assert max(shape[-1] for shape, _ in solver_calls) < dynamics._KRYLOV_DIM
+
+
+def _joined_collective_jc():
+    # collective n = 9 plus a pair that joins sector 0, |g,0,...,0>, to
+    # sector 3, |e,1,1,0,...,0>: H keeps no sector apart
+    layout, h = _collective_jc(9)
+    row = int(np.ravel_multi_index((0,) * 10, layout.dims))
+    col = int(np.ravel_multi_index((1, 1, 1) + (0,) * 7, layout.dims))
+    return h + LinearOp(layout, [row, col], [col, row], [0.25j, -0.25j])
+
+
+def _unequal_bosonic_jc():
+    # a qubit coupled to three BosonicMode(5) at strengths 1, 0.8 and 1.3: H
+    # keeps the excitation sectors, and the largest holds 54 states with 54
+    # distinct eigenvalues, more than one Krylov basis spans
+    layout = compose_layout([("T", TwoLevel)] + [(f"b{k}", BosonicMode(5)) for k in range(3)])
+    h = [_scaled(jc_hamiltonian(layout, "T", (f"b{k}",)), g) for k, g in enumerate((1.0, 0.8, 1.3))]
+    return h[0] + h[1] + h[2]
 
 
 @pytest.mark.parametrize("t", [50.0, 200.0, 1000.0])
 def test_chiral_path_stays_unitary_at_long_times(t, solver_calls):
-    # a generic state needs many substeps this long; each keeps the norm to
-    # rounding, and both the Krylov step and the dense oracle are exact for
-    # H within a few eps ||H|| of the input, so they drift apart by about
-    # t eps ||H|| (1e-12 at t = 1000 for the rank-deficient H)
-    layout, h = _collective_jc(9)
-    psi = rand_pure_state(np.random.default_rng(9), layout)
+    # a generic state needs many substeps this long: over the whole space
+    # when H joins the sectors, in lockstep over the sectors when a sector
+    # holds more distinct eigenvalues than one basis spans.  Each substep
+    # keeps the norm to rounding, and both the Krylov step and the dense
+    # oracle are exact for H within a few eps ||H|| of the input, so they
+    # drift apart by about t eps ||H|| (4e-12 at t = 1000 for the bosonic H)
+    h = _joined_collective_jc()
+    psi = rand_pure_state(np.random.default_rng(9), h.layout)
     out = evolve(psi, h, t)
     assert len(solver_calls) > 1
+    assert {len(shape) for shape, _ in solver_calls} == {2}
     assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-13
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), t) @ psi.amplitudes)) < 1e-12
-    h = _rank_deficient_jc()
+    h = _unequal_bosonic_jc()
     psi = rand_pure_state(np.random.default_rng(1), h.layout)
     solver_calls.clear()
     out = evolve(psi, h, t)
     assert len(solver_calls) > 1
+    assert {len(shape) for shape, _ in solver_calls} == {3}
     assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
     bound = 1e-12 + 8 * t * np.finfo(float).eps * np.linalg.norm(dense(h), 2)
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), t) @ psi.amplitudes)) < bound
+
+
+@given(_bipartite_hamiltonians(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
+@settings(max_examples=40, deadline=None)
+def test_sector_recurrences_match_dense_oracle(case, seed, t):
+    # a state over two or more excitation sectors, the others left empty, and
+    # one of its sectors on a single basis state, so that the recurrences of
+    # the sectors break down at different steps
+    layout, h = case
+    rng = np.random.default_rng(seed)
+    sector = layout.levels.sum(axis=0)
+    kept = rng.choice(sector.max() + 1, rng.integers(2, sector.max() + 2), replace=False)
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    amps[~np.isin(sector, kept)] = 0.0
+    single = np.flatnonzero(sector == kept[0])
+    amps[single[single != rng.choice(single)]] = 0.0
+    psi = PureState(layout, amps / np.linalg.norm(amps))
+    with _recorded_eigh() as calls:
+        out = evolve(psi, h, t).amplitudes
+    assert np.max(np.abs(out - dense_propagator(dense(h), t) @ psi.amplitudes)) < 1e-12
+    rows, cols = np.nonzero(dense(h))
+    if t > 0 and np.array_equal(sector[rows], sector[cols]):
+        assert calls and all(len(shape) == 3 for shape, _ in calls)
+
+
+@pytest.mark.parametrize("n_modes", range(3, 13))
+def test_collective_check_decomposes_one_stack_of_pairs(n_modes, solver_calls):
+    # the symmetric state's part in sector k spans {|g, D_k>, |e, D_k-1>}
+    # (D_k the symmetric k-particle state of the modes): one substep, whose
+    # n + 2 sector recurrences stop after at most two vectors.  Up to 32
+    # states (n <= 4) the whole space takes one recurrence, of a vector per
+    # distinct eigenvalue
+    simultaneous_coupling_check(n_modes)
+    if 2 ** (n_modes + 1) <= dynamics._WHOLE_SPACE_DIM:
+        assert [len(shape) for shape, _ in solver_calls] == [2]
+    else:
+        assert solver_calls == [((n_modes + 2, 2, 2), np.dtype(np.float64))]
+
+
+def test_one_sector_states_take_the_whole_space_recurrence(solver_calls):
+    # the absorption's state holds one excitation: the whole-space recurrence,
+    # one tridiagonal per substep
+    massless_absorption()
+    assert solver_calls and all(len(shape) == 2 for shape, _ in solver_calls)
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
@@ -716,15 +795,16 @@ def test_krylov_step_ends_on_a_lucky_breakdown(solver_calls):
     layout, h = _collective_jc(9)
     vacuum = basis_state(layout, ["g"] + [0] * 9)
     assert np.max(np.abs(evolve(vacuum, h, 1000.0).amplitudes - vacuum.amplitudes)) < 1e-15
-    assert solver_calls == [(1, np.float64)]
-    # a state symmetric in the modes stays in 2 (9 + 1) states: one substep
+    assert solver_calls == [((1, 1), np.float64)]
+    # a state symmetric in the modes holds two states or fewer in each of the
+    # 11 sectors: one substep, whose recurrences break down after two vectors
     solver_calls.clear()
     amps = np.array([0.6, 0.8j])
     for _ in range(9):
         amps = np.kron(amps, np.array([1.0, 1.0]) / math.sqrt(2))
     psi = PureState(layout, amps)
     out = evolve(psi, h, 2.0)
-    assert len(solver_calls) == 1 and solver_calls[0][0] <= 2 * (9 + 1)
+    assert solver_calls == [((11, 2, 2), np.float64)]
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), 2.0) @ amps)) < 1e-12
 
 
@@ -733,7 +813,8 @@ def test_krylov_step_on_an_empty_hamiltonian(solver_calls):
     h = LinearOp(layout, [], [], [])
     psi = rand_pure_state(np.random.default_rng(6), layout)
     assert np.max(np.abs(evolve(psi, h, 3.0).amplitudes - psi.amplitudes)) < 1e-15
-    assert solver_calls == [(1, np.float64)]
+    # H keeps every sector, and each of the eight breaks down at once
+    assert solver_calls == [((8, 1, 1), np.float64)]
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "complex gauge", "cross-sector pair",
@@ -766,7 +847,7 @@ def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_cal
         h = h + LinearOp(layout, [row, col], [col, row], [0.25, 0.25])
     psi = rand_pure_state(np.random.default_rng(3), layout)
     out = evolve(psi, h, 0.9)
-    assert max(size for size, _ in solver_calls) <= dynamics._KRYLOV_DIM
+    assert max(shape[-1] for shape, _ in solver_calls) <= dynamics._KRYLOV_DIM
     u = dense_propagator(dense(h), 0.9)
     assert np.max(np.abs(out.amplitudes - u @ psi.amplitudes)) < 1e-12
     assert np.max(np.abs(_evolved_columns(h, 0.9) - u)) < 1e-12
