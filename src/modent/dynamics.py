@@ -14,18 +14,14 @@ subspace (a lucky breakdown: the next Lanczos coefficient is zero) makes
 that exact; otherwise the substep is shortened until the a-posteriori
 estimate of its error is within ``_KRYLOV_TOL``.  V has orthonormal columns
 and exp(-i T tau) is unitary, so the norm is kept to rounding at any t.
-When H keeps the excitation number (the sum of the levels) and the state
-has weight in several of its sectors, each sector runs its own recurrence,
-all in lockstep (Park & Light, J. Chem. Phys. 85, 5870 (1986)): one
-recurrence over the whole space needs a vector per distinct eigenvalue
-that the state touches, 11 for collective-check's state at n = 9, while
-that state spans at most two states in each sector.  The sector
+When H keeps the excitation number (the sum of the levels), each of its
+sectors runs its own recurrence, all in lockstep (Park & Light, J. Chem.
+Phys. 85, 5870 (1986)): one recurrence over the whole space needs a vector
+per distinct eigenvalue that the state touches, 11 for collective-check's
+state at n = 9, while that state spans at most two states in each sector.
+An H that joins sectors leaves the whole space as one sector.  The
 recurrences take the products with the basis as elementwise products and
 segmented sums (``np.add.reduceat``), on one core (CPU time = wall time).
-The whole-space recurrence, for a state in one sector or an H that joins
-sectors, takes them in numpy's ``vecdot`` and ``vecmat`` loops, which numpy
-hands to threaded BLAS from about 30 x 4096: there a call takes up to twice
-its wall time in CPU on two threads.
 
 One two-level target on one ladder, the coherent field, the
 target-ancilla collision and the collective mode of N ancillas, is
@@ -110,10 +106,6 @@ _HALF_ROOT = 1 / math.sqrt(2)
 # error relative to the norm of the state.
 _KRYLOV_DIM = 30
 _KRYLOV_TOL = 1e-14
-# Largest space that takes the whole-space recurrence even when H keeps the
-# sectors: up to 32 states (collective-check n = 3, 4) the sector set-up
-# costs more than the shorter recurrences save, from 64 (n = 5) it costs less.
-_WHOLE_SPACE_DIM = 32
 
 
 def _check_hermitian(asym):
@@ -199,10 +191,50 @@ def _hermitian_residual(key, rows, cols, values, d):
                      np.concatenate([values, -values.conj()]))[1]
 
 
-def _csr_product(values, cols, starts, filled, d, gathered):
-    """v -> H v on the coalesced CSR triplets: gather v at the columns into the
-    buffer ``gathered``, scale it by the values there and add up each row's
-    run into the rows ``filled``."""
+def _sector_labels(layout, rows, cols):
+    """The excitation number, the sum of the levels, of each basis state when
+    every triplet (rows, cols) joins equal sums; otherwise one label, 0, for
+    the whole space."""
+    sector = layout.levels.sum(axis=0)
+    if np.array_equal(sector[rows], sector[cols]):
+        return sector
+    return np.zeros_like(sector)
+
+
+def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) amplitudes by Lanczos substeps on the triplets of H.
+
+    The triplets are sorted once into row-major (CSR) order and repeated
+    entries added up; H minus its conjugate transpose (``_hermitian_residual``)
+    must be within the tolerance of the pair check entry by entry.  The basis
+    is permuted once into the order of the sectors ``_sector_labels`` gives,
+    and the CSR columns and filled rows mapped through that permutation; each
+    sector then runs its own Lanczos recurrence, all in lockstep
+    (``_sector_lanczos``).  The product v -> H v gathers v at the columns,
+    scales it by the values and adds up each row's run into the filled rows.
+    """
+    layout = hamiltonian.layout
+    d = layout.dim
+    key, values = _coalesce(hamiltonian.rows * d + hamiltonian.cols, hamiltonian.values)
+    rows, cols = np.divmod(key, d)
+    _check_hermitian(_hermitian_residual(key, rows, cols, values, d))
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    sector = _sector_labels(layout, rows, cols)
+    # the labels run over 0 .. max: every sector holds a state
+    order = np.argsort(sector, kind="stable")
+    owner = sector[order]
+    position = np.empty(d, dtype=np.intp)
+    position[order] = np.arange(d)
+    cols, filled = position[cols], position[rows[starts]]
+    # Gram-Schmidt fills the work buffer only between two products, so the
+    # products gather into it while the triplets fit
+    work = np.empty((_KRYLOV_DIM, d), dtype=complex)
+    flat = work.reshape(-1)
+    gathered = flat[:values.size] if values.size <= flat.size else np.empty_like(values)
+    x = amplitudes.astype(complex)[order]
+    bounds = np.searchsorted(owner, np.arange(owner[-1] + 1))
+    # the product holds the columns in sector order: free the row-order arrays
+    del key, rows, sector, order
 
     def product(v):
         # every column is in range; mode "raise" would gather through a
@@ -213,139 +245,42 @@ def _csr_product(values, cols, starts, filled, d, gathered):
         p[filled] = np.add.reduceat(gathered, starts)
         return p
 
-    return product
-
-
-def _sector_labels(layout, rows, cols, w):
-    """The excitation number, the sum of the levels, of each basis state when
-    the sector recurrences apply: the space holds more than
-    ``_WHOLE_SPACE_DIM`` states, every triplet (rows, cols) joins equal
-    labels and w has weight in more than one sector.  Otherwise None."""
-    if layout.dim <= _WHOLE_SPACE_DIM:
-        return None
-    sector = layout.levels.sum(axis=0)
-    occupied = sector[np.flatnonzero(w)]
-    if occupied.min() == occupied.max() or not np.array_equal(sector[rows], sector[cols]):
-        return None
-    return sector
-
-
-def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) amplitudes by Lanczos substeps on the triplets of H.
-
-    The triplets are sorted once into row-major (CSR) order and repeated
-    entries added up; H minus its conjugate transpose (``_hermitian_residual``)
-    must be within the tolerance of the pair check entry by entry.  When H
-    keeps each excitation sector and the state has weight in more than one
-    (``_sector_labels``), each sector runs its own Lanczos recurrence, all
-    in lockstep (``_sector_lanczos``): the basis is permuted once into
-    sector order and the CSR columns and filled rows mapped through that
-    permutation.  A state in one sector, an H that joins sectors, or a space
-    of at most ``_WHOLE_SPACE_DIM`` states takes one recurrence over the
-    whole space (``_lanczos``).
-    """
-    layout = hamiltonian.layout
-    d = layout.dim
-    key, values = _coalesce(hamiltonian.rows * d + hamiltonian.cols, hamiltonian.values)
-    rows, cols = np.divmod(key, d)
-    _check_hermitian(_hermitian_residual(key, rows, cols, values, d))
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    filled = rows[starts]
-    w = amplitudes.astype(complex)
-    sector = _sector_labels(layout, rows, cols, w)
-    if sector is None:
-        return _lanczos(_csr_product(values, cols, starts, filled, d, np.empty_like(values)), w, t)
-    # the level sums of a grid run over 0 .. max: every sector holds a state
-    order = np.argsort(sector, kind="stable")
-    owner = sector[order]
-    position = np.empty(d, dtype=np.intp)
-    position[order] = np.arange(d)
-    # Gram-Schmidt fills the work buffer only between two products, so the
-    # products gather into it while the triplets fit
-    work = np.empty((_KRYLOV_DIM, d), dtype=complex)
-    flat = work.reshape(-1)
-    gathered = flat[:values.size] if values.size <= flat.size else np.empty_like(values)
-    product = _csr_product(values, position[cols], starts, position[filled], d, gathered)
-    x = w[order]
-    bounds = np.searchsorted(owner, np.arange(owner[-1] + 1))
-    # the product holds the columns in sector order: free the row-order arrays
-    del key, rows, cols, w, sector, order
     return _sector_lanczos(product, work, x, owner, bounds, t)[position]
 
 
-def _lanczos(product, w, t):
-    """exp(-i H t) w by Lanczos substeps over the whole space, H v =
-    ``product(v)``.
-
-    A substep runs Lanczos from w, reorthogonalizing each new vector against
-    the whole basis by classical Gram-Schmidt applied twice, for at most
-    ``_KRYLOV_DIM`` vectors.  When the next coefficient beta is so small that
-    beta tau stays within ``_KRYLOV_TOL`` for the whole remaining time tau (the
-    basis spans an invariant subspace of H up to a perturbation of norm beta;
-    a lucky breakdown), the substep takes that time.  Otherwise tau starts at
-    twice the previous substep's and shrinks by quarter powers of two until
-    the estimated error tau beta |e_m^T exp(-i T tau) e_1| (the residual
-    beta |e_m^T exp(-i T s) e_1| of the Krylov solution, over the substep) is
-    within ``_KRYLOV_TOL``.
-    """
-    d = w.size
-    basis = np.empty((_KRYLOV_DIM, d), dtype=complex)
-    tridiagonal = np.zeros((_KRYLOV_DIM, _KRYLOV_DIM))
-    sign = math.copysign(1.0, t)
-    tau = remaining = abs(t)
-    while remaining > 0:
-        norm = np.linalg.norm(w)
-        basis[0] = w / norm
-        tridiagonal[:] = 0.0
-        for m in range(1, _KRYLOV_DIM + 1):
-            p = product(basis[m - 1])
-            for _ in range(2):
-                c = np.vecdot(basis[:m], p)
-                p -= np.vecmat(c.conj(), basis[:m])
-                tridiagonal[m - 1, m - 1] += c[-1].real
-            beta = np.linalg.norm(p)
-            lucky = beta * remaining <= _KRYLOV_TOL
-            if lucky or m == _KRYLOV_DIM:
-                break
-            basis[m] = p / beta
-            tridiagonal[m, m - 1] = beta
-        lam, q = np.linalg.eigh(tridiagonal[:m, :m])
-        # the estimate is at most tau beta, so some tau passes
-        tau = remaining if lucky else min(remaining, 2 * tau)
-        while True:
-            turns = np.exp(-1j * sign * tau * lam) * q[0]
-            if tau * beta * abs(turns @ q[-1]) <= _KRYLOV_TOL:
-                break
-            tau *= 0.5 ** 0.25
-        w = norm * np.vecmat((q @ turns).conj(), basis[:m])
-        remaining -= tau
-    return w
-
-
 def _sector_lanczos(product, work, x, owner, bounds, t):
-    """exp(-i H t) x for an H that keeps each sector, x in sector order:
-    sector s holds the states [bounds[s], bounds[s + 1]), and ``owner`` is
-    the sector of each state.
+    """exp(-i H t) x by Lanczos substeps, H v = ``product(v)``, for an H that
+    keeps each sector, x in sector order: sector s holds the states
+    [bounds[s], bounds[s + 1]), and ``owner`` is the sector of each state.
 
-    Each sector runs ``_lanczos``'s recurrence on its own part of x, all in
-    lockstep on one basis: row m of the basis holds every sector's m-th
-    vector.  The Gram-Schmidt coefficients, the norms and beta are segmented
-    sums (``np.add.reduceat``) over the sectors, and the coefficients are
-    spread back over the states through one work buffer.  A sector stops at
-    its own lucky breakdown, or at once if x has no weight there: its further
-    basis vectors are zero, so its tridiagonal is padded by zeros that leave
-    exp(-i T tau) e_1 as it was.  The tridiagonals are decomposed as one
-    stack, and a common substep tau is accepted once every sector's estimate
-    is within ``_KRYLOV_TOL`` of that sector's norm; the errors of the sectors
-    are orthogonal, so the whole error stays within ``_KRYLOV_TOL`` of the
-    norm of x.
+    A substep runs one Lanczos recurrence per sector from that sector's part
+    of x, all in lockstep on one basis: row m of the basis holds every
+    sector's m-th vector.  Each new vector is reorthogonalized against its
+    sector's basis by classical Gram-Schmidt applied twice, for at most
+    ``_KRYLOV_DIM`` vectors.  The Gram-Schmidt coefficients, the norms and the
+    next coefficient beta are segmented sums (``np.add.reduceat``) over the
+    sectors, and the coefficients are spread back over the states through the
+    work buffer.  A sector stops when beta tau stays within ``_KRYLOV_TOL``
+    for the whole remaining time tau (its basis spans an invariant subspace
+    of H up to a perturbation of norm beta; a lucky breakdown), or at once if
+    x has no weight there: its further basis vectors are zero, so its
+    tridiagonal T is padded by zeros that leave exp(-i T tau) e_1 as it was.
+    The tridiagonals are decomposed as one stack.  When every sector has
+    stopped, the substep takes the remaining time.  Otherwise tau starts at
+    twice the previous substep's and shrinks by quarter powers of two until
+    every sector's estimated error tau beta |e_m^T exp(-i T tau) e_1| (the
+    residual beta |e_m^T exp(-i T s) e_1| of its Krylov solution, over the
+    substep) is within ``_KRYLOV_TOL`` of that sector's norm; the errors of the
+    sectors are orthogonal, so the whole error stays within ``_KRYLOV_TOL`` of
+    the norm of x.
     """
-    count = bounds.size
     basis = np.empty_like(work)
-    tridiagonal = np.zeros((count, _KRYLOV_DIM, _KRYLOV_DIM))
+    tridiagonal = np.zeros((bounds.size, _KRYLOV_DIM, _KRYLOV_DIM))
+    # the bounds of the sectors in the real view of a complex vector
+    halves = 2 * bounds
 
     def norms(v):
-        return np.sqrt(np.add.reduceat(np.square(v.view(float)), 2 * bounds))
+        return np.sqrt(np.add.reduceat(np.square(v.view(float)), halves))
 
     def spread(c, m):
         # sum_j c[j, s] basis[j] over the states of each sector s
@@ -360,7 +295,6 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
         running = norm > 0
         # a sector without weight divides its zeros by 1 and stays zero
         np.divide(x, np.where(running, norm, 1.0)[owner], out=basis[0])
-        tridiagonal[:] = 0.0
         for m in range(1, _KRYLOV_DIM + 1):
             p = product(basis[m - 1])
             for _ in range(2):
@@ -373,10 +307,13 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
             running &= beta * remaining > _KRYLOV_TOL
             if m == _KRYLOV_DIM or not running.any():
                 break
-            # a stopped sector divides by infinity: its next vector is zero
+            # a stopped sector divides by infinity: its next vector and its
+            # next coefficient are zero
             np.divide(p, np.where(running, beta, np.inf)[owner], out=basis[m])
-            tridiagonal[:, m, m - 1] = np.where(running, beta, 0.0)
+            tridiagonal[:, m, m - 1] = beta * running
         lam, q = np.linalg.eigh(tridiagonal[:, :m, :m])
+        # every entry the substep wrote lies in this block: clear it for the next
+        tridiagonal[:, :m, :m] = 0.0
         # beta is zero for a sector that stopped before the last step, whose
         # error stays within beta tau of the step it stopped at
         tau = min(remaining, 2 * tau) if running.any() else remaining
@@ -385,7 +322,9 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
             if np.all(tau * beta * np.abs(np.vecdot(q[:, -1], turns)) <= _KRYLOV_TOL):
                 break
             tau *= 0.5 ** 0.25
-        x = spread((np.vecdot(q, turns[:, None]) * norm[:, None]).T, m)
+        # a matmul: np.vecdot rounds the collision's columns off those of
+        # protocols._collision_unitary
+        x = spread(((q @ turns[:, :, None])[..., 0] * norm[:, None]).T, m)
         remaining -= tau
     return x
 

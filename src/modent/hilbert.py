@@ -191,7 +191,9 @@ class PureState:
         if amps.shape != (self.layout.dim,):
             raise ValueError(
                 f"amplitude vector has length {amps.size}, layout dimension is {self.layout.dim}")
-        norm = np.linalg.norm(amps)
+        # a sum of squares on one core: np.linalg.norm is a BLAS call, which
+        # wakes the BLAS threads on a long vector
+        norm = math.sqrt(np.square(amps.view(float)).sum())
         # checks are written as "not <=" so that a NaN is rejected too
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")

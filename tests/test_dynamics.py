@@ -356,9 +356,9 @@ def test_real_path_matches_dense_oracle(case, seed, t):
 @contextlib.contextmanager
 def _recorded_eigh():
     """Records (shape, dtype) of every eigh call the dynamics module makes: the
-    tridiagonal of one Krylov substep over the whole space, (m, m), or the
-    stack of one tridiagonal per excitation sector, (sectors, m, m); no
-    closed-form pair reaches eigh."""
+    stack of one tridiagonal per excitation sector of a Krylov substep,
+    (sectors, m, m), one sector when H joins them; no closed-form pair
+    reaches eigh."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -525,16 +525,17 @@ def test_chiral_path_peaks_below_the_whole_blocks():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _bipartite_hamiltonians(draw):
+def _bipartite_hamiltonians(draw, sizes=st.just(7)):
     """H = D S D^dag for a random real symmetric S that joins only states of
-    opposite q parity, over seven two-level or fermionic subsystems (d = 128,
-    sectors of up to 35 states).  S either keeps to the excitation sectors or
-    joins them all into one block; entries are dropped at random and some
-    states are left uncoupled, so H is often degenerate and a Krylov basis
-    may break down early."""
-    n_qubits = draw(st.integers(1, 4))
+    opposite q parity, over ``sizes`` two-level or fermionic subsystems
+    (seven by default: d = 128, sectors of up to 35 states).  S either keeps
+    to the excitation sectors or joins them all into one block; entries are
+    dropped at random and some states are left uncoupled, so H is often
+    degenerate and a Krylov basis may break down early."""
+    size = draw(sizes)
+    n_qubits = draw(st.integers(1, min(4, size)))
     subs = ([(f"T{j}", TwoLevel()) for j in range(n_qubits)]
-            + [(f"m{k}", FermionicMode()) for k in range(7 - n_qubits)])
+            + [(f"m{k}", FermionicMode()) for k in range(size - n_qubits)])
     layout = compose_layout(draw(st.permutations(subs)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     levels = np.unravel_index(np.arange(layout.dim), layout.dims)
@@ -612,17 +613,19 @@ def _unequal_bosonic_jc():
 
 @pytest.mark.parametrize("t", [50.0, 200.0, 1000.0])
 def test_chiral_path_stays_unitary_at_long_times(t, solver_calls):
-    # a generic state needs many substeps this long: over the whole space
-    # when H joins the sectors, in lockstep over the sectors when a sector
-    # holds more distinct eigenvalues than one basis spans.  Each substep
-    # keeps the norm to rounding, and both the Krylov step and the dense
-    # oracle are exact for H within a few eps ||H|| of the input, so they
-    # drift apart by about t eps ||H|| (4e-12 at t = 1000 for the bosonic H)
+    # a generic state needs many substeps this long: over the whole space,
+    # one sector, when H joins the sectors, in lockstep over the sectors
+    # when a sector holds more distinct eigenvalues than one basis spans.
+    # Each substep keeps the norm to rounding, and both the Krylov step and
+    # the dense oracle are exact for H within a few eps ||H|| of the input,
+    # so they drift apart by about t eps ||H|| (4e-12 at t = 1000 for the
+    # bosonic H)
     h = _joined_collective_jc()
     psi = rand_pure_state(np.random.default_rng(9), h.layout)
     out = evolve(psi, h, t)
     assert len(solver_calls) > 1
-    assert {len(shape) for shape, _ in solver_calls} == {2}
+    assert {shape[0] for shape, _ in solver_calls} == {1}
+    assert {len(shape) for shape, _ in solver_calls} == {3}
     assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-13
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), t) @ psi.amplitudes)) < 1e-12
     h = _unequal_bosonic_jc()
@@ -636,48 +639,46 @@ def test_chiral_path_stays_unitary_at_long_times(t, solver_calls):
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), t) @ psi.amplitudes)) < bound
 
 
-@given(_bipartite_hamiltonians(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
-@settings(max_examples=40, deadline=None)
-def test_sector_recurrences_match_dense_oracle(case, seed, t):
-    # a state over two or more excitation sectors, the others left empty, and
-    # one of its sectors on a single basis state, so that the recurrences of
-    # the sectors break down at different steps
+@given(_bipartite_hamiltonians(st.integers(1, 7)), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 5.0))
+@settings(max_examples=80, deadline=None)
+def test_sector_recurrences_match_dense_oracle(case, joined, seed, t):
+    # spaces of 2 to 128 states; a state over one or more excitation sectors,
+    # the others left empty, and when it spans several, one of them on a
+    # single basis state, so that the recurrences of the sectors break down
+    # at different steps.  A pair between the vacuum and the top state joins
+    # sectors 0 and n: then the whole space is one sector
     layout, h = case
     rng = np.random.default_rng(seed)
     sector = layout.levels.sum(axis=0)
-    kept = rng.choice(sector.max() + 1, rng.integers(2, sector.max() + 2), replace=False)
+    if joined:
+        top = layout.dim - 1
+        h = h + LinearOp(layout, [0, top], [top, 0], [0.25j, -0.25j])
+    kept = rng.choice(sector.max() + 1, rng.integers(1, sector.max() + 2), replace=False)
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps[~np.isin(sector, kept)] = 0.0
-    single = np.flatnonzero(sector == kept[0])
-    amps[single[single != rng.choice(single)]] = 0.0
+    if kept.size > 1:
+        single = np.flatnonzero(sector == kept[0])
+        amps[single[single != rng.choice(single)]] = 0.0
     psi = PureState(layout, amps / np.linalg.norm(amps))
     with _recorded_eigh() as calls:
         out = evolve(psi, h, t).amplitudes
     assert np.max(np.abs(out - dense_propagator(dense(h), t) @ psi.amplitudes)) < 1e-12
     rows, cols = np.nonzero(dense(h))
-    if t > 0 and np.array_equal(sector[rows], sector[cols]):
-        assert calls and all(len(shape) == 3 for shape, _ in calls)
+    sectors = sector.max() + 1 if np.array_equal(sector[rows], sector[cols]) else 1
+    if t > 0:
+        assert calls and all(len(shape) == 3 and shape[0] == sectors for shape, _ in calls)
+    if joined:
+        assert sectors == 1
 
 
 @pytest.mark.parametrize("n_modes", range(3, 13))
 def test_collective_check_decomposes_one_stack_of_pairs(n_modes, solver_calls):
     # the symmetric state's part in sector k spans {|g, D_k>, |e, D_k-1>}
     # (D_k the symmetric k-particle state of the modes): one substep, whose
-    # n + 2 sector recurrences stop after at most two vectors.  Up to 32
-    # states (n <= 4) the whole space takes one recurrence, of a vector per
-    # distinct eigenvalue
+    # n + 2 sector recurrences stop after at most two vectors
     simultaneous_coupling_check(n_modes)
-    if 2 ** (n_modes + 1) <= dynamics._WHOLE_SPACE_DIM:
-        assert [len(shape) for shape, _ in solver_calls] == [2]
-    else:
-        assert solver_calls == [((n_modes + 2, 2, 2), np.dtype(np.float64))]
-
-
-def test_one_sector_states_take_the_whole_space_recurrence(solver_calls):
-    # the absorption's state holds one excitation: the whole-space recurrence,
-    # one tridiagonal per substep
-    massless_absorption()
-    assert solver_calls and all(len(shape) == 2 for shape, _ in solver_calls)
+    assert solver_calls == [((n_modes + 2, 2, 2), np.dtype(np.float64))]
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
@@ -790,12 +791,13 @@ def test_krylov_step_adds_up_repeated_triplets():
 
 
 def test_krylov_step_ends_on_a_lucky_breakdown(solver_calls):
-    # the vacuum is a null vector of H: the first Lanczos coefficient is
-    # exactly zero, and one 1 x 1 substep covers any time
+    # the vacuum is a null vector of H: the first Lanczos coefficient of its
+    # sector is exactly zero, the ten others hold no weight, and one substep
+    # of 1 x 1 tridiagonals covers any time
     layout, h = _collective_jc(9)
     vacuum = basis_state(layout, ["g"] + [0] * 9)
     assert np.max(np.abs(evolve(vacuum, h, 1000.0).amplitudes - vacuum.amplitudes)) < 1e-15
-    assert solver_calls == [((1, 1), np.float64)]
+    assert solver_calls == [((11, 1, 1), np.float64)]
     # a state symmetric in the modes holds two states or fewer in each of the
     # 11 sectors: one substep, whose recurrences break down after two vectors
     solver_calls.clear()

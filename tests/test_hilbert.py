@@ -459,6 +459,8 @@ def test_nan_states_and_densities_are_rejected():
         PureState(layout, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError, match="norm"):
         PureState(layout, np.array([np.nan, np.nan]))
+    with pytest.raises(ValueError, match="norm"):
+        PureState(layout, np.array([np.inf, 0.0]))
     with pytest.raises(ValueError, match="Hermitian"):
         DensityOp(layout, np.array([[np.nan, 0.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="Hermitian"):
