@@ -23,15 +23,17 @@ An H that joins sectors leaves the whole space as one sector.  The
 recurrences take the products with the basis as elementwise products and
 segmented sums (``np.add.reduceat``), on one core (CPU time = wall time).
 
-One two-level target on one ladder, the coherent field, the
-target-ancilla collision and the collective mode of N ancillas, is
-propagated in closed form instead (``_propagate``, from the ladder's
-couplings b): the coupling is i b_n times a real ladder between |g, n> and
-|e, n - 1>, so with D = diag(i^q), q the target's level, D^dag H D is real
-symmetric and splits into the Jaynes-Cummings doublets {|g, n>, |e, n - 1>}
-(Jaynes & Cummings, Proc. IEEE 51, 89 (1963)).  The gauge is exact: each
-amplitude is turned by a power of i, which only swaps and negates its real
-and imaginary parts.
+One two-level target on one ladder is propagated in closed form instead
+(``_propagate``, from the ladder's couplings b): the coherent field, the
+collective mode of N ancillas (one collision is the mode of N = 1), the
+collision of the sequential rotation, and each side of the absorption.
+``evolve`` is left for the simultaneous coupling of one target to many
+modes, and for any other H a library caller builds.  The coupling is i b_n
+times a real ladder between |g, n> and |e, n - 1>, so with D = diag(i^q), q
+the target's level, D^dag H D is real symmetric and splits into the
+Jaynes-Cummings doublets {|g, n>, |e, n - 1>} (Jaynes & Cummings, Proc. IEEE
+51, 89 (1963)).  The gauge is exact: each amplitude is turned by a power of
+i, which only swaps and negates its real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
                 break
             tau *= 0.5 ** 0.25
         # a matmul: np.vecdot rounds the collision's columns off those of
-        # protocols._collision_unitary
+        # _propagate
         x = spread(((q @ turns[:, :, None])[..., 0] * norm[:, None]).T, m)
         remaining -= tau
     return x

@@ -134,13 +134,20 @@ def chsh_violated(rho) -> bool:
     return horodecki_m(rho) > 1.0
 
 
-def trace_distance(a, b) -> float:
-    """(1/2) tr |a - b| for Hermitian a, b: square matrices of matching dimensions."""
+def _square_pair(a, b, measure: str):
+    """The matrices of ``a`` and ``b``, after refusing, under the name of the
+    ``measure``, a first one that is not square or a second of another shape."""
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.ndim != 2 or ma.shape[0] != ma.shape[1]:
-        raise ValueError(f"trace distance requires square matrices, got shape {ma.shape}")
+        raise ValueError(f"{measure} requires square matrices, got shape {ma.shape}")
     if ma.shape != mb.shape:
-        raise ValueError("trace distance requires matching dimensions")
+        raise ValueError(f"{measure} requires matching dimensions")
+    return ma, mb
+
+
+def trace_distance(a, b) -> float:
+    """(1/2) tr |a - b| for Hermitian a, b: square matrices of matching dimensions."""
+    ma, mb = _square_pair(a, b, "trace distance")
     diff = ma - mb
     if not np.max(np.abs(diff - diff.conj().T)) <= 1e-9:
         raise ValueError("trace distance expects Hermitian operators")
@@ -153,11 +160,10 @@ def state_overlap(a, b) -> float:
 
     Evaluated as the squared nuclear norm of A^dag B for factors a = A A^dag,
     b = B B^dag, which is stable on rank-deficient states.  Both must pass the
-    density-matrix checks (Hermitian, unit trace, positive semidefinite).
+    density-matrix checks (Hermitian, unit trace, positive semidefinite):
+    square matrices of matching dimensions.
     """
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError("state overlap requires matching dimensions")
+    ma, mb = _square_pair(a, b, "state overlap")
     # refused first, under its own message; _density_eigh would call a NaN non-Hermitian
     if not (np.all(np.isfinite(ma)) and np.all(np.isfinite(mb))):
         raise ValueError("state overlap of a non-finite matrix")

@@ -101,20 +101,22 @@ def massless_absorption():
     with the excitation moved coherently onto the targets, and returns the
     reduced two-target state and the scalars ``concurrence``,
     ``transfer_overlap`` and ``flying_occupation``.
-    """
-    layout = compose_layout([("fly_l", BosonicMode(1)), ("fly_r", BosonicMode(1)),
-                             *TWO_TARGETS.subsystems])
-    psi0 = superpose([
-        (1.0, basis_state(layout, [1, 0, "g", "g"])),
-        (1.0, basis_state(layout, [0, 1, "g", "g"])),
-    ])
-    h = jc_hamiltonian(layout, "tgt_l", ("fly_l",)) + jc_hamiltonian(layout, "tgt_r", ("fly_r",))
-    final = evolve(psi0, h, math.pi / 2)
 
-    transferred = superpose([
-        (1.0, basis_state(layout, [0, 0, "e", "g"])),
-        (1.0, basis_state(layout, [0, 0, "g", "e"])),
-    ])
+    The layout lists each side's target before its flying mode, (tgt_l,
+    fly_l, tgt_r, fly_r), so each side is one target-first ladder of one
+    doublet, coupling 1.  ``dynamics._propagate`` turns the (4, 4) amplitudes
+    over (left pair, right pair) in closed form: the left side on the
+    columns, then the right side on the rows; the two sides commute.
+    """
+    layout = compose_layout([("tgt_l", TwoLevel), ("fly_l", BosonicMode(1)),
+                             ("tgt_r", TwoLevel), ("fly_r", BosonicMode(1))])
+    psi0 = superpose([(1.0, basis_state(layout, ["g", 1, "g", 0])),
+                      (1.0, basis_state(layout, ["g", 0, "g", 1]))])
+    amps = _propagate(np.ones(1), psi0.amplitudes.reshape(4, 4), math.pi / 2)
+    final = PureState(layout, _propagate(np.ones(1), amps.T, math.pi / 2).T)
+
+    transferred = superpose([(1.0, basis_state(layout, ["e", 0, "g", 0])),
+                             (1.0, basis_state(layout, ["g", 0, "e", 0]))])
     overlap = abs(final.overlap(transferred))
     if abs(overlap - 1.0) > 1e-10:
         raise RuntimeError(f"absorption missed the transferred state (overlap {overlap!r})")
@@ -140,22 +142,17 @@ _ANCILLA_PLUS_RHO = 0.5 * np.ones((2, 2), dtype=complex)
 _PLUS_AMPLITUDE = (np.ones(1, dtype=complex) / math.sqrt(2))[0]
 
 
-def _collision_unitary(duration: float) -> np.ndarray:
-    """exp(-i H t) of one target-ancilla collision, one doublet of coupling 1;
-    column j is U|j>."""
-    return _propagate(np.ones(1), np.eye(4, dtype=complex), _finite_time(duration))
-
-
 def _collision_channel(duration: float) -> np.ndarray:
     """The 4x4 matrix S of one collision of that duration on vec(rho).
 
-    A collision couples the target, by ``_collision_unitary``, to a fresh
-    ancilla mode in (|0>+|1>)/sqrt(2) and traces the ancilla out: S @
-    rho.ravel() is the collided rho, raveled.  Column j is the collision of
-    the j-th 2x2 matrix unit.  Exact for the sequential protocol because a
-    used ancilla never interacts again.
+    A collision couples the target to a fresh ancilla mode in
+    (|0>+|1>)/sqrt(2) by U = exp(-i H t), one doublet of coupling 1 in closed
+    form (``dynamics._propagate``; column j is U|j>), and traces the ancilla
+    out: S @ rho.ravel() is the collided rho, raveled.  Column j is the
+    collision of the j-th 2x2 matrix unit.  Exact for the sequential protocol
+    because a used ancilla never interacts again.
     """
-    u = _collision_unitary(duration)
+    u = _propagate(np.ones(1), np.eye(4, dtype=complex), _finite_time(duration))
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
     # each unit (x) the ancilla's state, and the partial trace over the
     # ancilla, written out for the four units at once: the same products and
@@ -169,6 +166,10 @@ def single_ancilla_rotation(alpha: complex, beta: complex):
     """One ancilla collision at Jt = pi/4; ``single_step_analytic_density`` is
     its closed form.
 
+    One fermionic ancilla in (|0>+|1>)/sqrt(2) is the collective mode of
+    N = 1 (``collective_mode_reference``): the ladder of one doublet, coupling
+    1, with the mode amplitudes (1, 1)/sqrt(2).
+
     Returns (simulated reduced state, fidelity against the ideal rotated
     target).
     """
@@ -178,8 +179,7 @@ def single_ancilla_rotation(alpha: complex, beta: complex):
     # for about a third of accepted inputs without it
     psi = np.array([alpha, beta], dtype=complex)
     psi = psi / np.linalg.norm(psi)
-    rho = _collision_channel(math.pi / 4) @ np.outer(psi, psi.conj()).ravel()
-    simulated = DensityOp(_TARGET, rho.reshape(2, 2))
+    simulated = collective_mode_reference(1, psi[0], psi[1], math.pi / 4)
     return simulated, fidelity(simulated, rotated_target_state(alpha, beta))
 
 
@@ -356,6 +356,8 @@ def massive_fermion_protocol(angles):
     the left and right triples (the two sides commute).  Returns the reduced
     two-target state and its concurrence.
     """
+    if isinstance(angles, str):
+        raise TypeError(f"angles must be a sequence of numbers, not the string {angles!r}")
     angles = tuple(float(a) for a in angles)
     if not angles:
         raise ValueError("n_pairs must be >= 1, got 0")
@@ -421,13 +423,14 @@ def coherent_field_rotation(alpha: complex, beta: complex, eta: float,
                             cutoff: int | None = None) -> dict:
     """Rotate the target with a truncated coherent mode for Jt = pi/(4 eta).
 
-    eta is a real number >= 0.  At eta = 0 the coupling time is zero (vacuum
-    ancilla, no rotation); as eta grows the mode approaches a classical drive
-    and the fidelity against the ideal rotated target improves.  The target
-    and the field evolve in closed form on the field's ladder, couplings
-    sqrt(n) (``_ladder_target``), from the input renormalized to unit norm.
-    Returns the scalars ``fidelity``, ``infidelity`` and the mode's
-    ``truncation_weight``.
+    eta is a real number >= 0; a positive eta so small that the largest
+    phase of the run, sqrt(cutoff) pi/(4 eta), overflows is refused.  At
+    eta = 0 the coupling time is zero (vacuum ancilla, no rotation); as eta
+    grows the mode approaches a classical drive and the fidelity against the
+    ideal rotated target improves.  The target and the field evolve in
+    closed form on the field's ladder, couplings sqrt(n) (``_ladder_target``),
+    from the input renormalized to unit norm.  Returns the scalars
+    ``fidelity``, ``infidelity`` and the mode's ``truncation_weight``.
     """
     _check_normalized(alpha, beta)
     if cutoff is None:
@@ -438,11 +441,16 @@ def coherent_field_rotation(alpha: complex, beta: complex, eta: float,
     if z.imag != 0 or not z.real >= 0:
         raise ValueError(f"eta must be a real number >= 0, got {eta!r}")
     eta = z.real
+    duration = 0.0 if eta == 0 else math.pi / (4.0 * eta)
+    # the run's largest phase is that of the top coupling, sqrt(cutoff);
+    # checked before the mode is built, whose amplitudes underflow at such an eta
+    if not math.isfinite(math.sqrt(BosonicMode(cutoff).cutoff) * duration):
+        raise ValueError(f"eta {eta!r} is too small: the largest phase "
+                         f"sqrt(cutoff) pi/(4 eta) overflows")
     mode, weight = coherent_mode_state(cutoff, eta)
     if weight > 1e-8:
         raise ValueError(
             f"cutoff {cutoff} too small for |eta| = {eta}: truncation weight {weight:.3e}")
-    duration = _finite_time(0.0 if eta == 0 else math.pi / (4.0 * eta))
     psi = np.array([alpha, beta], dtype=complex)
     # the field's ladder has the couplings sqrt(n), n = 1 .. cutoff
     couplings = np.sqrt(np.arange(1.0, mode.amplitudes.size))

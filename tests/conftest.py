@@ -154,6 +154,13 @@ def pair_protocol_state(n_pairs):
     return psi.layout, psi.amplitudes
 
 
+def collision_unitary(t):
+    """exp(-i H t) of one target-ancilla collision, one doublet of coupling 1,
+    as ``protocols._collision_channel`` builds it; column j is U|j>."""
+    from modent.dynamics import _propagate
+    return _propagate(np.ones(1), np.eye(4, dtype=complex), t)
+
+
 def kron_rotation_step(rho, u):
     """One ancilla collision by ``np.kron`` and ``einsum``: the direct form of
     one column of ``protocols._collision_channel`` (target (x) ancilla in

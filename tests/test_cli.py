@@ -11,7 +11,7 @@ import pytest
 
 import modent
 from modent.cli import UsageError, main, parse_config, render_config, run
-from modent.plotting import heatmap
+from modent.plotting import heatmap, line_chart
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -49,6 +49,14 @@ def test_parse_rejects_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         parse_config(["bell", "--gamma", "0.5", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+def test_a_flag_is_not_taken_for_a_value(capsys):
+    # "--beta" is no number, so it is not attached to --alpha as its value
+    with pytest.raises(SystemExit) as exc:
+        main(["rotate", "--alpha", "--beta", "0.5"])
+    assert exc.value.code == 2
+    assert "--alpha: expected one argument" in capsys.readouterr().err
 
 
 def test_parse_normalizes_amplitudes():
@@ -281,6 +289,20 @@ def test_heatmap_of_constant_values():
     assert "0.25 .. 1.25" in text
 
 
+def test_heatmap_leaves_a_missing_cell_blank():
+    rows = [(x, y, x + y) for x in (0.0, 1.0) for y in (0.0, 1.0) if (x, y) != (1.0, 0.0)]
+    root = ElementTree.fromstring(heatmap(rows, "theta_1", "theta_2", "gap"))
+    cells = [r for r in root.iter(SVG + "rect") if r.get("fill") not in ("white", "none")]
+    # the cells run by x, then y: (0, 0), (0, 1) and (1, 1)
+    assert [c.get("fill") for c in cells] == ["#0000ff", "#805080", "#ff0000"]
+
+
+@pytest.mark.parametrize("chart", [line_chart, heatmap])
+def test_charts_refuse_no_data(chart):
+    with pytest.raises(ValueError, match="at least one"):
+        chart([], "x", "y", "empty")
+
+
 def test_out_and_plot_naming_one_file_is_refused(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in (["--out", "x.svg", "--plot", "x.svg"],
@@ -365,11 +387,11 @@ def test_computation_failure_exit_code(argv, capsys):
 def test_non_finite_result_is_a_computation_failure(eta, capsys):
     # pi / (4 eta) overflows to inf; this printed fidelity 0 and exited 0 when
     # NaN slipped through the checks, then named the NaN norm it led to.  The
-    # library still fails on the infinite time, before any RuntimeWarning; the
-    # CLI refuses such an eta before it runs anything
+    # library refuses such an eta by name, before any RuntimeWarning; the CLI
+    # refuses it before it runs anything
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="evolution time inf is not finite"):
+        with pytest.raises(ValueError, match=f"eta {float(eta)!r} is too small"):
             modent.coherent_field_rotation(1.0, 0.0, float(eta))
     assert main(["coherent-rotation", "--eta", eta, "--format", "csv"]) == 2
     captured = capsys.readouterr()

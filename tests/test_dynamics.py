@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     annihilation,
+    collision_unitary,
     dense,
     dense_collective_jc,
     dense_embed,
@@ -27,6 +28,7 @@ from modent import (
     TwoLevel,
     basis_state,
     compose_layout,
+    concurrence,
     evolve,
     jc_hamiltonian,
     reduced_density,
@@ -260,7 +262,7 @@ def test_non_finite_time_is_refused(t):
     with pytest.raises(ValueError, match="evolution time"):
         evolve(basis_state(layout, ["e", 0]), h, t)
     with pytest.raises(ValueError, match=r"evolution time .* is not finite"):
-        protocols._collision_unitary(t)
+        protocols._collision_channel(t)
 
 
 def test_evolve_full_absorption():
@@ -421,10 +423,10 @@ def test_closed_form_pairs_match_eigh_bit_for_bit():
 
 
 def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
-    # fermionic jc_hamiltonian over several modes and the massless-absorption
-    # sum over two targets are evolved by the Krylov step, whose tridiagonals
-    # are real; the coherent field's and collective_mode_reference's ladders
-    # are propagated in closed form
+    # fermionic jc_hamiltonian over several modes is evolved by the Krylov
+    # step, whose tridiagonals are real; the coherent field's,
+    # collective_mode_reference's and the absorption's ladders are propagated
+    # in closed form
     simultaneous_coupling_check(3)
     coherent_field_rotation(0.6, 0.8, 4.0)
     massless_absorption()
@@ -435,7 +437,15 @@ def test_every_production_hamiltonian_reaches_eigh_real(solver_calls):
 def test_rotation_protocols_diagonalize_nothing(solver_calls):
     sequential_rotation(0.8, 0.6, 64)
     single_ancilla_rotation(0.8, 0.6)
+    # and the absorption: two one-doublet ladders in closed form
+    massless_absorption()
     assert solver_calls == []
+
+
+def test_evolve_refuses_a_state_of_another_dimension():
+    h = jc_hamiltonian(_qubit_mode_layout(), "T", ("m",))
+    with pytest.raises(ValueError, match="state and Hamiltonian dimensions do not match"):
+        evolve(basis_state(compose_layout([("T", TwoLevel)]), ["g"]), h, 1.0)
 
 
 def test_evolve_rejects_non_hermitian():
@@ -702,8 +712,8 @@ def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes):
 
 
 def test_absorption_matches_dense_oracle():
-    # the sum of two one-mode couplings has sectors of up to six states, so
-    # the absorption takes the Krylov step
+    # the sum of two one-mode couplings, one per side, with the flying modes
+    # listed first: the targets' reduced state does not depend on the order
     layout = compose_layout([("fly_l", BosonicMode(1)), ("fly_r", BosonicMode(1)),
                              ("tgt_l", TwoLevel), ("tgt_r", TwoLevel)])
     h = dense_collective_jc(layout, "tgt_l", ["fly_l"]) + dense_collective_jc(layout, "tgt_r",
@@ -715,6 +725,28 @@ def test_absorption_matches_dense_oracle():
     expected = dense_partial_trace(final, ["tgt_l", "tgt_r"])
     assert np.max(np.abs(targets.matrix - expected)) < 1e-12
     assert abs(scalars["flying_occupation"]) < 1e-12
+
+
+def test_absorption_is_bit_identical_to_evolve():
+    # the Krylov step on the sum of the two sides' couplings is the closed
+    # form's reference: the same targets and scalars, bit for bit
+    layout = compose_layout([("tgt_l", TwoLevel), ("fly_l", BosonicMode(1)),
+                             ("tgt_r", TwoLevel), ("fly_r", BosonicMode(1))])
+    h = jc_hamiltonian(layout, "tgt_l", ("fly_l",)) + jc_hamiltonian(layout, "tgt_r", ("fly_r",))
+    psi = superpose([(1.0, basis_state(layout, ["g", 1, "g", 0])),
+                     (1.0, basis_state(layout, ["g", 0, "g", 1]))])
+    final = evolve(psi, h, math.pi / 2)
+    transferred = superpose([(1.0, basis_state(layout, ["e", 0, "g", 0])),
+                             (1.0, basis_state(layout, ["g", 0, "e", 0]))])
+    n_fly = layout.levels[[1, 3]].sum(axis=0)
+    expected = reduced_density(final, ["tgt_l", "tgt_r"])
+    targets, scalars = massless_absorption()
+    assert targets.matrix.tobytes() == expected.matrix.tobytes()
+    assert scalars == {
+        "concurrence": concurrence(expected),
+        "transfer_overlap": abs(final.overlap(transferred)),
+        "flying_occupation": float(np.sum(np.abs(final.amplitudes) ** 2 * n_fly)),
+    }
 
 
 def _big_sector_pair(layout):
@@ -858,7 +890,7 @@ def test_non_bipartite_or_complex_gauge_h_takes_the_krylov_step(kind, solver_cal
 def test_collision_unitary_is_unitary_and_matches_dense_oracle():
     layout = compose_layout([("target", TwoLevel), ("ancilla", FermionicMode)])
     h = jc_hamiltonian(layout, "target", ("ancilla",))
-    u = protocols._collision_unitary(2.7)
+    u = collision_unitary(2.7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(layout.dim))) < 1e-12
     assert np.max(np.abs(u - dense_propagator(dense(h), 2.7))) < 1e-12
 
@@ -869,7 +901,7 @@ def test_collision_unitary_is_bit_identical_to_evolve(t):
     h = jc_hamiltonian(layout, "target", ("ancilla",))
     columns = [evolve(basis_state(layout, levels), h, t).amplitudes
                for levels in np.ndindex(2, 2)]
-    assert np.array_equal(protocols._collision_unitary(t), np.column_stack(columns))
+    assert np.array_equal(collision_unitary(t), np.column_stack(columns))
 
 
 @pytest.mark.parametrize("m", [1, 4])

@@ -57,6 +57,13 @@ def test_fidelity_dimension_mismatch():
             fidelity(rho, bad)
 
 
+def test_fidelity_refuses_a_non_real_value():
+    # rho is not validated: a non-Hermitian one gives <psi|rho|psi> = 0.5 + 0.5i
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    with pytest.raises(ValueError, match="fidelity came out non-real"):
+        fidelity(np.array([[0.5, 1j], [0.0, 0.5]]), plus)
+
+
 def test_nan_is_never_read_as_a_fidelity_or_two_qubit_state():
     # max(0, nan) used to clamp a NaN fidelity to 0
     with pytest.raises(ValueError, match="non-finite"):
@@ -307,3 +314,13 @@ def test_state_overlap():
             state_overlap(np.eye(2) / 2, bad)
         with pytest.raises(ValueError, match=match):
             state_overlap(bad, np.eye(2) / 2)
+
+
+def test_state_overlap_refuses_other_shapes():
+    # not matrices, or not square: refused by name, before numpy's own errors
+    for bad in (np.array([0.5, 0.5]), np.ones((2, 3)) / 6):
+        with pytest.raises(ValueError, match="state overlap requires square matrices"):
+            state_overlap(bad, np.zeros_like(bad))
+    for other in (np.array([0.5, 0.5]), np.array([[0.5]]), np.eye(4) / 4):
+        with pytest.raises(ValueError, match="state overlap requires matching dimensions"):
+            state_overlap(np.eye(2) / 2, other)

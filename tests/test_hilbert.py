@@ -50,6 +50,13 @@ def test_compose_layout_rejects_empty():
         compose_layout([])
 
 
+def test_compose_layout_rejects_unknown_kind():
+    # BosonicMode has a cutoff, so its bare class is no kind
+    for kind in ("qubit", BosonicMode, 2):
+        with pytest.raises(ValueError, match="unknown subsystem kind"):
+            compose_layout([("a", kind)])
+
+
 def test_bosonic_cutoff_must_be_positive():
     with pytest.raises(ValueError):
         BosonicMode(0)
@@ -132,6 +139,11 @@ def test_superpose_rejects_layout_mismatch():
     b = basis_state(compose_layout([("y", TwoLevel)]), ["g"])
     with pytest.raises(ValueError, match="layout"):
         superpose([(1, a), (1, b)])
+
+
+def test_superpose_rejects_no_terms():
+    with pytest.raises(ValueError, match="superpose needs at least one term"):
+        superpose([])
 
 
 def test_superpose_rejects_zero_vector():
@@ -441,6 +453,19 @@ def test_pure_state_requires_normalization():
     layout = compose_layout([("T", TwoLevel)])
     with pytest.raises(ValueError, match="norm"):
         PureState(layout, np.array([1.0, 1.0]))
+
+
+def test_pure_state_refuses_wrong_length():
+    layout = compose_layout([("T", TwoLevel)])
+    with pytest.raises(ValueError, match="amplitude vector has length 3, layout dimension is 2"):
+        PureState(layout, np.array([1.0, 0.0, 0.0]))
+
+
+def test_overlap_refuses_states_of_other_dimensions():
+    qubit = basis_state(compose_layout([("T", TwoLevel)]), ["g"])
+    mode = basis_state(compose_layout([("m", BosonicMode(2))]), [0])
+    with pytest.raises(ValueError, match="overlap requires states of matching dimensions"):
+        qubit.overlap(mode)
 
 
 def test_density_validation():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from conftest import (
+    collision_unitary,
     dense_mixing,
     kron_rotation_step,
     pair_protocol_state,
@@ -40,7 +41,6 @@ from modent import protocols
 from modent.protocols import (
     MAX_ANCILLAS,
     _collision_channel,
-    _collision_unitary,
     _pair_mixing,
     _reduced_targets,
     single_step_analytic_density,
@@ -60,6 +60,13 @@ def test_absorption_produces_symmetric_bell_pair():
     assert abs(result["concurrence"] - 1.0) < 1e-10
     assert result["flying_occupation"] < 1e-12
     assert abs(result["transfer_overlap"] - 1.0) < 1e-10
+
+
+def test_absorption_refuses_a_missed_transfer(monkeypatch):
+    # a propagation that leaves the state where it was misses the transfer
+    monkeypatch.setattr(protocols, "_propagate", lambda b, amplitudes, t: amplitudes)
+    with pytest.raises(RuntimeError, match="absorption missed the transferred state"):
+        massless_absorption()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +154,7 @@ def test_rotation_step_matches_kron_oracle_bit_for_bit():
         alpha, beta = rand_amplitude_pair(rng)
         psi = np.array([alpha, beta])
         rho = rho0 = np.outer(psi, psi.conj())
-        u = _collision_unitary(math.pi / (2 * n))
+        u = collision_unitary(math.pi / (2 * n))
         channel = _collision_channel(math.pi / (2 * n))
         for j, unit in enumerate(np.eye(4, dtype=complex)):
             assert np.array_equal(channel[:, j], kron_rotation_step(unit.reshape(2, 2), u).ravel())
@@ -155,15 +162,23 @@ def test_rotation_step_matches_kron_oracle_bit_for_bit():
             rho = kron_rotation_step(rho, u)
         power = (np.linalg.matrix_power(channel, n) @ rho0.ravel()).reshape(2, 2)
         assert np.max(np.abs(power - rho)) < 1e-13
-    # the single collision is the channel at Jt = pi/4 on vec(rho), bit for bit
+
+
+def test_single_collision_is_the_one_mode_collective_reference():
+    # one ancilla in (|0>+|1>)/sqrt(2) is the collective mode of N = 1: the
+    # single collision is that mode's run, from the input divided by its
+    # norm, bit for bit, and the channel at Jt = pi/4 on vec(rho) to rounding
+    rng = np.random.default_rng(420)
     channel = _collision_channel(math.pi / 4)
-    for _ in range(20):
+    for _ in range(200):
         alpha, beta = rand_amplitude_pair(rng)
         psi = np.array([alpha, beta], dtype=complex)
         psi = psi / np.linalg.norm(psi)
         simulated, _ = single_ancilla_rotation(alpha, beta)
+        reference = protocols.collective_mode_reference(1, psi[0], psi[1], math.pi / 4)
+        assert simulated.matrix.tobytes() == reference.matrix.tobytes()
         expected = (channel @ np.outer(psi, psi.conj()).ravel()).reshape(2, 2)
-        assert np.array_equal(simulated.matrix, expected)
+        assert np.max(np.abs(simulated.matrix - expected)) <= 1e-15
 
 
 def test_rotation_params_validation():
@@ -361,6 +376,14 @@ def test_fermion_params_validation():
         massive_fermion_protocol(())
 
 
+def test_fermion_angles_refuse_a_string():
+    # "12" would run as the two angles (1.0, 2.0)
+    for bad in ("12", "1"):
+        with pytest.raises(TypeError, match=f"angles must be a sequence of numbers, "
+                                            f"not the string {bad!r}"):
+            massive_fermion_protocol(bad)
+
+
 # ---------------------------------------------------------------------------
 # angle optimization
 # ---------------------------------------------------------------------------
@@ -459,6 +482,18 @@ def test_coherent_rotation_rejects_small_cutoff():
                 coherent_field_rotation(0.8, 0.6, eta, cutoff)
     assert (coherent_field_rotation(0.8, 0.6, complex(2.0))
             == coherent_field_rotation(0.8, 0.6, 2.0))
+
+
+def test_coherent_rotation_refuses_an_eta_whose_pulse_overflows():
+    # pi/(4 eta) is infinite below about 4.4e-309, and sqrt(cutoff) pi/(4 eta),
+    # the largest phase of the run, a little above: refused by eta, not by the
+    # evolution time or the NaN they would give
+    for eta, cutoff in ((1e-320, None), (5e-324, 200), (4e-309, None), (5e-309, None),
+                        (1e-307, 131071)):
+        with pytest.raises(ValueError, match=rf"eta {eta!r} is too small: the largest phase "
+                                             r"sqrt\(cutoff\) pi/\(4 eta\) overflows"):
+            coherent_field_rotation(1.0, 0.0, eta, cutoff)
+    assert coherent_field_rotation(1.0, 0.0, 1e-307)["truncation_weight"] == 0.0
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.5, 2.0, 8.0, 20.0])
