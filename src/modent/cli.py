@@ -16,9 +16,9 @@ returns it validated, with every default filled in; ``run`` executes it, and
 Numeric output is formatted to 12 significant digits and runs are
 deterministic: identical configs produce byte-identical CSV/JSON.
 Exit codes: 0 success, 2 usage/validation error (including sizes beyond the
-memory guards ``MAX_COLLECTIVE_N``, ``MAX_COHERENT_CUTOFF`` and
-``MAX_SWEEP_ROWS`` and ancilla counts beyond the accuracy bound
-``protocols.MAX_ANCILLAS``), 1 computation failure.
+memory guards: ``MAX_COLLECTIVE_N`` and ``MAX_COHERENT_CUTOFF``, derived from
+the one ``MEMORY_BUDGET``, and ``MAX_SWEEP_ROWS``; and ancilla counts beyond
+the accuracy bound ``protocols.MAX_ANCILLAS``), 1 computation failure.
 """
 
 from __future__ import annotations
@@ -55,25 +55,23 @@ def _fmt12(x) -> str:
     return format(float(x), ".12g")
 
 
-# Memory guards.  At n = 11 (d = 4096) collective-check propagates by Krylov
-# substeps: the n d / 2 = 22,528 Hamiltonian triplets (0.7 MiB) are sorted
-# into row order once, with at most 0.9 MiB more while each entry is checked
-# against its mirror for Hermiticity, and the values and the columns mapped
-# into sector order are kept.  The substeps keep a basis of at most 30
-# complex vectors of length d (1.9 MiB) and a work buffer of the same size,
-# which also takes the gathered triplets, beside the 64 KiB state and the
-# layout's cached (n + 1) x d level grid (384 KiB).  The check peaks at
-# 5.96 MiB traced (tracemalloc) and a fresh run at 35 MiB RSS (30 MiB of it
-# the interpreter and numpy); each step of n doubles the arrays.
-# coherent-rotation builds no target-and-field layout and no Hamiltonian
-# triplets: it holds O(cutoff) arrays, the cutoff couplings and the
-# 2 (cutoff + 1) amplitudes that the closed-form ladder propagation turns.
-MAX_COLLECTIVE_N = 11
-MAX_COHERENT_CUTOFF = 2 ** 17 - 1
+# One memory budget for the runs whose size a flag sets.  Each guarded size
+# is the largest whose estimate, a rate times the count the run's arrays
+# scale with, stays within the budget; each rate is the traced peak
+# (tracemalloc) per unit, rounded up, and a test checks it against the peak.
+# - collective-check: per basis state of the target and n modes, d =
+#   2^(n + 1): the n d / 2 Hamiltonian triplets, their sorted copies, and
+#   the Krylov basis and work buffer of 30 vectors.  1504-1657 B from n = 9
+#   to 16, growing with the triplets per state.
+# - coherent-rotation: per level of the field's ladder, cutoff + 1 of them:
+#   the couplings and the amplitudes the closed-form propagation turns.
+#   184-205 B from cutoff 580 to 10^6.
+MEMORY_BUDGET = 2 ** 28                             # bytes
+BYTES_PER_COLLECTIVE_STATE = 1700
+BYTES_PER_COHERENT_LEVEL = 216
+MAX_COLLECTIVE_N = (MEMORY_BUDGET // BYTES_PER_COLLECTIVE_STATE).bit_length() - 2
+MAX_COHERENT_CUTOFF = MEMORY_BUDGET // BYTES_PER_COHERENT_LEVEL - 1
 MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory
-# The largest phase of a coherent run, sqrt(cutoff) times the coupling time
-# pi/(4 eta), overflows below eta = 1.5817e-306 at the largest cutoff.
-MIN_COHERENT_ETA = 1.6e-306
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +228,22 @@ def _run_absorption(p, payload):
 
 
 def _run_coherent_rotation(p, payload):
-    cutoff = p["cutoff"] if p["cutoff"] is not None else default_coherent_cutoff(p["eta"])
-    payload["scalars"] = coherent_field_rotation(p["alpha"], p["beta"], p["eta"], cutoff)
-    payload["params"]["cutoff"] = cutoff
+    payload["scalars"] = coherent_field_rotation(p["alpha"], p["beta"], p["eta"], p["cutoff"])
 
 
 def _check_coherent_rotation(p, plot):
-    if 0 < p["eta"] < MIN_COHERENT_ETA:
-        raise UsageError(f"eta must be 0 or at least {MIN_COHERENT_ETA}, got {p['eta']!r}")
-    # eta above MAX_COHERENT_CUTOFF is out of bounds anyway; min() keeps eta**2 finite
-    if (p["cutoff"] is None
-            and default_coherent_cutoff(min(p["eta"], MAX_COHERENT_CUTOFF)) > MAX_COHERENT_CUTOFF):
-        # eta**2 + 8 eta + 20 <= cutoff, rounded down so the printed bound passes
-        eta_max = math.floor(1e3 * (math.sqrt(MAX_COHERENT_CUTOFF - 4) - 4)) / 1e3
-        raise UsageError(f"eta must be in [0,{eta_max:.6g}] when cutoff is automatic "
-                         f"(cutoff <= {MAX_COHERENT_CUTOFF}), got {p['eta']!r}")
+    if p["cutoff"] is None:
+        # eta above MAX_COHERENT_CUTOFF is refused anyway; min() keeps eta**2 finite
+        p["cutoff"] = default_coherent_cutoff(min(p["eta"], MAX_COHERENT_CUTOFF))
+        if p["cutoff"] > MAX_COHERENT_CUTOFF:
+            # eta**2 + 8 eta + 20 <= cutoff, rounded down so the printed bound passes
+            eta_max = math.floor(1e3 * (math.sqrt(MAX_COHERENT_CUTOFF - 4) - 4)) / 1e3
+            raise UsageError(f"eta must be in [0,{eta_max}] when cutoff is automatic "
+                             f"(cutoff <= {MAX_COHERENT_CUTOFF}), got {p['eta']!r}")
+    # coherent_field_rotation's own test, run before it builds the mode
+    if p["eta"] > 0 and not math.isfinite(math.sqrt(p["cutoff"]) * (math.pi / (4.0 * p["eta"]))):
+        raise UsageError(f"eta must be 0 or large enough that the largest phase "
+                         f"sqrt({p['cutoff']}) pi/(4 eta) is finite, got {p['eta']!r}")
 
 
 EXPERIMENTS = {
@@ -476,15 +475,16 @@ def render_config(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _json_clean(obj):
+    """``obj`` with its floats at 12 significant digits; any other value is
+    left for json.dumps, which raises TypeError on a type JSON has no form
+    for (a numpy integer, a complex number) rather than print it as text."""
     if isinstance(obj, dict):
         return {k: _json_clean(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
         return [_json_clean(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
     if isinstance(obj, float):
         return float(_fmt12(obj))
-    return str(obj)
+    return obj
 
 
 def _emit_json(payload: dict) -> str:

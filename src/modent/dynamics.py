@@ -262,19 +262,24 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
     ``_KRYLOV_DIM`` vectors.  The Gram-Schmidt coefficients, the norms and the
     next coefficient beta are segmented sums (``np.add.reduceat``) over the
     sectors, and the coefficients are spread back over the states through the
-    work buffer.  A sector stops when beta tau stays within ``_KRYLOV_TOL``
-    for the whole remaining time tau (its basis spans an invariant subspace
-    of H up to a perturbation of norm beta; a lucky breakdown), or at once if
-    x has no weight there: its further basis vectors are zero, so its
-    tridiagonal T is padded by zeros that leave exp(-i T tau) e_1 as it was.
-    The tridiagonals are decomposed as one stack.  When every sector has
-    stopped, the substep takes the remaining time.  Otherwise tau starts at
-    twice the previous substep's and shrinks by quarter powers of two until
-    every sector's estimated error tau beta |e_m^T exp(-i T tau) e_1| (the
-    residual beta |e_m^T exp(-i T s) e_1| of its Krylov solution, over the
-    substep) is within ``_KRYLOV_TOL`` of that sector's norm; the errors of the
-    sectors are orthogonal, so the whole error stays within ``_KRYLOV_TOL`` of
-    the norm of x.
+    work buffer.  A sector stops when beta min(tau, 1) is within
+    ``_KRYLOV_TOL`` for the remaining time tau (its basis spans an invariant
+    subspace of H up to a perturbation of norm beta; a lucky breakdown), or
+    at once if x has no weight there: its further basis vectors are zero, so
+    its tridiagonal T is padded by zeros that leave exp(-i T tau) e_1 as it
+    was.  Past remaining time 1 the stop does not grow with tau, so a
+    rounding-level beta still ends a recurrence at long times.  The
+    tridiagonals are decomposed as one stack.  When every sector has stopped,
+    the substep takes the remaining time; otherwise tau starts at twice the
+    previous substep's.  It shrinks by quarter powers of two until every
+    sector's estimated error tau beta |e_k^T exp(-i T tau) e_1| is within
+    ``_KRYLOV_TOL`` of that sector's norm: the residual beta |e_k^T exp(-i T
+    s) e_1| of its Krylov solution over the substep, with k its last basis
+    vector and beta the coefficient it ran or stopped at.  Within remaining
+    time 1 a stopped sector's estimate stays within beta tau <=
+    ``_KRYLOV_TOL``, so only a running sector shortens a substep there.  The
+    errors of the sectors are orthogonal, so the whole error stays within
+    ``_KRYLOV_TOL`` of the norm of x.
     """
     basis = np.empty_like(work)
     tridiagonal = np.zeros((bounds.size, _KRYLOV_DIM, _KRYLOV_DIM))
@@ -295,6 +300,7 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
     while remaining > 0:
         norm = norms(x)
         running = norm > 0
+        residual, last = np.zeros(bounds.size), np.zeros(bounds.size, dtype=np.intp)
         # a sector without weight divides its zeros by 1 and stays zero
         np.divide(x, np.where(running, norm, 1.0)[owner], out=basis[0])
         for m in range(1, _KRYLOV_DIM + 1):
@@ -306,7 +312,10 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
                 p -= spread(c, m)
                 tridiagonal[:, m - 1, m - 1] += c[-1].real
             beta = norms(p)
-            running &= beta * remaining > _KRYLOV_TOL
+            # a stopped sector's error estimate keeps the step it stopped at
+            residual = np.where(running, beta, residual)
+            last = np.where(running, m - 1, last)
+            running &= beta * min(remaining, 1.0) > _KRYLOV_TOL
             if m == _KRYLOV_DIM or not running.any():
                 break
             # a stopped sector divides by infinity: its next vector and its
@@ -316,12 +325,11 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
         lam, q = np.linalg.eigh(tridiagonal[:, :m, :m])
         # every entry the substep wrote lies in this block: clear it for the next
         tridiagonal[:, :m, :m] = 0.0
-        # beta is zero for a sector that stopped before the last step, whose
-        # error stays within beta tau of the step it stopped at
         tau = min(remaining, 2 * tau) if running.any() else remaining
         while True:
             turns = np.exp(-1j * sign * tau * lam) * q[:, 0]
-            if np.all(tau * beta * np.abs(np.vecdot(q[:, -1], turns)) <= _KRYLOV_TOL):
+            error = tau * residual * np.abs(np.vecdot(q[np.arange(bounds.size), last], turns))
+            if np.all(error <= _KRYLOV_TOL):
                 break
             tau *= 0.5 ** 0.25
         # a matmul: np.vecdot rounds the collision's columns off those of

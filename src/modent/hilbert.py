@@ -419,10 +419,12 @@ def coherent_mode_state(cutoff: int, eta: complex, label: str = "mode"):
     else:
         n = np.arange(1, cutoff + 1)
         # |eta|^2 - n keeps the digits of |eta|^2 while n <= 2 |eta|^2; above,
-        # and where |eta|^2 underflows, the ratio is taken as |eta| / sqrt(n)
+        # and where |eta|^2 underflows, the ratio is taken as |eta| / sqrt(n),
+        # whose log is -inf where it underflows too: amplitude 0 from there on
         near = np.count_nonzero(n <= 2 * lam)
-        steps = np.concatenate([0.5 * np.log1p((lam - n[:near]) / n[:near]),
-                                np.log(abs(eta) / np.sqrt(n[near:]))])
+        with np.errstate(divide="ignore"):
+            far = np.log(abs(eta) / np.sqrt(n[near:]))
+        steps = np.concatenate([0.5 * np.log1p((lam - n[:near]) / n[:near]), far])
         amps = (_amplitudes_from_log_ratios(steps)
                 * np.exp(1j * np.arange(cutoff + 1) * math.atan2(eta.imag, eta.real)))
     state = PureState(compose_layout([(label, kind)]), amps)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -197,3 +198,13 @@ def pointwise_optimize_angles(n_pairs, grid_points, refine_rounds):
         axes = [sorted({min(math.pi, max(0.0, t + k * step)) for k in range(-2, 3)})
                 for t in best_t]
     return best_t, best_c, grid_rows
+
+
+def traced_peak(f, *args):
+    """The peak of the memory that tracemalloc traces while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -7,9 +7,12 @@ import sys
 import warnings
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 import modent
+from conftest import traced_peak
+from modent import cli
 from modent.cli import UsageError, main, parse_config, render_config, run
 from modent.plotting import heatmap, line_chart
 
@@ -150,11 +153,14 @@ def test_flags_override_config(tmp_path):
                       "output": {"format": ""}},
                  "format must be one of ('table', 'csv', 'json'), got ''", id="empty format"),
     # the coupling time pi/(4 eta) overflows below 4.4e-309, and the largest
-    # phase sqrt(cutoff) pi/(4 eta) already at 4.37e-309
+    # phase sqrt(cutoff) pi/(4 eta) below 1.954e-308 at the automatic cutoff
+    # 20, and below 4.870e-306 at the largest cutoff
     pytest.param(["coherent-rotation", "--eta", "1e-320"], None,
-                 "eta must be 0 or at least 1.6e-306, got 1e-320", id="eta 1e-320"),
+                 "eta must be 0 or large enough that the largest phase sqrt(20) pi/(4 eta) "
+                 "is finite, got 1e-320", id="eta 1e-320"),
     pytest.param(["coherent-rotation", "--eta", "4.37e-309"], None,
-                 "eta must be 0 or at least 1.6e-306, got 4.37e-309", id="eta 4.37e-309"),
+                 "eta must be 0 or large enough that the largest phase sqrt(20) pi/(4 eta) "
+                 "is finite, got 4.37e-309", id="eta 4.37e-309"),
     pytest.param([], "{not json", "config file is not valid JSON", id="not JSON"),
     pytest.param([], [1, 2], "config document must be a JSON object", id="not an object"),
     pytest.param([], {"experiment": "bell", "parameters": [0.5]},
@@ -245,6 +251,16 @@ def test_json_output_schema(tmp_path):
     assert doc["name"] == "collective-check"
     assert doc["params"]["n"] == 2
     assert abs(doc["scalars"]["fidelity_gain"]) < 1e-10
+
+
+def test_json_emission_refuses_a_type_without_a_json_form():
+    # a numpy integer or a complex number was written as its text, "3" and
+    # "(1+2j)": a string where a number belongs
+    for value in (np.int64(3), 1 + 2j):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._emit_json({"scalars": {"c": value}})
+    assert json.loads(cli._emit_json({"scalars": {"n": 3, "x": np.float64(0.1), "b": True}})) == {
+        "scalars": {"b": True, "n": 3, "x": 0.1}}
 
 
 def test_svg_plots(tmp_path):
@@ -396,15 +412,24 @@ def test_non_finite_result_is_a_computation_failure(eta, capsys):
     assert main(["coherent-rotation", "--eta", eta, "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "eta must be 0 or at least 1.6e-306" in captured.err
+    assert ("eta must be 0 or large enough that the largest phase sqrt(20) pi/(4 eta) is finite"
+            in captured.err)
 
 
 def test_coherent_rotation_runs_at_the_smallest_eta(capsys):
     # the largest phase, sqrt(cutoff) pi/(4 eta), stays finite at the floor,
-    # at the automatic cutoff and at the largest one
-    for cutoff in ([], ["--cutoff", "131071"]):
-        assert main(["coherent-rotation", "--eta", "1.6e-306", "--format", "csv"] + cutoff) == 0
-    assert "fidelity," in capsys.readouterr().out
+    # at the automatic cutoff 20 and at the largest one, and overflows one
+    # float below it, where the CLI refuses the eta as the library does
+    for cutoff, floor in ((None, 1.9538414523618775e-308),
+                          (cli.MAX_COHERENT_CUTOFF, 4.870427478486644e-306)):
+        flags = [] if cutoff is None else ["--cutoff", str(cutoff)]
+        assert main(["coherent-rotation", "--eta", repr(floor), "--format", "csv"] + flags) == 0
+        assert "fidelity," in capsys.readouterr().out
+        below = math.nextafter(floor, 0.0)
+        with pytest.raises(ValueError, match="is too small"):
+            modent.coherent_field_rotation(1.0, 0.0, below, cutoff)
+        assert main(["coherent-rotation", "--eta", repr(below)] + flags) == 2
+        assert f"sqrt({cutoff or 20}) pi/(4 eta) is finite" in capsys.readouterr().err
 
 
 def test_coherent_rotation_eta_100_keeps_inverse_square_scaling(capsys):
@@ -531,12 +556,12 @@ def test_normalization_of_subnormal_amplitudes(tiny):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv, message", [
-    (["collective-check", "--n", "12"], r"n must be an integer in \[1,11\], got 12"),
-    (["coherent-rotation", "--eta", "358.1"], r"eta must be in \[0,358\.031\]"),
-    (["coherent-rotation", "--eta", "1e300"], r"eta must be in \[0,358\.031\]"),
-    (["coherent-rotation", "--eta", "1000"], r"eta must be in \[0,358\.031\]"),
-    (["coherent-rotation", "--eta", "4", "--cutoff", "131072"],
-     r"cutoff must be an integer in \[1,131071\], got 131072"),
+    (["collective-check", "--n", "17"], r"n must be an integer in \[1,16\], got 17"),
+    (["coherent-rotation", "--eta", "1110.8"], r"eta must be in \[0,1110\.787\]"),
+    (["coherent-rotation", "--eta", "1e300"], r"eta must be in \[0,1110\.787\]"),
+    (["coherent-rotation", "--eta", "3000"], r"eta must be in \[0,1110\.787\]"),
+    (["coherent-rotation", "--eta", "4", "--cutoff", "1242756"],
+     r"cutoff must be an integer in \[1,1242755\], got 1242756"),
     (["fermion-sweep", "--pairs", "4", "--grid", "33"], r"grid\*\*pairs must be <= 1048576"),
     (["fermion-sweep", "--pairs", "1000000000"], r"grid\*\*pairs must be <= 1048576"),
     (["rotate", "--n", "1048577"], r"n must be an integer in \[1,1048576\], got 1048577"),
@@ -550,9 +575,9 @@ def test_size_guards_refuse_before_running(argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["collective-check", "--n", "11"],
-    ["coherent-rotation", "--eta", "358"],
-    ["coherent-rotation", "--eta", "100", "--cutoff", "131071"],
+    ["collective-check", "--n", "16"],
+    ["coherent-rotation", "--eta", "1110"],
+    ["coherent-rotation", "--eta", "100", "--cutoff", "1242755"],
     ["fermion-sweep", "--pairs", "4", "--grid", "32"],
     ["fermion-sweep", "--pairs", "2", "--grid", "1024"],
     ["coherent-rotation", "--eta", "100"],
@@ -568,14 +593,52 @@ def test_size_guards_accept_the_budget_edge(argv):
 def test_printed_eta_bound_is_accepted():
     # the bound is printed rounded down, so feeding it back is within budget
     with pytest.raises(UsageError) as refused:
-        parse_config(["coherent-rotation", "--eta", "1000"])
+        parse_config(["coherent-rotation", "--eta", "3000"])
     bound = re.search(r"eta must be in \[0,([^\]]+)\]", str(refused.value)).group(1)
     assert parse_config(["coherent-rotation", "--eta", bound])["parameters"]["eta"] == float(bound)
+
+
+def test_memory_budget_rates_hold_the_traced_peak():
+    # each rate times the size is the run's estimate: never below its traced
+    # peak, nor above it by more than a quarter, so the derived bounds are
+    # the largest sizes whose runs stay within the budget
+    runs = [(cli.BYTES_PER_COLLECTIVE_STATE * 2 ** (n + 1), modent.simultaneous_coupling_check,
+             (n, 0.6, 0.8)) for n in range(9, 14)]
+    runs += [(cli.BYTES_PER_COHERENT_LEVEL * (cutoff + 1), modent.coherent_field_rotation,
+              (0.6, 0.8, 20.0, cutoff)) for cutoff in (580, 4000, 2 ** 17)]
+    for estimate, f, args in runs:
+        peak = traced_peak(f, *args)
+        assert peak <= estimate <= 1.25 * peak, (f.__name__, args, peak, estimate)
+    rate, n = cli.BYTES_PER_COLLECTIVE_STATE, cli.MAX_COLLECTIVE_N
+    assert rate * 2 ** (n + 1) <= cli.MEMORY_BUDGET < rate * 2 ** (n + 2)
+    rate, cutoff = cli.BYTES_PER_COHERENT_LEVEL, cli.MAX_COHERENT_CUTOFF
+    assert rate * (cutoff + 1) <= cli.MEMORY_BUDGET < rate * (cutoff + 2)
+    assert (n, cutoff) == (16, 1242755)
+
+
+def test_runs_at_the_derived_edges(capsys):
+    # collective-check at n = 16 (d = 131072, about 210 MiB traced), and
+    # coherent-rotation at the printed eta bound, whose automatic cutoff is
+    # the largest: eta^2 infidelity at (1, 0) tends to a constant, 0.0203630
+    assert main(["collective-check", "--n", "16", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["scalars"]["trace_distance"] <= 1e-10
+    with pytest.raises(UsageError) as refused:
+        parse_config(["coherent-rotation", "--eta", "3000"])
+    bound = re.search(r"eta must be in \[0,([^\]]+)\]", str(refused.value)).group(1)
+    assert main(["coherent-rotation", "--eta", bound, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["cutoff"] == cli.MAX_COHERENT_CUTOFF
+    assert abs(float(bound) ** 2 * doc["scalars"]["infidelity"] - 0.0203630) < 1e-6
 
 
 def test_size_guard_exit_code(monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the guard let the experiment run")
     monkeypatch.setattr("modent.cli.simultaneous_coupling_check", must_not_run)
-    assert main(["collective-check", "--n", "30"]) == 2
-    assert "n must be an integer in [1,11]" in capsys.readouterr().err
+    monkeypatch.setattr("modent.cli.coherent_field_rotation", must_not_run)
+    for argv, message in ((["collective-check", "--n", "30"], "n must be an integer in [1,16]"),
+                          (["collective-check", "--n", "17"], "n must be an integer in [1,16]"),
+                          (["coherent-rotation", "--eta", "1110.8"], "eta must be in [0,1110.787]"),
+                          (["coherent-rotation", "--eta", "1e-308"], "sqrt(20) pi/(4 eta)")):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err

@@ -19,6 +19,7 @@ from conftest import (
     rand_amplitude_pair,
     rand_hermitian,
     rand_pure_state,
+    traced_peak,
 )
 from modent import (
     BosonicMode,
@@ -495,17 +496,6 @@ def _collective_jc(n_modes):
     return layout, jc_hamiltonian(layout, "target", modes)
 
 
-def _traced_peak(f):
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_hermiticity_check_holds_one_temporary_at_most():
     # the check overwrites the difference its caller hands it: a field of
     # 2^16 quanta has 2^17 complex triplets (2 MiB), and their difference
@@ -514,7 +504,7 @@ def test_hermiticity_check_holds_one_temporary_at_most():
     h = jc_hamiltonian(_qubit_mode_layout(BosonicMode(2 ** 16)), "T", ("m",))
     values = h.values
     assert values.shape == (2 ** 17,)
-    peak = _traced_peak(lambda: dynamics._check_hermitian(values - values))
+    peak = traced_peak(lambda: dynamics._check_hermitian(values - values))
     assert peak < 1.5 * values.nbytes
 
 
@@ -526,7 +516,7 @@ def test_chiral_path_peaks_below_the_whole_blocks():
     # C(22, 11) entries (5.4 MiB), which a decomposition would hold twice
     layout, h = _collective_jc(10)
     psi = rand_pure_state(np.random.default_rng(10), layout)
-    assert _traced_peak(lambda: evolve(psi, h, 1.0)) < 0.5 * 8 * math.comb(22, 11)
+    assert traced_peak(lambda: evolve(psi, h, 1.0)) < 0.5 * 8 * math.comb(22, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +830,24 @@ def test_krylov_step_ends_on_a_lucky_breakdown(solver_calls):
     out = evolve(psi, h, 2.0)
     assert solver_calls == [((11, 2, 2), np.float64)]
     assert np.max(np.abs(out.amplitudes - dense_propagator(dense(h), 2.0) @ amps)) < 1e-12
+
+
+def test_krylov_breakdown_does_not_grow_with_time(solver_calls):
+    # a generic state of collective n = 9 touches ten distinct eigenvalues of
+    # H or fewer in each sector, so each recurrence ends on a rounding-level
+    # beta within ten vectors.  Stopped only when beta times the remaining
+    # time was within the tolerance, the recurrences ran on over rounding
+    # noise from t = 10, to all 30 vectors from t = 20
+    layout, h = _collective_jc(9)
+    psi = rand_pure_state(np.random.default_rng(9), layout)
+    exact = dense_collective_jc(layout, "target", layout.labels[1:])
+    evolve(psi, h, 1.0)
+    width = max(shape[-1] for shape, _ in solver_calls)
+    for t in (20.0, 50.0):
+        solver_calls.clear()
+        out = evolve(psi, h, t)
+        assert max(shape[-1] for shape, _ in solver_calls) <= width
+        assert np.max(np.abs(out.amplitudes - dense_propagator(exact, t) @ psi.amplitudes)) < 1e-12
 
 
 def test_krylov_step_on_an_empty_hamiltonian(solver_calls):

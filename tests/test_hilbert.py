@@ -271,8 +271,10 @@ def test_coherent_amplitudes_keep_relative_accuracy_near_the_peak(eta):
     assert worst < 1e-12
 
 
-@pytest.mark.parametrize("eta", [0.0, 1e-200, 1e-310])
+@pytest.mark.parametrize("eta", [0.0, 1e-200, 1e-310, 5e-324])
 def test_coherent_weight_is_zero_when_eta_squared_underflows(eta):
+    # at 5e-324, |eta| / sqrt(n) underflows to 0 from n = 4 on: its log is
+    # -inf and the amplitude 0, without a divide-by-zero RuntimeWarning
     for cutoff in (1, 5, default_coherent_cutoff(eta)):
         state, weight = coherent_mode_state(cutoff, eta)
         assert weight == 0.0 == special.gammainc(cutoff + 1, abs(eta) ** 2)
