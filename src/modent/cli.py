@@ -16,9 +16,10 @@ returns it validated, with every default filled in; ``run`` executes it, and
 Numeric output is formatted to 12 significant digits and runs are
 deterministic: identical configs produce byte-identical CSV/JSON.
 Exit codes: 0 success, 2 usage/validation error (including sizes beyond the
-memory guards: ``MAX_COLLECTIVE_N`` and ``MAX_COHERENT_CUTOFF``, derived from
-the one ``MEMORY_BUDGET``, and ``MAX_SWEEP_ROWS``; and ancilla counts beyond
-the accuracy bound ``protocols.MAX_ANCILLAS``), 1 computation failure.
+memory guards ``MAX_COLLECTIVE_N``, ``MAX_COHERENT_CUTOFF`` and
+``MAX_SWEEP_ROWS``, derived from the one ``MEMORY_BUDGET``, and ancilla
+counts beyond the accuracy bound ``protocols.MAX_ANCILLAS``), 1 computation
+failure.
 """
 
 from __future__ import annotations
@@ -60,18 +61,24 @@ def _fmt12(x) -> str:
 # scale with, stays within the budget; each rate is the traced peak
 # (tracemalloc) per unit, rounded up, and a test checks it against the peak.
 # - collective-check: per basis state of the target and n modes, d =
-#   2^(n + 1): the n d / 2 Hamiltonian triplets, their sorted copies, and
-#   the Krylov basis and work buffer of 30 vectors.  1504-1657 B from n = 9
-#   to 16, growing with the triplets per state.
+#   2^(n + 1): the Krylov basis and work buffer of 30 vectors each, and a
+#   few vectors and index arrays of length d.  1081-1212 B from n = 16 down
+#   to 9, where the fixed costs weigh most.
 # - coherent-rotation: per level of the field's ladder, cutoff + 1 of them:
 #   the couplings and the amplitudes the closed-form propagation turns.
 #   184-205 B from cutoff 580 to 10^6.
+# - fermion-sweep: per grid row, grid^pairs of them: the rows as Python
+#   floats and their printed text.  JSON is the largest format, and a row's
+#   cost grows with its pairs + 1 columns: 553, 709, 860, 1049 and 1196 B at
+#   pairs 1 to 5; six pairs at the smallest grid, 8^6 rows, are over the
+#   budget, so the widest row admitted has five.
 MEMORY_BUDGET = 2 ** 28                             # bytes
-BYTES_PER_COLLECTIVE_STATE = 1700
+BYTES_PER_COLLECTIVE_STATE = 1250
 BYTES_PER_COHERENT_LEVEL = 216
+BYTES_PER_SWEEP_ROW = 1250
 MAX_COLLECTIVE_N = (MEMORY_BUDGET // BYTES_PER_COLLECTIVE_STATE).bit_length() - 2
 MAX_COHERENT_CUTOFF = MEMORY_BUDGET // BYTES_PER_COHERENT_LEVEL - 1
-MAX_SWEEP_ROWS = 2 ** 20                            # grid**pairs rows held in memory
+MAX_SWEEP_ROWS = MEMORY_BUDGET // BYTES_PER_SWEEP_ROW
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +208,12 @@ def _run_fermion_sweep(p, payload):
 
 
 def _check_fermion_sweep(p, plot):
+    if plot is not None and p["pairs"] > 2:
+        raise UsageError("plotting supports pairs in {1, 2}")
     # grid >= 8, so pairs > 20 is over the budget; testing it first keeps grid**pairs cheap
     if p["pairs"] > 20 or p["grid"] ** p["pairs"] > MAX_SWEEP_ROWS:
         raise UsageError(f"grid**pairs must be <= {MAX_SWEEP_ROWS} rows, "
                          f"got grid {p['grid']}, pairs {p['pairs']}")
-    if plot is not None and p["pairs"] > 2:
-        raise UsageError("plotting supports pairs in {1, 2}")
 
 
 def _plot_fermion_sweep(payload):

@@ -1,39 +1,47 @@
 """Excitation-exchange Hamiltonians and their exact time evolution.
 
 Units: hbar = 1 and the coupling strength is J = 1, so all times are
-expressed in units of 1/J.  Hamiltonians are ``LinearOp`` triplets built from
-the nonzeros of each coupling; no d x d array is formed.
+expressed in units of 1/J.  No d x d array is formed.
 
-``evolve`` is the one propagation of a state under a ``LinearOp``: Lanczos
-steps on the triplets of any Hermitian H (Saad, SIAM J. Numer. Anal. 29, 209
-(1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).  Each
-substep builds an orthonormal basis V of the Krylov space of the current
-vector w and the tridiagonal T = V^dag H V, and takes
-exp(-i H tau) w = |w| V exp(-i T tau) e_1.  A basis that spans an invariant
-subspace (a lucky breakdown: the next Lanczos coefficient is zero) makes
-that exact; otherwise the substep is shortened until the a-posteriori
-estimate of its error is within ``_KRYLOV_TOL``.  V has orthonormal columns
-and exp(-i T tau) is unitary, so the norm is kept to rounding at any t.
-When H keeps the excitation number (the sum of the levels), each of its
-sectors runs its own recurrence, all in lockstep (Park & Light, J. Chem.
-Phys. 85, 5870 (1986)): one recurrence over the whole space needs a vector
-per distinct eigenvalue that the state touches, 11 for collective-check's
-state at n = 9, while that state spans at most two states in each sector.
-An H that joins sectors leaves the whole space as one sector.  The
-recurrences take the products with the basis as elementwise products and
-segmented sums (``np.add.reduceat``), on one core (CPU time = wall time).
+A state is propagated by Lanczos steps on a product v -> H v
+(``_sector_lanczos``; Saad, SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck &
+Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).  Each substep builds an
+orthonormal basis V of the Krylov space of the current vector w and the
+tridiagonal T = V^dag H V, and takes exp(-i H tau) w = |w| V exp(-i T tau)
+e_1.  A basis that spans an invariant subspace (a lucky breakdown: the next
+Lanczos coefficient is zero) makes that exact; otherwise the substep is
+shortened until the a-posteriori estimate of its error is within
+``_KRYLOV_TOL``.  V has orthonormal columns and exp(-i T tau) is unitary, so
+the norm is kept to rounding at any t.  When H keeps the excitation number
+(the sum of the levels), each of its sectors runs its own recurrence, all in
+lockstep (Park & Light, J. Chem. Phys. 85, 5870 (1986)): one recurrence over
+the whole space needs a vector per distinct eigenvalue that the state
+touches, 11 for collective-check's state at n = 9, while that state spans at
+most two states in each sector.  An H that joins sectors leaves the whole
+space as one sector.  The recurrences take the products with the basis as
+elementwise products and segmented sums (``np.add.reduceat``), on one core
+(CPU time = wall time).
+
+The product comes from one of two places.  Collective-check couples one
+target to N modes at once (``_coupling_propagate``): its product is read
+off the layout as strided slices, one pair per mode, with no triplets.
+``evolve`` takes the ``LinearOp`` triplets of any Hermitian H, such as the
+ones ``jc_hamiltonian`` reads off a layout's level grid, sorts them into
+rows once and checks that H is Hermitian.  ``evolve``, ``jc_hamiltonian``
+and ``LinearOp`` have no caller in the protocols: they are kept as public
+API for any H a library caller builds, and as the oracle the tests hold the
+coupling's own product to.
 
 One two-level target on one ladder is propagated in closed form instead
 (``_propagate``, from the ladder's couplings b): the coherent field, the
 collective mode of N ancillas (one collision is the mode of N = 1), the
 collision of the sequential rotation, and each side of the absorption.
-``evolve`` is left for the simultaneous coupling of one target to many
-modes, and for any other H a library caller builds.  The coupling is i b_n
-times a real ladder between |g, n> and |e, n - 1>, so with D = diag(i^q), q
-the target's level, D^dag H D is real symmetric and splits into the
-Jaynes-Cummings doublets {|g, n>, |e, n - 1>} (Jaynes & Cummings, Proc. IEEE
-51, 89 (1963)).  The gauge is exact: each amplitude is turned by a power of
-i, which only swaps and negates its real and imaginary parts.
+The coupling is i b_n times a real ladder between |g, n> and |e, n - 1>, so
+with D = diag(i^q), q the target's level, D^dag H D is real symmetric and
+splits into the Jaynes-Cummings doublets {|g, n>, |e, n - 1>} (Jaynes &
+Cummings, Proc. IEEE 51, 89 (1963)).  The gauge is exact: each amplitude is
+turned by a power of i, which only swaps and negates its real and imaginary
+parts.
 """
 
 from __future__ import annotations
@@ -53,6 +61,27 @@ from .hilbert import (
 )
 
 
+def _coupling_axes(layout: SystemLayout, qubit: str, modes) -> tuple:
+    """The positions of ``qubit`` and of each of ``modes`` in the layout, for a
+    coupling of the TwoLevel ``qubit`` to distinct bosonic or fermionic
+    ``modes``; anything else is refused."""
+    if isinstance(modes, str):
+        raise TypeError(f"modes must be a sequence of labels, not the string {modes!r}")
+    modes = tuple(modes)
+    if not modes:
+        raise ValueError("coupling needs at least one mode")
+    labels = (qubit,) + modes
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"coupling labels must be distinct, got {labels}")
+    q, axes = layout.position(qubit), [layout.position(m) for m in modes]
+    if not isinstance(layout.subsystems[q][1], TwoLevel):
+        raise ValueError(f"subsystem {qubit!r} must be TwoLevel")
+    for m, k in zip(modes, axes):
+        if not isinstance(layout.subsystems[k][1], (BosonicMode, FermionicMode)):
+            raise ValueError(f"subsystem {m!r} must be a bosonic or fermionic mode")
+    return q, axes
+
+
 def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     """sum_k (i s+ a_k - i s- a_k^dag) over ``modes``, coupling the two-level
     subsystem ``qubit`` to each mode, read off the layout's level grid.
@@ -66,22 +95,8 @@ def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     off the grid in one pass, and the triplets come out mode by mode in the
     order given, as the sum of the one-mode couplings would hold them.
     """
-    if isinstance(modes, str):
-        raise TypeError(f"modes must be a sequence of labels, not the string {modes!r}")
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError("coupling needs at least one mode")
-    labels = (qubit,) + modes
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"coupling labels must be distinct, got {labels}")
-    if not isinstance(layout.kind_of(qubit), TwoLevel):
-        raise ValueError(f"subsystem {qubit!r} must be TwoLevel")
-    for m in modes:
-        if not isinstance(layout.kind_of(m), (BosonicMode, FermionicMode)):
-            raise ValueError(f"subsystem {m!r} must be a bosonic or fermionic mode")
+    q, k = _coupling_axes(layout, qubit, modes)
     levels, strides = layout.levels, layout.strides()
-    q = layout.position(qubit)
-    k = [layout.position(m) for m in modes]
     d = layout.dim
     # <n-1| a |n> = sqrt(n) for n >= 1; a hard-core fermion has n <= 1.  The
     # nonzeros of the (modes, d) grid run by mode, then basis state: mode j's
@@ -177,30 +192,49 @@ def _hermitian_residual(key, rows, cols, values, d):
     """H - H^dag on the coalesced triplets of H, sorted by ``key`` = rows d + cols.
 
     The keys run by row, then column, so a stable argsort of the columns
-    lists the entries by column, then row: the mirror order.  While d <=
-    2^16 the columns fit in uint16, which numpy sorts by radix in the same
-    stable order.  When the mirrored keys are the keys, as for every coupling
-    ``jc_hamiltonian`` builds, the mirror of entry j is entry ``mirror[j]``
-    and the residual is values - conj(values[mirror]): bit for bit the sums
-    value + (-conj(mirror value)) that the merge below forms, since a float
-    subtraction is the addition of the negated operand.  Any other pattern
-    takes that merge: every entry and the negated conjugate of every mirror,
-    coalesced alike, so an entry whose mirror is missing stands alone."""
-    mirror = np.argsort(cols.astype(np.uint16) if d <= 2 ** 16 else cols, kind="stable")
+    lists the entries by column, then row: the mirror order.  When the
+    mirrored keys are the keys, as for every coupling ``jc_hamiltonian``
+    builds, the mirror of entry j is entry ``mirror[j]`` and the residual is
+    values - conj(values[mirror]): bit for bit the sums value + (-conj(mirror
+    value)) that the merge below forms, since a float subtraction is the
+    addition of the negated operand.  Any other pattern takes that merge:
+    every entry and the negated conjugate of every mirror, coalesced alike,
+    so an entry whose mirror is missing stands alone."""
+    mirror = np.argsort(cols, kind="stable")
     if np.array_equal(cols[mirror] * d + rows[mirror], key):
         return values - values[mirror].conj()
     return _coalesce(np.concatenate([key, cols * d + rows]),
                      np.concatenate([values, -values.conj()]))[1]
 
 
+def _excitations(dims) -> np.ndarray:
+    """The excitation number, the sum of the levels, of each basis state of a
+    layout with subsystem dimensions ``dims``, without its level grid."""
+    sector = np.zeros(1, dtype=np.intp)
+    for dim in dims:
+        sector = np.add.outer(sector, np.arange(dim)).ravel()
+    return sector
+
+
 def _sector_labels(layout, rows, cols):
-    """The excitation number, the sum of the levels, of each basis state when
-    every triplet (rows, cols) joins equal sums; otherwise one label, 0, for
-    the whole space."""
-    sector = layout.levels.sum(axis=0)
+    """The excitation number of each basis state when every triplet (rows,
+    cols) joins equal sums; otherwise one label, 0, for the whole space."""
+    sector = _excitations(layout.dims)
     if np.array_equal(sector[rows], sector[cols]):
         return sector
     return np.zeros_like(sector)
+
+
+def _sector_order(sector):
+    """The basis in the order of its sectors, for labels ``sector`` that run
+    over 0 .. max (every sector holds a state): ``order`` lists the states
+    sector by sector, ``position`` is its inverse, ``owner`` is the sector of
+    each state in that order and sector s holds [bounds[s], bounds[s + 1])."""
+    order = np.argsort(sector, kind="stable")
+    owner = sector[order]
+    position = np.empty(sector.size, dtype=np.intp)
+    position[order] = np.arange(sector.size)
+    return order, position, owner, np.searchsorted(owner, np.arange(owner[-1] + 1))
 
 
 def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -> np.ndarray:
@@ -221,12 +255,7 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
     rows, cols = np.divmod(key, d)
     _check_hermitian(_hermitian_residual(key, rows, cols, values, d))
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    sector = _sector_labels(layout, rows, cols)
-    # the labels run over 0 .. max: every sector holds a state
-    order = np.argsort(sector, kind="stable")
-    owner = sector[order]
-    position = np.empty(d, dtype=np.intp)
-    position[order] = np.arange(d)
+    order, position, owner, bounds = _sector_order(_sector_labels(layout, rows, cols))
     cols, filled = position[cols], position[rows[starts]]
     # Gram-Schmidt fills the work buffer only between two products, so the
     # products gather into it while the triplets fit
@@ -234,9 +263,8 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
     flat = work.reshape(-1)
     gathered = flat[:values.size] if values.size <= flat.size else np.empty_like(values)
     x = amplitudes.astype(complex)[order]
-    bounds = np.searchsorted(owner, np.arange(owner[-1] + 1))
     # the product holds the columns in sector order: free the row-order arrays
-    del key, rows, sector, order
+    del key, rows, order
 
     def product(v):
         # every column is in range; mode "raise" would gather through a
@@ -246,6 +274,64 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
         p = np.zeros(d, dtype=complex)
         p[filled] = np.add.reduceat(gathered, starts)
         return p
+
+    return _sector_lanczos(product, work, x, owner, bounds, t)[position]
+
+
+def _coupling_propagate(layout: SystemLayout, qubit: str, modes, amplitudes: np.ndarray,
+                        t: float) -> np.ndarray:
+    """exp(-i H t) amplitudes for H = ``jc_hamiltonian(layout, qubit, modes)``,
+    by the sector Lanczos substeps (``_sector_lanczos``) that ``evolve`` takes,
+    on a product read off the layout, with no triplets.
+
+    H keeps the excitation number and is Hermitian by construction, so the
+    sectors are the excitation numbers of the layout and nothing is checked.
+    The product takes its vector back to the layout's order and views it on
+    five axes per mode k: the subsystems before the first of (qubit, k),
+    that one, those between, the other, those after.  On that view
+    i sqrt(n) v[g, n] adds into [e, n - 1] and -i sqrt(n) v[e, n - 1] into
+    [g, n], n = 1 .. L on a ladder of L + 1 levels, as strided slices.  Each
+    term is the product a triplet's value takes, and each row adds its terms
+    in the column order of its CSR row: into |e> rows by ascending stride of
+    the mode, into |g> rows by descending stride.  ``np.add.reduceat`` groups
+    a row's sum otherwise (the first term last, four or more later terms
+    pairwise), so the two products agree to rounding; on collective-check's
+    state, whose rows add equal terms, they agree bit for bit up to eight
+    modes.
+    """
+    q, axes = _coupling_axes(layout, qubit, modes)
+    dims, strides, d = layout.dims, layout.strides(), layout.dim
+    # the ladder's values i sqrt(n) at mode levels n = 1, 2, ..., and their conjugates
+    ladder = 1j * np.sqrt(np.arange(1, max(dims[k] for k in axes)))
+    conj = ladder.conj()
+    # the product's vector and result in the layout's order, and its terms as
+    # (slice of the result, values, slice of the vector)
+    v, p = np.empty(d, dtype=complex), np.empty(d, dtype=complex)
+    into_e, into_g = [], []
+    for k in sorted(axes, key=strides.__getitem__):
+        first, second = sorted((q, k))
+        shape = (math.prod(dims[:first]), dims[first], math.prod(dims[first + 1:second]),
+                 dims[second], math.prod(dims[second + 1:]))
+        top = dims[k] - 1
+        # the levels n >= 1 of |g, n> and n - 1 of |e, n - 1>, with the values on the mode's axis
+        if q < k:
+            g, e, on_axis = np.s_[:, 0, :, 1:], np.s_[:, 1, :, :top], np.s_[:top, None]
+        else:
+            g, e, on_axis = np.s_[:, 1:, :, 0], np.s_[:, :top, :, 1], np.s_[:top, None, None]
+        p5, v5 = p.reshape(shape), v.reshape(shape)
+        into_e.append((p5[e], ladder[on_axis], v5[g]))
+        into_g.append((p5[g], conj[on_axis], v5[e]))
+    terms = into_e + into_g[::-1]
+    order, position, owner, bounds = _sector_order(_excitations(dims))
+    work = np.empty((_KRYLOV_DIM, d), dtype=complex)
+    x = amplitudes.astype(complex)[order]
+
+    def product(u):
+        np.take(u, position, out=v)
+        p.fill(0.0)
+        for into, value, term in terms:
+            into += value * term
+        return p[order]
 
     return _sector_lanczos(product, work, x, owner, bounds, t)[position]
 

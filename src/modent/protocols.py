@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .dynamics import _finite_time, _propagate, evolve, jc_hamiltonian
+from .dynamics import _coupling_propagate, _finite_time, _propagate
 from .entanglement import (
     TWO_TARGETS,
     concurrence,
@@ -261,7 +261,9 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
     coupling for total duration pi/(4 sqrt(N)) and reports the trace distance
     to the collective-mode reduction, the fidelity either way (their gap is
     the "gain" from simultaneous coupling, zero to rounding), and the fidelity
-    a literal one-fermionic-ancilla collision would give.
+    a literal one-fermionic-ancilla collision would give.  The coupled run is
+    ``dynamics._coupling_propagate``, on the coupling's own product: no
+    Hamiltonian triplets are built.
     """
     _check_n_modes(n_modes)
     # one collision's fidelity; this also checks (alpha, beta) before the coupled run
@@ -275,10 +277,9 @@ def simultaneous_coupling_check(n_modes: int, alpha: complex = 1.0,
     pair = np.array([alpha, beta], dtype=complex)
     for _ in range(n_modes):
         pair = pair * _PLUS_AMPLITUDE
-    psi0 = PureState(layout, np.repeat(pair, 2 ** n_modes))
-    h = jc_hamiltonian(layout, "target", layout.labels[1:])
-    final = evolve(psi0, h, duration)
-    simultaneous = reduced_density(final, ["target"])
+    amps = _coupling_propagate(layout, "target", layout.labels[1:],
+                               np.repeat(pair, 2 ** n_modes), duration)
+    simultaneous = reduced_density(PureState(layout, amps), ["target"])
 
     collective = collective_mode_reference(n_modes, alpha, beta, duration)
 

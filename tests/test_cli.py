@@ -562,12 +562,16 @@ def test_normalization_of_subnormal_amplitudes(tiny):
     (["coherent-rotation", "--eta", "3000"], r"eta must be in \[0,1110\.787\]"),
     (["coherent-rotation", "--eta", "4", "--cutoff", "1242756"],
      r"cutoff must be an integer in \[1,1242755\], got 1242756"),
-    (["fermion-sweep", "--pairs", "4", "--grid", "33"], r"grid\*\*pairs must be <= 1048576"),
-    (["fermion-sweep", "--pairs", "1000000000"], r"grid\*\*pairs must be <= 1048576"),
+    (["fermion-sweep", "--pairs", "2", "--grid", "464"], r"grid\*\*pairs must be <= 214748 rows"),
+    (["fermion-sweep", "--pairs", "1000000000"], r"grid\*\*pairs must be <= 214748 rows"),
     (["rotate", "--n", "1048577"], r"n must be an integer in \[1,1048576\], got 1048577"),
     (["rotate-sweep", "--n-list", "4,1048577"],
      r"each n_list entry must be an integer in \[1,1048576\], got 1048577"),
     (["table1", "--n", "1048577"], r"n must be an integer in \[1,1048576\], got 1048577"),
+    (["fermion-sweep", "--pairs", "4", "--grid", "22"], r"grid\*\*pairs must be <= 214748 rows"),
+    (["fermion-sweep", "--pairs", "6", "--grid", "8"], r"grid\*\*pairs must be <= 214748 rows"),
+    (["fermion-sweep", "--pairs", "4", "--grid", "32"], r"grid\*\*pairs must be <= 214748 rows"),
+    (["fermion-sweep", "--pairs", "2", "--grid", "1024"], r"grid\*\*pairs must be <= 214748 rows"),
 ])
 def test_size_guards_refuse_before_running(argv, message):
     with pytest.raises(UsageError, match=message):
@@ -578,13 +582,15 @@ def test_size_guards_refuse_before_running(argv, message):
     ["collective-check", "--n", "16"],
     ["coherent-rotation", "--eta", "1110"],
     ["coherent-rotation", "--eta", "100", "--cutoff", "1242755"],
-    ["fermion-sweep", "--pairs", "4", "--grid", "32"],
-    ["fermion-sweep", "--pairs", "2", "--grid", "1024"],
+    ["fermion-sweep", "--pairs", "2", "--grid", "463"],
+    ["fermion-sweep", "--pairs", "4", "--grid", "21"],
     ["coherent-rotation", "--eta", "100"],
     ["coherent-rotation", "--eta", "41.3"],
     ["rotate", "--n", "1048576"],
     ["rotate-sweep", "--n-list", "4,1048576"],
     ["table1", "--n", "1048576"],
+    ["fermion-sweep", "--pairs", "1", "--grid", "214748"],
+    ["fermion-sweep", "--pairs", "5", "--grid", "11"],
 ])
 def test_size_guards_accept_the_budget_edge(argv):
     parse_config(argv)
@@ -598,7 +604,7 @@ def test_printed_eta_bound_is_accepted():
     assert parse_config(["coherent-rotation", "--eta", bound])["parameters"]["eta"] == float(bound)
 
 
-def test_memory_budget_rates_hold_the_traced_peak():
+def test_memory_budget_rates_hold_the_traced_peak(tmp_path):
     # each rate times the size is the run's estimate: never below its traced
     # peak, nor above it by more than a quarter, so the derived bounds are
     # the largest sizes whose runs stay within the budget
@@ -609,15 +615,29 @@ def test_memory_budget_rates_hold_the_traced_peak():
     for estimate, f, args in runs:
         peak = traced_peak(f, *args)
         assert peak <= estimate <= 1.25 * peak, (f.__name__, args, peak, estimate)
+    # fermion-sweep: one rate per row for every format and width, the rows
+    # as printed to a file.  It covers the widest row, JSON at 4 pairs, within
+    # a quarter, and holds the narrower rows and the other formats
+    out = str(tmp_path / "sweep.out")
+    per_row = []
+    for pairs, grid, fmt in ((1, 2 ** 14, "table"), (1, 2 ** 14, "csv"), (1, 2 ** 14, "json"),
+                             (2, 2 ** 7, "json"), (4, 11, "json")):
+        argv = ["fermion-sweep", "--pairs", str(pairs), "--grid", str(grid), "--refine", "0",
+                "--format", fmt, "--out", out]
+        per_row.append(traced_peak(main, argv) / grid ** pairs)
+    assert max(per_row) <= cli.BYTES_PER_SWEEP_ROW <= 1.25 * max(per_row), per_row
+    assert per_row[-1] == max(per_row)
     rate, n = cli.BYTES_PER_COLLECTIVE_STATE, cli.MAX_COLLECTIVE_N
     assert rate * 2 ** (n + 1) <= cli.MEMORY_BUDGET < rate * 2 ** (n + 2)
     rate, cutoff = cli.BYTES_PER_COHERENT_LEVEL, cli.MAX_COHERENT_CUTOFF
     assert rate * (cutoff + 1) <= cli.MEMORY_BUDGET < rate * (cutoff + 2)
-    assert (n, cutoff) == (16, 1242755)
+    rate, rows = cli.BYTES_PER_SWEEP_ROW, cli.MAX_SWEEP_ROWS
+    assert rate * rows <= cli.MEMORY_BUDGET < rate * (rows + 1)
+    assert (n, cutoff, rows) == (16, 1242755, 214748)
 
 
 def test_runs_at_the_derived_edges(capsys):
-    # collective-check at n = 16 (d = 131072, about 210 MiB traced), and
+    # collective-check at n = 16 (d = 131072, about 135 MiB traced), and
     # coherent-rotation at the printed eta bound, whose automatic cutoff is
     # the largest: eta^2 infidelity at (1, 0) tends to a constant, 0.0203630
     assert main(["collective-check", "--n", "16", "--format", "json"]) == 0

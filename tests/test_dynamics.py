@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     annihilation,
@@ -699,6 +699,96 @@ def test_chiral_collective_check_matches_reference_and_eigh_path(n_modes):
     if n_modes <= 8:  # the dense oracle's eigh of the whole d x d matrix
         exact = dense_propagator(dense(h), duration) @ psi.amplitudes
         assert np.max(np.abs(krylov.amplitudes - exact)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the coupling's own product: jc_hamiltonian's H without its triplets
+# ---------------------------------------------------------------------------
+
+def _collective_state(n_modes, alpha, beta):
+    # (alpha, beta) (x) |+>^N as simultaneous_coupling_check builds it
+    pair = np.array([alpha, beta], dtype=complex)
+    for _ in range(n_modes):
+        pair = pair * protocols._PLUS_AMPLITUDE
+    return np.repeat(pair, 2 ** n_modes)
+
+
+def _collective_pairs():
+    # 16 real pairs on the unit circle, as the CLI takes them, and 4 complex ones
+    rng = np.random.default_rng(37)
+    real = [(math.cos(phi), math.sin(phi)) for phi in 2 * math.pi * (np.arange(16) + 0.5) / 16]
+    return real + [rand_amplitude_pair(rng) for _ in range(4)]
+
+
+@pytest.mark.parametrize("n_modes", range(1, 13))
+def test_coupling_product_matches_the_triplets_on_the_collective_state(n_modes):
+    # the state stays symmetric in the modes, so each row adds equal terms;
+    # up to eight modes the grouping of np.add.reduceat then gives the bits
+    # of the slices' sum in column order, and the run is bit for bit the
+    # triplets'.  From nine modes the two differ by rounding
+    layout, h = _collective_jc(n_modes)
+    duration = math.pi / (4.0 * math.sqrt(n_modes))
+    for alpha, beta in _collective_pairs():
+        amps = _collective_state(n_modes, alpha, beta)
+        expected = evolve(PureState(layout, amps), h, duration).amplitudes
+        got = dynamics._coupling_propagate(layout, "target", layout.labels[1:], amps, duration)
+        if n_modes <= 8:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert np.max(np.abs(got - expected)) < 1e-14
+
+
+@st.composite
+def _coupled_layouts(draw):
+    """A TwoLevel target "T" at any position among up to four other
+    subsystems (two-level, fermionic, or bosonic with cutoff 1 to 3), and a
+    nonempty subset of the modes, in any order, coupled to it."""
+    kinds = st.one_of(st.just(TwoLevel()), st.just(FermionicMode()),
+                      st.integers(1, 3).map(BosonicMode))
+    others = draw(st.lists(kinds, min_size=1, max_size=4))
+    subs = [(f"s{j}", kind) for j, kind in enumerate(others)]
+    subs.insert(draw(st.integers(0, len(subs))), ("T", TwoLevel()))
+    layout = compose_layout(subs)
+    modes = [label for label, kind in subs if not isinstance(kind, TwoLevel)]
+    assume(modes)
+    coupled = draw(st.permutations(modes))[:draw(st.integers(1, len(modes)))]
+    return layout, coupled
+
+
+@given(_coupled_layouts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_coupling_product_matches_evolve_and_the_dense_oracle(case, seed, t):
+    layout, modes = case
+    psi = rand_pure_state(np.random.default_rng(seed), layout)
+    got = dynamics._coupling_propagate(layout, "T", modes, psi.amplitudes, t)
+    h = jc_hamiltonian(layout, "T", modes)
+    assert np.max(np.abs(got - evolve(psi, h, t).amplitudes)) < 1e-14
+    exact = dense_propagator(dense_collective_jc(layout, "T", modes), t) @ psi.amplitudes
+    assert np.max(np.abs(got - exact)) < 1e-12
+
+
+def test_coupling_product_refuses_what_jc_hamiltonian_refuses():
+    layout = compose_layout([("T", TwoLevel), ("q", TwoLevel), ("m", BosonicMode(2))])
+    amps = np.eye(layout.dim)[0]
+    for qubit, modes, error in (("T", "m", TypeError), ("T", (), ValueError),
+                                ("T", ("m", "m"), ValueError), ("m", ("T",), ValueError),
+                                ("T", ("q",), ValueError), ("T", ("x",), KeyError)):
+        with pytest.raises(error):
+            jc_hamiltonian(layout, qubit, modes)
+        with pytest.raises(error):
+            dynamics._coupling_propagate(layout, qubit, modes, amps, 1.0)
+
+
+def test_collective_check_builds_no_triplets(monkeypatch):
+    # the N-mode coupling runs on its own product: no LinearOp is made (so
+    # no jc_hamiltonian), and no triplet propagation runs (so no evolve)
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("collective-check built or propagated triplets")
+
+    monkeypatch.setattr(LinearOp, "__post_init__", must_not_run)
+    monkeypatch.setattr(dynamics, "_krylov_propagate", must_not_run)
+    result = simultaneous_coupling_check(6, 0.6, 0.8)
+    assert result["trace_distance"] < 1e-12
 
 
 def test_absorption_matches_dense_oracle():
