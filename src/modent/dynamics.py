@@ -22,15 +22,18 @@ space as one sector.  The recurrences take the products with the basis as
 elementwise products and segmented sums (``np.add.reduceat``), on one core
 (CPU time = wall time).
 
-The product comes from one of two places.  Collective-check couples one
-target to N modes at once (``_coupling_propagate``): its product is read
-off the layout as strided slices, one pair per mode, with no triplets.
-``evolve`` takes the ``LinearOp`` triplets of any Hermitian H, such as the
-ones ``jc_hamiltonian`` reads off a layout's level grid, sorts them into
-rows once and checks that H is Hermitian.  ``evolve``, ``jc_hamiltonian``
-and ``LinearOp`` have no caller in the protocols: they are kept as public
-API for any H a library caller builds, and as the oracle the tests hold the
-coupling's own product to.
+The coupling of one target to N modes is stated once
+(``_coupling_slices``): per mode, a pair of strided slices of the basis,
+|g, n> and |e, n - 1>, and the values i sqrt(n).  Collective-check runs its
+product on those slices (``_coupling_propagate``), with no triplets;
+``jc_hamiltonian`` takes the basis indices of the same slices as its
+triplets.  ``evolve`` takes the ``LinearOp`` triplets of any Hermitian H,
+sorts them into rows once and checks that H is Hermitian.  Both products
+work in the layout's order, and ``_sector_lanczos`` alone permutes the
+basis into sector order.  ``evolve``, ``jc_hamiltonian`` and ``LinearOp``
+have no caller in the protocols: they are kept as public API for any H a
+library caller builds, and as the oracle the tests hold the coupling's own
+product to.
 
 One two-level target on one ladder is propagated in closed form instead
 (``_propagate``, from the ladder's couplings b): the coherent field, the
@@ -61,10 +64,18 @@ from .hilbert import (
 )
 
 
-def _coupling_axes(layout: SystemLayout, qubit: str, modes) -> tuple:
-    """The positions of ``qubit`` and of each of ``modes`` in the layout, for a
-    coupling of the TwoLevel ``qubit`` to distinct bosonic or fermionic
-    ``modes``; anything else is refused."""
+def _coupling_slices(layout: SystemLayout, qubit: str, modes):
+    """The coupling of the TwoLevel ``qubit`` to each of the distinct bosonic
+    or fermionic ``modes``, mode by mode in the order given; anything else is
+    refused.
+
+    Mode k's term is read on the basis viewed on five axes: the subsystems
+    before the first of (qubit, k), that one, those between, the other, those
+    after.  Each mode yields its stride, that shape, the slice of the states
+    |g, n>, n = 1 .. L on a ladder of L + 1 levels, the slice of |e, n - 1>
+    in the same order, and <n - 1| a |n> = sqrt(n) times i on the mode's
+    axis of those slices (a hard-core fermion has L = 1).
+    """
     if isinstance(modes, str):
         raise TypeError(f"modes must be a sequence of labels, not the string {modes!r}")
     modes = tuple(modes)
@@ -79,41 +90,40 @@ def _coupling_axes(layout: SystemLayout, qubit: str, modes) -> tuple:
     for m, k in zip(modes, axes):
         if not isinstance(layout.subsystems[k][1], (BosonicMode, FermionicMode)):
             raise ValueError(f"subsystem {m!r} must be a bosonic or fermionic mode")
-    return q, axes
+    dims, strides = layout.dims, layout.strides()
+    for k in axes:
+        first, second = sorted((q, k))
+        shape = (math.prod(dims[:first]), dims[first], math.prod(dims[first + 1:second]),
+                 dims[second], math.prod(dims[second + 1:]))
+        top = dims[k] - 1
+        value = 1j * np.sqrt(np.arange(1, dims[k]))
+        if q < k:
+            yield strides[k], shape, np.s_[:, 0, :, 1:], np.s_[:, 1, :, :top], value[:, None]
+        else:
+            yield strides[k], shape, np.s_[:, 1:, :, 0], np.s_[:, :top, :, 1], value[:, None, None]
 
 
 def jc_hamiltonian(layout: SystemLayout, qubit: str, modes) -> LinearOp:
     """sum_k (i s+ a_k - i s- a_k^dag) over ``modes``, coupling the two-level
-    subsystem ``qubit`` to each mode, read off the layout's level grid.
+    subsystem ``qubit`` to each mode, as the triplets of its nonzeros.
 
     In units with J = 1.  Hermitian by construction; conserves the total
     excitation number (qubit excitation plus mode occupations).  With
-    s+|g> = |e>, mode k contributes the ladder's nonzeros only: for each
-    basis state with the qubit at g and n >= 1 quanta in k, i sqrt(n) at the
-    row of the state with the qubit at e and n - 1 quanta in k, then the
-    conjugate transpose of those triplets.  Every mode's nonzeros are read
-    off the grid in one pass, and the triplets come out mode by mode in the
-    order given, as the sum of the one-mode couplings would hold them.
+    s+|g> = |e>, mode k contributes the basis indices of its slices
+    (``_coupling_slices``): i sqrt(n) at the row of |e, n - 1> and the column
+    of |g, n>, columns ascending, then the conjugate transpose of those
+    triplets.  The triplets come out mode by mode in the order given, as the
+    sum of the one-mode couplings would hold them.
     """
-    q, k = _coupling_axes(layout, qubit, modes)
-    levels, strides = layout.levels, layout.strides()
-    d = layout.dim
-    # <n-1| a |n> = sqrt(n) for n >= 1; a hard-core fermion has n <= 1.  The
-    # nonzeros of the (modes, d) grid run by mode, then basis state: mode j's
-    # run lies in [j d, (j + 1) d).
-    occupied = levels[k]
-    nonzero = np.flatnonzero((levels[q] == 0) & (occupied >= 1))
-    value = 1j * np.sqrt(occupied.ravel()[nonzero])
-    conj = value.conj()
-    bounds = np.searchsorted(nonzero, d * np.arange(len(k) + 1)).tolist()
     rows, cols, values = [], [], []
-    for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        col = nonzero[start:stop] - j * d
-        row = col + (strides[q] - strides[k[j]])
+    for _, shape, g, e, value in _coupling_slices(layout, qubit, modes):
+        index = np.arange(layout.dim).reshape(shape)
+        col, row = index[g], index[e]
+        value = np.broadcast_to(value, col.shape)
         rows += [row, col]
         cols += [col, row]
-        values += [value[start:stop], conj[start:stop]]
-    return LinearOp(layout, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
+        values += [value, value.conj()]
+    return LinearOp(layout, *(np.concatenate(run, axis=None) for run in (rows, cols, values)))
 
 
 # the entries of the eigenvectors (e_1 -+ e_0)/sqrt(2) of [[0, b], [b, 0]]
@@ -178,31 +188,18 @@ def _propagate(b, amplitudes: np.ndarray, t: float) -> np.ndarray:
 
 def _coalesce(key, values):
     """(key, value) pairs sorted by key, with the values of a repeated key
-    added up in their given order.  Without a repeated key the sorted pairs
-    are the result, as a sum over one-entry runs would give them."""
+    added up in their given order (a key that is not repeated keeps its
+    value)."""
     order = np.argsort(key, kind="stable")
     key, values = key[order], values[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    if first.size == key.size:
-        return key, values
     return key[first], np.add.reduceat(values, first)
 
 
 def _hermitian_residual(key, rows, cols, values, d):
-    """H - H^dag on the coalesced triplets of H, sorted by ``key`` = rows d + cols.
-
-    The keys run by row, then column, so a stable argsort of the columns
-    lists the entries by column, then row: the mirror order.  When the
-    mirrored keys are the keys, as for every coupling ``jc_hamiltonian``
-    builds, the mirror of entry j is entry ``mirror[j]`` and the residual is
-    values - conj(values[mirror]): bit for bit the sums value + (-conj(mirror
-    value)) that the merge below forms, since a float subtraction is the
-    addition of the negated operand.  Any other pattern takes that merge:
-    every entry and the negated conjugate of every mirror, coalesced alike,
-    so an entry whose mirror is missing stands alone."""
-    mirror = np.argsort(cols, kind="stable")
-    if np.array_equal(cols[mirror] * d + rows[mirror], key):
-        return values - values[mirror].conj()
+    """H - H^dag on the coalesced triplets of H, sorted by ``key`` = rows d +
+    cols: every entry and the negated conjugate of every mirror, coalesced
+    alike, so an entry whose mirror is missing stands alone."""
     return _coalesce(np.concatenate([key, cols * d + rows]),
                      np.concatenate([values, -values.conj()]))[1]
 
@@ -225,29 +222,16 @@ def _sector_labels(layout, rows, cols):
     return np.zeros_like(sector)
 
 
-def _sector_order(sector):
-    """The basis in the order of its sectors, for labels ``sector`` that run
-    over 0 .. max (every sector holds a state): ``order`` lists the states
-    sector by sector, ``position`` is its inverse, ``owner`` is the sector of
-    each state in that order and sector s holds [bounds[s], bounds[s + 1])."""
-    order = np.argsort(sector, kind="stable")
-    owner = sector[order]
-    position = np.empty(sector.size, dtype=np.intp)
-    position[order] = np.arange(sector.size)
-    return order, position, owner, np.searchsorted(owner, np.arange(owner[-1] + 1))
-
-
 def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) amplitudes by Lanczos substeps on the triplets of H.
 
     The triplets are sorted once into row-major (CSR) order and repeated
     entries added up; H minus its conjugate transpose (``_hermitian_residual``)
-    must be within the tolerance of the pair check entry by entry.  The basis
-    is permuted once into the order of the sectors ``_sector_labels`` gives,
-    and the CSR columns and filled rows mapped through that permutation; each
-    sector then runs its own Lanczos recurrence, all in lockstep
-    (``_sector_lanczos``).  The product v -> H v gathers v at the columns,
-    scales it by the values and adds up each row's run into the filled rows.
+    must be within the tolerance of the pair check entry by entry.  Each
+    sector ``_sector_labels`` gives then runs its own Lanczos recurrence, all
+    in lockstep (``_sector_lanczos``).  The product v -> H v gathers v at the
+    columns, scales it by the values and adds up each row's run into the
+    filled rows.
     """
     layout = hamiltonian.layout
     d = layout.dim
@@ -255,16 +239,14 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
     rows, cols = np.divmod(key, d)
     _check_hermitian(_hermitian_residual(key, rows, cols, values, d))
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    order, position, owner, bounds = _sector_order(_sector_labels(layout, rows, cols))
-    cols, filled = position[cols], position[rows[starts]]
+    filled, sector = rows[starts], _sector_labels(layout, rows, cols)
     # Gram-Schmidt fills the work buffer only between two products, so the
     # products gather into it while the triplets fit
     work = np.empty((_KRYLOV_DIM, d), dtype=complex)
     flat = work.reshape(-1)
     gathered = flat[:values.size] if values.size <= flat.size else np.empty_like(values)
-    x = amplitudes.astype(complex)[order]
-    # the product holds the columns in sector order: free the row-order arrays
-    del key, rows, order
+    # the product needs the columns and the filled rows only
+    del key, rows
 
     def product(v):
         # every column is in range; mode "raise" would gather through a
@@ -275,71 +257,55 @@ def _krylov_propagate(hamiltonian: LinearOp, amplitudes: np.ndarray, t: float) -
         p[filled] = np.add.reduceat(gathered, starts)
         return p
 
-    return _sector_lanczos(product, work, x, owner, bounds, t)[position]
+    return _sector_lanczos(product, work, sector, amplitudes, t)
 
 
 def _coupling_propagate(layout: SystemLayout, qubit: str, modes, amplitudes: np.ndarray,
                         t: float) -> np.ndarray:
     """exp(-i H t) amplitudes for H = ``jc_hamiltonian(layout, qubit, modes)``,
     by the sector Lanczos substeps (``_sector_lanczos``) that ``evolve`` takes,
-    on a product read off the layout, with no triplets.
+    on a product read off the same slices (``_coupling_slices``), with no
+    triplets.
 
     H keeps the excitation number and is Hermitian by construction, so the
     sectors are the excitation numbers of the layout and nothing is checked.
-    The product takes its vector back to the layout's order and views it on
-    five axes per mode k: the subsystems before the first of (qubit, k),
-    that one, those between, the other, those after.  On that view
-    i sqrt(n) v[g, n] adds into [e, n - 1] and -i sqrt(n) v[e, n - 1] into
-    [g, n], n = 1 .. L on a ladder of L + 1 levels, as strided slices.  Each
-    term is the product a triplet's value takes, and each row adds its terms
-    in the column order of its CSR row: into |e> rows by ascending stride of
-    the mode, into |g> rows by descending stride.  ``np.add.reduceat`` groups
-    a row's sum otherwise (the first term last, four or more later terms
-    pairwise), so the two products agree to rounding; on collective-check's
-    state, whose rows add equal terms, they agree bit for bit up to eight
-    modes.
+    On each mode's five-axis view of the product's vector v, i sqrt(n) v[g, n]
+    adds into [e, n - 1] and -i sqrt(n) v[e, n - 1] into [g, n], as strided
+    slices.  Each term is the product a triplet's value takes, and each row
+    adds its terms in the column order of its CSR row: into |e> rows by
+    ascending stride of the mode, into |g> rows by descending stride.
+    ``np.add.reduceat`` groups a row's sum otherwise (the first term last,
+    four or more later terms pairwise), so the two products agree to
+    rounding; on collective-check's state, whose rows add equal terms, they
+    agree bit for bit up to eight modes.
     """
-    q, axes = _coupling_axes(layout, qubit, modes)
-    dims, strides, d = layout.dims, layout.strides(), layout.dim
-    # the ladder's values i sqrt(n) at mode levels n = 1, 2, ..., and their conjugates
-    ladder = 1j * np.sqrt(np.arange(1, max(dims[k] for k in axes)))
-    conj = ladder.conj()
-    # the product's vector and result in the layout's order, and its terms as
-    # (slice of the result, values, slice of the vector)
-    v, p = np.empty(d, dtype=complex), np.empty(d, dtype=complex)
-    into_e, into_g = [], []
-    for k in sorted(axes, key=strides.__getitem__):
-        first, second = sorted((q, k))
-        shape = (math.prod(dims[:first]), dims[first], math.prod(dims[first + 1:second]),
-                 dims[second], math.prod(dims[second + 1:]))
-        top = dims[k] - 1
-        # the levels n >= 1 of |g, n> and n - 1 of |e, n - 1>, with the values on the mode's axis
-        if q < k:
-            g, e, on_axis = np.s_[:, 0, :, 1:], np.s_[:, 1, :, :top], np.s_[:top, None]
-        else:
-            g, e, on_axis = np.s_[:, 1:, :, 0], np.s_[:, :top, :, 1], np.s_[:top, None, None]
-        p5, v5 = p.reshape(shape), v.reshape(shape)
-        into_e.append((p5[e], ladder[on_axis], v5[g]))
-        into_g.append((p5[g], conj[on_axis], v5[e]))
-    terms = into_e + into_g[::-1]
-    order, position, owner, bounds = _sector_order(_excitations(dims))
-    work = np.empty((_KRYLOV_DIM, d), dtype=complex)
-    x = amplitudes.astype(complex)[order]
+    terms = sorted(_coupling_slices(layout, qubit, modes), key=lambda term: term[0])
 
-    def product(u):
-        np.take(u, position, out=v)
-        p.fill(0.0)
-        for into, value, term in terms:
-            into += value * term
-        return p[order]
+    def product(v):
+        p = np.zeros_like(v)
+        for _, shape, g, e, value in terms:
+            p.reshape(shape)[e] += value * v.reshape(shape)[g]
+        for _, shape, g, e, value in reversed(terms):
+            p.reshape(shape)[g] += value.conj() * v.reshape(shape)[e]
+        return p
 
-    return _sector_lanczos(product, work, x, owner, bounds, t)[position]
+    work = np.empty((_KRYLOV_DIM, layout.dim), dtype=complex)
+    return _sector_lanczos(product, work, _excitations(layout.dims), amplitudes, t)
 
 
-def _sector_lanczos(product, work, x, owner, bounds, t):
-    """exp(-i H t) x by Lanczos substeps, H v = ``product(v)``, for an H that
-    keeps each sector, x in sector order: sector s holds the states
-    [bounds[s], bounds[s + 1]), and ``owner`` is the sector of each state.
+def _sector_lanczos(product, work, sector, amplitudes, t):
+    """exp(-i H t) amplitudes by Lanczos substeps, H v = ``product(v)``, for an
+    H that keeps each sector: ``sector`` labels each basis state, over 0 ..
+    max (every sector holds a state).  The amplitudes, the product's vector
+    and its result and the returned state are in the layout's order.
+    ``work`` is a (``_KRYLOV_DIM``, d) complex buffer that Gram-Schmidt fills
+    only between two products.
+
+    The recurrences run on x, the state permuted once into sector order (a
+    stable sort of the labels): sector s holds the states [bounds[s],
+    bounds[s + 1]), and ``owner`` is the sector of each state in that order.
+    Each product's vector is permuted back to the layout's order and its
+    result into sector order, and the result is permuted back at the end.
 
     A substep runs one Lanczos recurrence per sector from that sector's part
     of x, all in lockstep on one basis: row m of the basis holds every
@@ -367,6 +333,12 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
     errors of the sectors are orthogonal, so the whole error stays within
     ``_KRYLOV_TOL`` of the norm of x.
     """
+    order = np.argsort(sector, kind="stable")
+    owner = sector[order]
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    bounds = np.searchsorted(owner, np.arange(owner[-1] + 1))
+    x = amplitudes.astype(complex)[order]
     basis = np.empty_like(work)
     tridiagonal = np.zeros((bounds.size, _KRYLOV_DIM, _KRYLOV_DIM))
     # the bounds of the sectors in the real view of a complex vector
@@ -390,7 +362,7 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
         # a sector without weight divides its zeros by 1 and stays zero
         np.divide(x, np.where(running, norm, 1.0)[owner], out=basis[0])
         for m in range(1, _KRYLOV_DIM + 1):
-            p = product(basis[m - 1])
+            p = product(basis[m - 1][position])[order]
             for _ in range(2):
                 # conj(sum B conj(p)) = sum conj(B) p, with one conjugate of length d
                 np.multiply(basis[:m], p.conj(), out=work[:m])
@@ -422,7 +394,7 @@ def _sector_lanczos(product, work, x, owner, bounds, t):
         # _propagate
         x = spread(((q @ turns[:, :, None])[..., 0] * norm[:, None]).T, m)
         remaining -= tau
-    return x
+    return x[position]
 
 
 def evolve(state: PureState, hamiltonian: LinearOp, t: float) -> PureState:

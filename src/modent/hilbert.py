@@ -5,10 +5,10 @@ global basis index runs row-major over the subsystem list, with the
 first-listed subsystem varying slowest (so ``tensor`` is a plain Kronecker
 product).  Operators are held as COO triplets (rows, cols, values) and never
 as a d x d array.  A layout's ``levels`` grid holds the level of every
-subsystem in every basis state; an operator's triplets are read off it
-directly (the coupling of ``dynamics.jc_hamiltonian`` moves one excitation
-between the basis states whose levels differ by one), never through a
-Kronecker product with an identity.
+subsystem in every basis state.  An operator's triplets are basis indices
+read off the layout directly, never through a Kronecker product with an
+identity: the coupling of ``dynamics.jc_hamiltonian`` moves one excitation
+between strided slices of the basis viewed on the layout's dims.
 
 Fermionic modes are hard-core two-level modes: each holds occupation 0 or 1,
 operators on different modes commute, and no Jordan-Wigner sign strings are

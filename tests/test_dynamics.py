@@ -767,6 +767,33 @@ def test_coupling_product_matches_evolve_and_the_dense_oracle(case, seed, t):
     assert np.max(np.abs(got - exact)) < 1e-12
 
 
+@given(_coupled_layouts())
+@settings(max_examples=60, deadline=None)
+def test_jc_hamiltonian_lists_each_mode_run_then_its_conjugate(case):
+    # mode by mode in the order given: the columns |g, n>, n >= 1, ascending,
+    # each at the row of |e, n - 1> with the value i sqrt(n), then the same
+    # triplets transposed and conjugated
+    layout, modes = case
+    h = jc_hamiltonian(layout, "T", modes)
+    levels = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    q, strides = layout.position("T"), layout.strides()
+    start = 0
+    for mode in modes:
+        k = layout.position(mode)
+        col = np.flatnonzero((levels[q] == 0) & (levels[k] >= 1))
+        row = col + strides[q] - strides[k]
+        value = 1j * np.sqrt(levels[k, col])
+        middle, stop = start + col.size, start + 2 * col.size
+        assert np.array_equal(h.cols[start:middle], col)
+        assert np.array_equal(h.rows[start:middle], row)
+        assert h.values[start:middle].tobytes() == value.tobytes()
+        assert np.array_equal(h.cols[middle:stop], row)
+        assert np.array_equal(h.rows[middle:stop], col)
+        assert h.values[middle:stop].tobytes() == value.conj().tobytes()
+        start = stop
+    assert start == h.values.size
+
+
 def test_coupling_product_refuses_what_jc_hamiltonian_refuses():
     layout = compose_layout([("T", TwoLevel), ("q", TwoLevel), ("m", BosonicMode(2))])
     amps = np.eye(layout.dim)[0]
@@ -843,52 +870,32 @@ def _uncoupled_pair(layout):
             int(np.ravel_multi_index((0, 1, 1, 0, 1, 0, 0), layout.dims)))
 
 
-def _counted_coalesce(monkeypatch):
-    """Record each ``dynamics._coalesce`` call: the Krylov step coalesces the
-    triplets once, and merges H with its mirror in a second call only when
-    the mirrored pattern differs from the pattern of H."""
-    calls = []
-    coalesce = dynamics._coalesce
-
-    def counted(key, values):
-        calls.append(key.size)
-        return coalesce(key, values)
-
-    monkeypatch.setattr(dynamics, "_coalesce", counted)
-    return calls
-
-
-@pytest.mark.parametrize("value, pair, coalesced", [
-    pytest.param(1e-9j, _big_sector_pair, 1, id="1e-09j"),
-    pytest.param(complex(0.0, np.nan), _big_sector_pair, 1, id="nanj"),
-    pytest.param(1e-9j, _uncoupled_pair, 2, id="1e-09j-unmatched"),
-    pytest.param(complex(0.0, np.nan), _uncoupled_pair, 2, id="nanj-unmatched"),
+@pytest.mark.parametrize("value, pair", [
+    pytest.param(1e-9j, _big_sector_pair, id="1e-09j"),
+    pytest.param(complex(0.0, np.nan), _big_sector_pair, id="nanj"),
+    pytest.param(1e-9j, _uncoupled_pair, id="1e-09j-unmatched"),
+    pytest.param(complex(0.0, np.nan), _uncoupled_pair, id="nanj-unmatched"),
 ])
-def test_chiral_path_refuses_non_hermitian_and_nan(value, pair, coalesced, monkeypatch):
+def test_chiral_path_refuses_non_hermitian_and_nan(value, pair):
     # an entry that H's conjugate transpose does not match, in the 35-state
-    # sector: added to a coupled pair, the pattern stays symmetric and the
-    # residual is read against each entry's mirror; at a pair H does not
-    # couple, the entry has no mirror and the triplets are merged with their
-    # conjugate transpose
+    # sector: added to a coupled pair, where the mirror holds the conjugate
+    # of the coupling alone, or at a pair H does not couple, where the entry
+    # has no mirror; the triplets merged with their conjugate transpose keep
+    # the difference either way
     layout, h = _collective_jc(6)
     row, col = pair(layout)
     h = h + LinearOp(layout, [row], [col], [value])
-    calls = _counted_coalesce(monkeypatch)
     with pytest.raises(ValueError, match="evolve requires a Hermitian Hamiltonian"):
         evolve(basis_state(layout, ["g"] + [0] * 6), h, 1.0)
-    assert len(calls) == coalesced
 
 
-def test_chiral_path_accepts_rounding_asymmetry(monkeypatch):
-    calls = _counted_coalesce(monkeypatch)
-    for pair, coalesced in ((_big_sector_pair, 1), (_uncoupled_pair, 2)):
+def test_chiral_path_accepts_rounding_asymmetry():
+    for pair in (_big_sector_pair, _uncoupled_pair):
         layout, h = _collective_jc(6)
         row, col = pair(layout)
         h = h + LinearOp(layout, [row], [col], [1e-13j])
-        calls.clear()
         assert abs(np.linalg.norm(evolve(basis_state(layout, ["e"] + [1, 1, 0, 0, 0, 0]), h,
                                          1.0).amplitudes) - 1) < 1e-12
-        assert len(calls) == coalesced
 
 
 def test_krylov_step_adds_up_repeated_triplets():

@@ -7,6 +7,7 @@ CHANGES.md.  The only values compared loosely are the three rounding-noise
 scalars, which must stay below 1e-12 in magnitude.
 """
 
+import ast
 import json
 import re
 import subprocess
@@ -124,6 +125,24 @@ def test_commands_run_without_scipy(tmp_path):
             got = (tmp_path / key).read_bytes().decode("utf-8")
         want = (GOLDEN_DIR / key.split()[0]).read_bytes().decode("utf-8")
         assert _mask_noise(got) == _mask_noise(want), key
+
+
+def test_modent_imports_numpy_and_the_standard_library_alone():
+    # the child above blocks scipy only; every import a module of the package
+    # states is relative, numpy or a module of the standard library
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    modules = sorted(Path(modent.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
 
 
 def test_every_golden_file_has_a_run():
