@@ -203,7 +203,7 @@ def _run_fermion_sweep(p, payload):
     payload["scalars"]["best_concurrence"] = best_c
     for i, t in enumerate(best_t, start=1):
         payload["scalars"][f"best_theta_{i}"] = t
-    payload["series"] = [tuple(row) for row in grid]
+    payload["series"] = grid
     payload["series_columns"] = [f"theta_{i}" for i in range(1, p["pairs"] + 1)] + ["concurrence"]
 
 

@@ -206,7 +206,7 @@ def _hermitian_residual(key, rows, cols, values, d):
 
 def _excitations(dims) -> np.ndarray:
     """The excitation number, the sum of the levels, of each basis state of a
-    layout with subsystem dimensions ``dims``, without its level grid."""
+    layout with subsystem dimensions ``dims``, without a grid of every level."""
     sector = np.zeros(1, dtype=np.intp)
     for dim in dims:
         sector = np.add.outer(sector, np.arange(dim)).ravel()
@@ -390,8 +390,8 @@ def _sector_lanczos(product, work, sector, amplitudes, t):
             if np.all(error <= _KRYLOV_TOL):
                 break
             tau *= 0.5 ** 0.25
-        # a matmul: np.vecdot rounds the collision's columns off those of
-        # _propagate
+        # a matmul: np.vecdot rounds the absorption's amplitudes off those of
+        # the closed form, _propagate, which evolve matches bit for bit
         x = spread(((q @ turns[:, :, None])[..., 0] * norm[:, None]).T, m)
         remaining -= tau
     return x[position]

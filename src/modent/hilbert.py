@@ -4,11 +4,10 @@ States are dense numpy amplitude vectors over a fixed basis contract: the
 global basis index runs row-major over the subsystem list, with the
 first-listed subsystem varying slowest (so ``tensor`` is a plain Kronecker
 product).  Operators are held as COO triplets (rows, cols, values) and never
-as a d x d array.  A layout's ``levels`` grid holds the level of every
-subsystem in every basis state.  An operator's triplets are basis indices
-read off the layout directly, never through a Kronecker product with an
-identity: the coupling of ``dynamics.jc_hamiltonian`` moves one excitation
-between strided slices of the basis viewed on the layout's dims.
+as a d x d array.  An operator's triplets are basis indices read off the
+layout directly, never through a Kronecker product with an identity: the
+coupling of ``dynamics.jc_hamiltonian`` moves one excitation between strided
+slices of the basis viewed on the layout's dims.
 
 Fermionic modes are hard-core two-level modes: each holds occupation 0 or 1,
 operators on different modes commute, and no Jordan-Wigner sign strings are
@@ -100,8 +99,8 @@ class SystemLayout:
     The basis ordering is part of the contract: index = sum_i n_i * stride_i
     with stride_i = prod of the dimensions of all later subsystems (first
     subsystem slowest).  The shape (``labels``, ``dims``, ``dim``,
-    ``strides()``, ``levels``) is computed once per layout; the cached values
-    are not fields, so equality and hashing still see ``subsystems`` alone.
+    ``strides()``) is computed once per layout; the cached values are not
+    fields, so equality and hashing still see ``subsystems`` alone.
     """
 
     subsystems: tuple
@@ -150,14 +149,6 @@ class SystemLayout:
     def _strides(self) -> tuple:
         dims = self.dims
         return tuple(math.prod(dims[i + 1:]) for i in range(len(dims)))
-
-    @cached_property
-    def levels(self) -> np.ndarray:
-        """Read-only (len(dims), dim) int array: ``levels[i, j]`` is the level
-        of subsystem i in basis state j."""
-        grid = np.indices(self.dims).reshape(len(self.dims), -1)
-        grid.flags.writeable = False
-        return grid
 
     def restrict(self, labels: Sequence[str]) -> "SystemLayout":
         """Sub-layout containing ``labels`` in the given order."""

@@ -121,8 +121,9 @@ def massless_absorption():
     if abs(overlap - 1.0) > 1e-10:
         raise RuntimeError(f"absorption missed the transferred state (overlap {overlap!r})")
 
-    # <n_fly_l + n_fly_r>: the flying modes' levels are their occupation numbers
-    n_fly = layout.levels[[layout.position("fly_l"), layout.position("fly_r")]].sum(axis=0)
+    # <n_fly_l + n_fly_r>: the levels of the flying modes, axes 1 and 3 of
+    # the layout, are their occupation numbers
+    n_fly = np.indices(layout.dims)[[1, 3]].sum(axis=0).ravel()
     occupation = float(np.sum(np.abs(final.amplitudes) ** 2 * n_fly))
 
     targets = reduced_density(final, TWO_TARGETS.labels)
@@ -374,10 +375,11 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
     """Exhaustive angle grid over [0, pi]^n_pairs plus local refinement.
 
     Each refinement round halves the step and scans incumbent +/- two steps
-    per axis (clipped to [0, pi]); ties go to the lexicographically smallest
-    angle tuple.  The points of a scan are evaluated as stacks of up to
-    ``_CHUNK_BYTES`` of amplitudes and then compared one by one, in product
-    order.
+    per axis (clipped to [0, pi]).  A round holds its points, in product
+    order, as one (rows, n_pairs) array, evaluates them in stacks of up to
+    ``_CHUNK_BYTES`` of amplitudes into one concurrence array, and takes its
+    best point by ``np.argmax``; ties go to the lexicographically smallest
+    angle tuple.
 
     Returns
     -------
@@ -397,19 +399,17 @@ def optimize_angles(n_pairs: int, grid_points: int, refine_rounds: int):
     chunk = max(1, _CHUNK_BYTES // (16 * 16 * 4 ** n_pairs))
     axes = [np.linspace(0.0, math.pi, grid_points)] * n_pairs
     step = math.pi / (grid_points - 1)
-    best_c, best_t, grid_rows = -1.0, None, None
-    for _ in range(refine_rounds + 1):
-        rows = []
-        points = itertools.product(*axes)
-        while combos := list(itertools.islice(points, chunk)):
-            batch = np.array(combos, dtype=float)
-            for angles, c in zip(batch.tolist(), concurrence(_reduced_targets(batch)).tolist()):
-                angles = tuple(angles)
-                rows.append(angles + (c,))
-                if c > best_c or (c == best_c and angles < best_t):
-                    best_c, best_t = c, angles
-        if grid_rows is None:
-            grid_rows = rows
+    for round_ in range(refine_rounds + 1):
+        # the axes ascend, so product order is lexicographic: the first
+        # maximum is the smallest angle tuple among the maxima, and since
+        # every refinement scan contains the incumbent, no round loses it
+        points = np.array(list(itertools.product(*axes)))
+        values = np.concatenate([concurrence(_reduced_targets(points[i:i + chunk]))
+                                 for i in range(0, len(points), chunk)])
+        if round_ == 0:
+            grid_rows = list(map(tuple, np.column_stack((points, values)).tolist()))
+        best = np.argmax(values)
+        best_t, best_c = tuple(points[best].tolist()), float(values[best])
         step /= 2.0
         axes = [sorted({min(math.pi, max(0.0, t + k * step)) for k in range(-2, 3)})
                 for t in best_t]

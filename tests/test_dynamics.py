@@ -127,7 +127,7 @@ def test_collective_two_modes_spreads_excitation_evenly():
 
 
 @st.composite
-def _coupled_layouts(draw):
+def _strength_coupled_layouts(draw):
     """A qubit and 1-4 fermionic or bosonic modes in random order, the
     coupled modes (a random non-empty subset; the rest are spectators) and a
     coupling strength."""
@@ -139,7 +139,7 @@ def _coupled_layouts(draw):
     return layout, tuple(coupled), draw(st.floats(0.1, 3.0))
 
 
-@given(_coupled_layouts())
+@given(_strength_coupled_layouts())
 @settings(max_examples=60, deadline=None)
 def test_collective_matches_dense_sum_oracle(case):
     layout, coupled, strength = case
@@ -188,7 +188,7 @@ def test_sector_blocks_match_dense_oracle_bit_for_bit():
         pairs = _doublets(b)
         # the pairs are the two-state sectors, by excitation number, each in
         # increasing order; the two other states are alone in their sectors
-        sector = layout.levels.sum(axis=0)
+        sector = np.indices(layout.dims).sum(axis=0).ravel()
         sizes = np.bincount(sector)
         assert pairs.shape == (np.count_nonzero(sizes == 2), 2)
         assert np.array_equal(sector[pairs[:, 0]], sector[pairs[:, 1]])
@@ -308,7 +308,7 @@ def test_evolve_composes_in_time(seed, t1, t2):
     assert np.max(np.abs(stepped.amplitudes - direct.amplitudes)) < 1e-10
 
 
-@given(_coupled_layouts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0), st.booleans())
+@given(_strength_coupled_layouts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_evolve_matches_dense_oracle(case, seed, t, random_h):
     # a JC Hamiltonian of one or more modes, or a random Hermitian H that
@@ -650,7 +650,7 @@ def test_sector_recurrences_match_dense_oracle(case, joined, seed, t):
     # sectors 0 and n: then the whole space is one sector
     layout, h = case
     rng = np.random.default_rng(seed)
-    sector = layout.levels.sum(axis=0)
+    sector = np.indices(layout.dims).sum(axis=0).ravel()
     if joined:
         top = layout.dim - 1
         h = h + LinearOp(layout, [0, top], [top, 0], [0.25j, -0.25j])
@@ -739,7 +739,7 @@ def test_coupling_product_matches_the_triplets_on_the_collective_state(n_modes):
 
 
 @st.composite
-def _coupled_layouts(draw):
+def _spectator_coupled_layouts(draw):
     """A TwoLevel target "T" at any position among up to four other
     subsystems (two-level, fermionic, or bosonic with cutoff 1 to 3), and a
     nonempty subset of the modes, in any order, coupled to it."""
@@ -755,7 +755,7 @@ def _coupled_layouts(draw):
     return layout, coupled
 
 
-@given(_coupled_layouts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
+@given(_spectator_coupled_layouts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_coupling_product_matches_evolve_and_the_dense_oracle(case, seed, t):
     layout, modes = case
@@ -767,7 +767,7 @@ def test_coupling_product_matches_evolve_and_the_dense_oracle(case, seed, t):
     assert np.max(np.abs(got - exact)) < 1e-12
 
 
-@given(_coupled_layouts())
+@given(_spectator_coupled_layouts())
 @settings(max_examples=60, deadline=None)
 def test_jc_hamiltonian_lists_each_mode_run_then_its_conjugate(case):
     # mode by mode in the order given: the columns |g, n>, n >= 1, ascending,
@@ -845,7 +845,7 @@ def test_absorption_is_bit_identical_to_evolve():
     final = evolve(psi, h, math.pi / 2)
     transferred = superpose([(1.0, basis_state(layout, ["e", 0, "g", 0])),
                              (1.0, basis_state(layout, ["g", 0, "e", 0]))])
-    n_fly = layout.levels[[1, 3]].sum(axis=0)
+    n_fly = np.indices(layout.dims)[[1, 3]].sum(axis=0).ravel()
     expected = reduced_density(final, ["tgt_l", "tgt_r"])
     targets, scalars = massless_absorption()
     assert targets.matrix.tobytes() == expected.matrix.tobytes()

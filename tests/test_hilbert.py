@@ -75,14 +75,6 @@ def test_layout_shape_is_cached_without_changing_equality():
     shape = (layout.labels, layout.dims, layout.dim, layout.strides())
     assert shape == (("T", "m", "f"), (2, 3, 2), 12, (6, 2, 1))
     assert layout.dims is layout.dims and layout.strides() is layout.strides()
-    # the level grid: level of each subsystem (row) in each basis state (column)
-    levels = layout.levels
-    assert levels is layout.levels
-    assert levels.shape == (3, 12) and levels.dtype.kind == "i"
-    assert np.array_equal(levels, np.unravel_index(np.arange(12), layout.dims))
-    assert not levels.flags.writeable
-    with pytest.raises(ValueError):
-        levels[0, 0] = 1
     assert layout == fresh and hash(layout) == hash(fresh) == before
     assert {layout: 1}[fresh] == 1
 

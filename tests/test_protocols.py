@@ -35,6 +35,7 @@ from modent import (
     simultaneous_coupling_check,
     single_ancilla_rotation,
     table1_summary,
+    target_pair_density,
     tensor,
 )
 from modent import protocols
@@ -425,6 +426,28 @@ def test_optimize_surface_is_symmetric():
 def test_chunked_optimizer_equals_the_pointwise_scan(sizes, chunk_bytes, monkeypatch):
     # the second budget holds 7 points at 3 pairs, so chunks end mid-scan
     monkeypatch.setattr(protocols, "_CHUNK_BYTES", chunk_bytes)
+    best_t, best_c, grid = optimize_angles(*sizes)
+    ref_t, ref_c, ref_grid = pointwise_optimize_angles(*sizes)
+    assert best_t == ref_t and best_c == ref_c
+    assert grid == ref_grid
+
+
+def _plateau_targets(angles):
+    """Stand-in for ``protocols._reduced_targets`` whose concurrence is a few
+    wide plateaus, g = min(floor(4 prod_j sin^2 theta_j), 3) / 8, so that
+    whole neighbourhoods tie exactly, within a round and across rounds."""
+    weights = np.prod(np.sin(np.asarray(angles, dtype=float)) ** 2, axis=1)
+    return np.stack([target_pair_density(min(math.floor(4 * w), 3) / 8).matrix
+                     for w in weights])
+
+
+@pytest.mark.parametrize("sizes", [(1, 8, 4), (2, 8, 3), (3, 8, 2), (2, 9, 5)])
+def test_optimizer_breaks_exact_ties_as_the_pointwise_scan(sizes, monkeypatch):
+    # on the smooth surface the maxima tie only by symmetry; on plateaus a
+    # refinement scan meets many points that tie with the incumbent, where
+    # keeping the incumbent, or the last maximum, picks another point than
+    # the first maximum
+    monkeypatch.setattr(protocols, "_reduced_targets", _plateau_targets)
     best_t, best_c, grid = optimize_angles(*sizes)
     ref_t, ref_c, ref_grid = pointwise_optimize_angles(*sizes)
     assert best_t == ref_t and best_c == ref_c
